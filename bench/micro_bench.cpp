@@ -10,7 +10,6 @@
 #include <unordered_map>
 
 #include "bench_common.hpp"
-#include "core/sharded_survey.hpp"
 #include "ingest/parallel_pipeline.hpp"
 #include "ingest/pipeline.hpp"
 #include "core/test_registry.hpp"
@@ -320,51 +319,12 @@ void BM_FullMeasurementSample(benchmark::State& state) {
 }
 BENCHMARK(BM_FullMeasurementSample)->Unit(benchmark::kMillisecond);
 
-// Parallel fleet scaling: a fixed 8-target survey partitioned into 4
-// shards, driven by {1, 2, 4} pool threads. Shard count is pinned so
-// every row simulates the IDENTICAL per-shard workload (and, per the
-// bit-exactness guarantee, produces identical results) — the ratio
-// between rows is pure thread-pool speedup, the number the CI scaling
-// gate tracks.
-void BM_ShardedSurvey(benchmark::State& state) {
-  core::ShardedSurveyConfig cfg;
-  cfg.fleet.seed = 11;
-  for (int i = 0; i < 8; ++i) {
-    core::SurveyTargetConfig target;
-    target.name = "host-" + std::to_string(i);
-    target.forward.swap_probability = (i % 4) * 0.05;
-    target.remote.behavior.immediate_ack_on_hole_fill = true;
-    target.tests = {core::TestSpec{"single-connection"}, core::TestSpec{"syn"}};
-    cfg.fleet.targets.push_back(std::move(target));
-  }
-  cfg.shards = 4;
-  cfg.threads = static_cast<std::size_t>(state.range(0));
-  core::ShardedSurveyEngine engine{cfg};
-  core::TestRunConfig run;
-  run.samples = 10;
-  std::size_t measurements = 0;
-  for (auto _ : state) {
-    measurements = engine.run(run, /*rounds=*/1, util::Duration::millis(200)).size();
-    benchmark::DoNotOptimize(measurements);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(measurements));
-}
-// UseRealTime: the work happens on pool workers, so the main thread's
-// CPU clock would show nothing — wall time is the quantity that scales.
-BENCHMARK(BM_ShardedSurvey)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// The resident service's admit-to-drain cycle over the same 8-target
-// fleet BM_ShardedSurvey runs — work-stealing pool, per-target worlds,
-// checkpoint off. The batch twin above is the reference: the service's
-// rows should scale with workers the same way (its per-target grain is
-// finer than the batch runtime's 4-shard grain, so stealing has more to
-// balance).
+// Parallel fleet scaling: the survey service's admit-to-drain cycle over
+// a fixed 8-target fleet on {1, 2, 4} work-stealing workers, one world
+// per target, checkpoint off. The fleet is identical on every row (and,
+// per the determinism guarantee, so are the results), so the ratio
+// between rows is the service's parallel speedup, worker start and join
+// included — the number the CI scaling gate tracks.
 void BM_ServiceAdmitDrain(benchmark::State& state) {
   std::vector<core::SurveyTargetConfig> fleet;
   for (int i = 0; i < 8; ++i) {
@@ -391,6 +351,8 @@ void BM_ServiceAdmitDrain(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(measurements));
 }
+// UseRealTime: the work happens on pool workers, so the main thread's
+// CPU clock would show nothing — wall time is the quantity that scales.
 BENCHMARK(BM_ServiceAdmitDrain)
     ->ArgName("workers")
     ->Arg(1)

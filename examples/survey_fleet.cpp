@@ -8,40 +8,26 @@
 //
 // Results STREAM: a live ResultSink narrates completions as they land
 // (watch the targets interleave), and --jsonl=PATH attaches a second
-// sink that writes every event as JSON Lines.
+// sink that writes every event as JSON Lines, in completion order.
 //
-// With --shards=N (N >= 2) the fleet is partitioned across N independent
-// simulation shards executed on a thread pool (core::ShardedSurveyEngine)
-// and merged bit-exactly afterwards: identical metric snapshots for any
-// shard count, byte-identical canonical JSONL among sharded runs, a
-// fraction of the wall clock. (--shards=1 keeps the live single-loop
-// stream — same worlds and same summary numbers, but events in
-// completion order rather than the merge's canonical order.)
-//
-// With --checkpoint=PATH every completed shard is durably recorded
-// (atomic rewrite per completion); a run killed mid-flight resumes with
-// --resume --checkpoint=PATH, re-running only the missing shards and
-// producing byte-identical merged output. --jsonl artifacts are written
-// crash-safely (tmp + rename): readers never see a torn file.
+// Every target's identity is pinned to its global index, so this run
+// measures exactly the worlds `survey_service` runs in parallel over the
+// same --targets/--seed population: `reorder-merge` canonicalizes this
+// live stream into the bytes survey_service writes.
 //
 //   $ survey_fleet --targets=8 --rounds=4 --samples=15 --seed=11
-//   $ survey_fleet --targets=64 --shards=8 --jsonl=fleet.jsonl
-//   $ survey_fleet --targets=64 --shards=8 --checkpoint=fleet.ckpt   # killed...
-//   $ survey_fleet --targets=64 --shards=8 --checkpoint=fleet.ckpt --resume
-#include <chrono>
+//   $ survey_fleet --targets=24 --jsonl=live.jsonl
+//   $ reorder-merge --out=canonical.jsonl live.jsonl
 #include <cstdio>
 #include <fstream>
 #include <optional>
 
-#include "core/checkpoint.hpp"
-#include "core/sharded_survey.hpp"
 #include "core/survey_testbed.hpp"
 #include "report/sinks.hpp"
 #include "report/table.hpp"
 #include "stats/ecdf.hpp"
 #include "util/flags.hpp"
 #include "util/random.hpp"
-#include "util/shard_seeder.hpp"
 
 namespace {
 
@@ -56,41 +42,24 @@ int main(int argc, char** argv) {
   std::int64_t rounds = 4;
   std::int64_t samples = 15;
   std::int64_t seed = 11;
-  std::int64_t shards = 1;
-  std::int64_t threads = 0;
   std::int64_t narrate_every = -1;
   double reordering_fraction = 0.5;
   std::string jsonl_path;
-  std::string checkpoint_path;
-  bool resume = false;
 
   util::Flags flags{"survey_fleet", "concurrent multi-target reordering survey"};
   flags.add_i64("targets", &targets, "number of hosts surveyed concurrently");
   flags.add_i64("rounds", &rounds, "measurement cycles per host");
   flags.add_i64("samples", &samples, "samples per measurement (paper: 15)");
   flags.add_i64("seed", &seed, "population seed");
-  flags.add_i64("shards", &shards,
-                "simulation shards run in parallel (1 = single-loop live streaming)");
-  flags.add_i64("threads", &threads, "worker threads for --shards > 1 (0 = auto)");
   flags.add_i64("narrate-every", &narrate_every,
                 "narrate every Nth completion (0 = quiet, -1 = auto: full detail up to "
                 "10k targets, sampled above)");
   flags.add_double("reordering-fraction", &reordering_fraction,
                    "fraction of paths that reorder at all");
   flags.add_string("jsonl", &jsonl_path, "stream every survey event to this JSONL file");
-  flags.add_string("checkpoint", &checkpoint_path,
-                   "durably record each completed shard here (forces the sharded runtime)");
-  flags.add_bool("resume", &resume,
-                 "restore completed shards from --checkpoint and run only the rest");
   if (!flags.parse(argc, argv)) return 1;
-  if (resume && checkpoint_path.empty()) {
-    std::fprintf(stderr, "survey_fleet: --resume needs --checkpoint=PATH\n");
-    return 1;
-  }
-  if (targets < 1 || rounds < 1 || samples < 1 || shards < 1 || threads < 0) {
-    std::fprintf(stderr,
-                 "survey_fleet: --targets/--rounds/--samples/--shards must be >= 1 "
-                 "and --threads >= 0\n");
+  if (targets < 1 || rounds < 1 || samples < 1) {
+    std::fprintf(stderr, "survey_fleet: --targets/--rounds/--samples must be >= 1\n");
     return 1;
   }
 
@@ -110,91 +79,11 @@ int main(int argc, char** argv) {
     }
     target.remote.behavior.immediate_ack_on_hole_fill = true;
     target.tests = {core::TestSpec{"single-connection"}, core::TestSpec{"syn"}};
-    // Pin every target's stochastic identity to its global index in ALL
-    // modes, so the live single-loop run (--shards=1) measures exactly
-    // the worlds the sharded runs re-partition.
-    const util::TargetSeeds seeds =
-        util::ShardSeeder{static_cast<std::uint64_t>(seed)}.target(
-            static_cast<std::uint64_t>(i));
-    target.host_seed = seeds.host_seed;
-    target.ipid_initial = seeds.ipid_initial;
-    target.forward_path_tag = seeds.forward_tag;
-    target.reverse_path_tag = seeds.reverse_tag;
+    core::pin_global_identity(target, static_cast<std::size_t>(i), cfg.seed);
     cfg.targets.push_back(std::move(target));
   }
   core::TestRunConfig run;
   run.samples = static_cast<int>(samples);
-
-  if (shards > 1 || !checkpoint_path.empty()) {
-    // The sharded runtime: N independent worlds on a thread pool, merged
-    // bit-exactly. Events are not streamed live (the merge canonicalizes
-    // ordering after the fact), so the narrator is replaced by a summary.
-    core::ShardedSurveyConfig scfg;
-    scfg.fleet = std::move(cfg);
-    scfg.shards = static_cast<std::size_t>(shards);
-    scfg.threads = static_cast<std::size_t>(threads);
-    scfg.checkpoint_path = checkpoint_path;
-    core::ShardedSurveyEngine engine{std::move(scfg)};
-
-    const auto wall_start = std::chrono::steady_clock::now();
-    if (resume) {
-      // Re-run only what the checkpoint does not hold (torn records were
-      // dropped at load and their shards re-run). A checkpoint from a
-      // different plan (fleet, shards, rounds, seed) is rejected.
-      const core::SurveyCheckpoint cp = core::SurveyCheckpoint::load(checkpoint_path);
-      std::printf("resuming: %zu/%lld shards restored from %s (%zu torn records dropped)\n",
-                  cp.completed_count(), static_cast<long long>(shards),
-                  checkpoint_path.c_str(), cp.torn_records());
-      engine.resume(cp, run, static_cast<int>(rounds), Duration::seconds(1));
-    } else {
-      engine.run(run, static_cast<int>(rounds), Duration::seconds(1));
-    }
-    const auto& ms = engine.measurements();
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-    if (engine.degraded()) {
-      std::printf("DEGRADED: %zu shard(s) failed every attempt; %zu target(s) unmeasured\n",
-                  engine.failed_shard_indices().size(),
-                  engine.survey_end().failed_targets.size());
-    }
-
-    report::Table table =
-        report::Table::with_headers({"target", "true fwd", "single-conn", "syn"});
-    stats::Ecdf fwd_rates;
-    int reordering_paths = 0;
-    for (std::int64_t i = 0; i < targets; ++i) {
-      const std::string name = "host-" + std::to_string(i);
-      const auto single = engine.aggregate(name, "single-connection", /*forward=*/true);
-      const auto syn = engine.aggregate(name, "syn", /*forward=*/true);
-      core::ReorderEstimate pooled;
-      pooled += single;
-      pooled += syn;
-      fwd_rates.add(pooled.rate_or(0.0));
-      if (pooled.reordered > 0) ++reordering_paths;
-      table.row({name, report::fixed(true_fwd[static_cast<std::size_t>(i)], 3),
-                 report::fixed(single.rate_or(0.0), 3), report::fixed(syn.rate_or(0.0), 3)});
-    }
-    table.print();
-
-    std::printf("\nmeasurements taken: %zu  (%lld targets x %lld rounds x 2 tests)\n", ms.size(),
-                static_cast<long long>(targets), static_cast<long long>(rounds));
-    std::printf("virtual survey duration: %.1fs  across %zu shards (%.2fs wall)\n",
-                engine.survey_end().at.seconds_f(), engine.shard_count(), wall_s);
-    std::printf("paths with observed reordering: %d / %lld\n", reordering_paths,
-                static_cast<long long>(targets));
-    std::printf("median measured forward rate: %.4f\n", fwd_rates.quantile(0.5));
-    if (!jsonl_path.empty()) {
-      // The canonical merged stream: byte-identical for any --shards >= 2
-      // (--shards=1 streams live in completion order instead). Written
-      // crash-safely — the artifact appears only complete.
-      report::AtomicJsonlFile file{jsonl_path};
-      engine.emit_jsonl(file.writer());
-      const std::size_t lines = file.writer().lines_written();
-      file.commit();
-      std::printf("streamed %zu JSONL records to %s\n", lines, jsonl_path.c_str());
-    }
-    return 0;
-  }
 
   core::SurveyTestbed bed{std::move(cfg)};
 

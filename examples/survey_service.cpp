@@ -1,15 +1,15 @@
-// survey_service: the resident survey daemon — ROADMAP item 1's shape.
+// survey_service: the parallel survey runtime as a resident daemon.
 //
-// Where survey_fleet runs one closed fleet to completion, this process
-// stays up and ADMITS work continuously into a service::SurveyService:
-// targets stream in (a synthetic population, or specs read from a file /
-// stdin), a work-stealing pool executes each one as its own simulation
-// world, and live fleet-wide snapshots (merged metrics + scheduler
-// counters) print mid-run without pausing anything. Identity is pinned
-// per global admission index, so the canonical JSONL this daemon writes
-// after drain is byte-identical to a one-shot sharded batch run over the
-// same population — admit order, batch size, worker count and steal
-// schedule all invisible in the output.
+// Where survey_fleet runs one fleet on one event loop, this process
+// ADMITS work continuously into a service::SurveyService: targets stream
+// in (a synthetic population, or specs read from a file / stdin), a
+// work-stealing pool executes each one as its own simulation world, and
+// live fleet-wide snapshots (merged metrics + scheduler counters) print
+// mid-run without pausing anything. Identity is pinned per global
+// admission index, so the canonical JSONL this daemon writes after drain
+// is byte-identical to survey_fleet's live stream over the same
+// population canonicalized by reorder-merge — admit order, batch size,
+// worker count and steal schedule all invisible in the output.
 //
 // SIGTERM/SIGINT stop admission and drain gracefully: in-flight targets
 // finish, the checkpoint (when enabled) is durably saved, the summary
@@ -49,7 +49,7 @@ void on_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
 /// The same synthetic host population survey_fleet draws — kept
 /// generation-identical so CI can byte-compare this daemon's canonical
-/// JSONL against the batch runtime's over the same seed.
+/// JSONL against survey_fleet's single-loop run over the same seed.
 std::vector<core::SurveyTargetConfig> synthesize(std::int64_t targets, std::uint64_t seed,
                                                  double reordering_fraction) {
   util::Rng population{seed};
@@ -115,7 +115,6 @@ int main(int argc, char** argv) {
   std::int64_t snapshot_every = 0;
   std::int64_t narrate_every = -1;
   double reordering_fraction = 0.5;
-  bool no_steal = false;
   bool lean = false;
   bool resume = false;
   std::string admit_path;
@@ -137,7 +136,6 @@ int main(int argc, char** argv) {
                 "10k targets, sampled above)");
   flags.add_double("reordering-fraction", &reordering_fraction,
                    "fraction of synthetic paths that reorder at all");
-  flags.add_bool("no-steal", &no_steal, "disable work stealing (per-worker FIFO fallback)");
   flags.add_bool("lean", &lean,
                  "drop per-measurement logs (metrics/snapshots stay exact; no --jsonl)");
   flags.add_bool("resume", &resume, "adopt completed targets from --checkpoint");
@@ -177,7 +175,6 @@ int main(int argc, char** argv) {
   service::SurveyServiceConfig cfg;
   cfg.seed = static_cast<std::uint64_t>(seed);
   cfg.workers = static_cast<std::size_t>(workers);
-  cfg.steal = !no_steal;
   cfg.run.samples = static_cast<int>(samples);
   cfg.rounds = static_cast<int>(rounds);
   cfg.between = Duration::seconds(1);
@@ -213,9 +210,9 @@ int main(int argc, char** argv) {
     service.restore(cp);
   }
 
-  std::printf("service up: %zu workers, stealing %s; admitting %zu targets in batches of %lld\n",
-              service.scheduler_stats().executed_by_worker.size(), no_steal ? "off" : "on",
-              population.size(), static_cast<long long>(batch));
+  std::printf("service up: %zu workers; admitting %zu targets in batches of %lld\n",
+              service.scheduler_stats().executed_by_worker.size(), population.size(),
+              static_cast<long long>(batch));
 
   const auto wall_start = std::chrono::steady_clock::now();
   std::size_t admitted = 0;
@@ -227,7 +224,15 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < n; ++i) {
       chunk.push_back(std::move(population[admitted + i]));
     }
-    service.admit(std::move(chunk));
+    try {
+      service.admit(std::move(chunk));
+    } catch (const std::invalid_argument& e) {
+      // Targets admitted before the rejected one still run; the service's
+      // destructor drains them, and its final save keeps every restored
+      // record.
+      std::fprintf(stderr, "survey_service: admission rejected: %s\n", e.what());
+      return 1;
+    }
     admitted += n;
   }
   if (admitted < population.size()) {
@@ -260,8 +265,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(sched.steal_attempts));
 
   if (!jsonl_path.empty()) {
-    // Canonical merged emission, written crash-safely — byte-identical to
-    // the equivalent batch run's artifact.
+    // Canonical merged emission, written crash-safely.
     report::AtomicJsonlFile file{jsonl_path};
     service.emit_jsonl(file.writer());
     const std::size_t lines = file.writer().lines_written();

@@ -61,6 +61,18 @@ report::Json end_to_json(const SurveyEvent& e) {
   return j;
 }
 
+/// The `shard` index a record line or body names; nullopt when absent or
+/// not a u64.
+std::optional<std::size_t> record_index(const report::Json& j) {
+  const report::Json* shard = j.find("shard");
+  if (shard == nullptr) return std::nullopt;
+  try {
+    return static_cast<std::size_t>(shard->as_u64());
+  } catch (const std::runtime_error&) {
+    return std::nullopt;
+  }
+}
+
 SurveyEvent end_from_json(const report::Json& j) {
   SurveyEvent e;
   e.targets = static_cast<std::size_t>(j.at("targets").as_u64());
@@ -123,7 +135,7 @@ void SurveyCheckpoint::record_shard(const ShardRunResult& result, int attempts) 
   report::Json log = report::Json::array();
   for (const Measurement& m : result.log) log.push(measurement_to_json(m));
   body.set("log", std::move(log));
-  // The shard's metric snapshots travel as the exact `metrics` records
+  // The target's metric snapshots travel as the exact `metrics` records
   // the engine would emit — the same schema restore_record consumes, so
   // checkpointing exercises no second serialization format.
   std::ostringstream text;
@@ -212,14 +224,17 @@ SurveyCheckpoint SurveyCheckpoint::load(const std::string& path) {
     }
     const report::Json* crc = line.find("crc");
     const report::Json* body = line.find("body");
+    const std::optional<std::size_t> index = record_index(line);
     if (crc == nullptr || body == nullptr || !crc->is_string() ||
-        crc->as_string() != body_crc(*body)) {
-      // A record that parsed but fails its checksum (or lost fields) is
-      // corruption, not a schema: drop it and let the shard re-run.
+        crc->as_string() != body_crc(*body) || !index || *index != record_index(*body)) {
+      // A record that parsed but fails its checksum, lost fields, or
+      // files its body under another index (the checksum covers only
+      // the body) is corruption, not a schema: drop it and let that
+      // target re-run.
       ++cp.torn_;
       continue;
     }
-    cp.shards_[static_cast<std::size_t>(line.at("shard").as_u64())] = ShardRecord{*body};
+    cp.shards_[*index] = ShardRecord{*body};
   }
   return cp;
 }

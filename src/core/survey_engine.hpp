@@ -52,9 +52,9 @@ class SurveyEngine {
     util::Duration measurement_deadline{util::Duration::seconds(600)};
     /// Keep each Measurement's per-sample payload in the completion log.
     /// Off by default (a long survey's dominant data would be resident
-    /// twice — it already lives columnar in the store); the sharded
-    /// driver turns it on so the merged log can replay full event streams
-    /// through the canonical emission path.
+    /// twice — it already lives columnar in the store); the survey
+    /// service turns it on so the merged log can replay full event
+    /// streams through the canonical emission path.
     bool retain_samples{false};
     /// Deterministic fault injection (not owned; may be null). A
     /// kTargetTimeout plan firing at site "target/<name>/test/<test>"
@@ -111,7 +111,7 @@ class SurveyEngine {
   const std::vector<Measurement>& measurements() const { return measurements_; }
 
   /// Moves the completion log out of the engine (it is left empty). The
-  /// sharded driver uses this to hand a finished shard's log to the merge
+  /// survey service uses this to hand a finished world's log to the merge
   /// without copying retained sample payloads. Must not be called while a
   /// survey is running.
   std::vector<Measurement> release_measurements();

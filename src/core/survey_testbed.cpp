@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "core/testbed.hpp"
+#include "util/shard_seeder.hpp"
 
 namespace reorder::core {
 
@@ -20,6 +21,19 @@ tcpip::Ipv4Address default_target_address(std::size_t index) {
   return tcpip::Ipv4Address::from_octets(10, static_cast<std::uint8_t>(1 + subnet / 256),
                                          static_cast<std::uint8_t>(subnet % 256),
                                          static_cast<std::uint8_t>(index % 254 + 1));
+}
+
+void pin_global_identity(SurveyTargetConfig& target, std::size_t global_index,
+                         std::uint64_t survey_seed) {
+  if (target.name.empty()) target.name = default_target_name(global_index);
+  if (target.address == tcpip::Ipv4Address{}) {
+    target.address = default_target_address(global_index);
+  }
+  const util::TargetSeeds seeds = util::ShardSeeder{survey_seed}.target(global_index);
+  if (!target.host_seed) target.host_seed = seeds.host_seed;
+  if (!target.ipid_initial) target.ipid_initial = seeds.ipid_initial;
+  if (!target.forward_path_tag) target.forward_path_tag = seeds.forward_tag;
+  if (!target.reverse_path_tag) target.reverse_path_tag = seeds.reverse_tag;
 }
 
 SurveyTestbed::SurveyTestbed(SurveyTestbedConfig config) {
@@ -43,7 +57,7 @@ SurveyTestbed::SurveyTestbed(SurveyTestbedConfig config) {
     host_cfg.name = net->config.name;
     // Per-target seed/IPID derivation mirrors Testbed's per-backend scheme
     // so identical (seed, index) pairs reproduce identical hosts. A config
-    // with explicit identity (the sharded planner's) overrides the local
+    // with explicit identity (pin_global_identity's) overrides the local
     // derivation wholesale — that is what makes a target's world a pure
     // function of its global fleet index.
     host_cfg.seed = net->config.host_seed.value_or(config.seed * 1000 + index + 1);

@@ -38,12 +38,12 @@ struct SurveyTargetConfig {
   /// The techniques to cycle against this target (registry specs).
   std::vector<TestSpec> tests{TestSpec{"single-connection"}, TestSpec{"syn"}};
 
-  /// Explicit stochastic identity. The sharded survey planner pins these
-  /// from the target's GLOBAL fleet index (util::ShardSeeder) so the
-  /// target's RNG streams are identical no matter which shard — and how
-  /// many shards — the fleet is split into. When unset, the testbed
-  /// derives them from the target's local index (the historical scheme,
-  /// which is only stable for a fixed single-testbed layout).
+  /// Explicit stochastic identity. pin_global_identity() sets these from
+  /// the target's GLOBAL fleet index (util::ShardSeeder) so the target's
+  /// RNG streams are identical no matter which world — and which worker —
+  /// runs it. When unset, the testbed derives them from the target's
+  /// local index (the historical scheme, which is only stable for a fixed
+  /// single-testbed layout).
   std::optional<std::uint64_t> host_seed;
   std::optional<std::uint16_t> ipid_initial;
   std::optional<std::uint64_t> forward_path_tag;
@@ -57,12 +57,20 @@ struct SurveyTestbedConfig {
 };
 
 /// Defaults for targets that leave name/address unset, shared by the
-/// single-testbed path (local index) and the sharded planner (global
+/// single-testbed path (local index) and pin_global_identity (global
 /// index) so both derive identical worlds from identical indices.
 std::string default_target_name(std::size_t index);
 /// Spreads addresses across 10.1.x.y so fleets larger than one /24
 /// don't wrap onto each other.
 tcpip::Ipv4Address default_target_address(std::size_t index);
+
+/// Pins `target`'s identity to its global fleet index: an unset name and
+/// address take the index's defaults, unset seeds the util::ShardSeeder
+/// derivation over (survey_seed, index). Fields the caller set are kept.
+/// A pinned target's world is a pure function of (seed, index), so it
+/// measures the same whichever world, worker or admission order runs it.
+void pin_global_identity(SurveyTargetConfig& target, std::size_t global_index,
+                         std::uint64_t survey_seed);
 
 class SurveyTestbed {
  public:

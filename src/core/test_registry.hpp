@@ -9,11 +9,11 @@
 // of a silent fallback.
 //
 // Thread safety: the registry is shared process state (global() is the
-// one instance everything uses) and the sharded survey runtime builds
-// test suites from worker threads, so every lookup and registration
+// one instance everything uses) and the survey service builds test
+// suites from worker threads, so every lookup and registration
 // takes an internal mutex. The global() instance itself is initialized
 // exactly once (C++ static-local guarantee). Factories run OUTSIDE the
-// lock — a slow constructor must not serialize other shards' lookups —
+// lock — a slow constructor must not serialize other workers' lookups —
 // and technique names resolved by canonical_name() stay valid forever
 // (registrations are insert-only into node-based maps).
 #pragma once

@@ -6,14 +6,14 @@
 
 #include "report/sinks.hpp"
 #include "util/fault_injector.hpp"
-#include "util/thread_pool.hpp"
 
 namespace reorder::service {
 
 namespace {
 
-/// The canonical merged-log order — identical to the sharded runtime's:
-/// (target, test, at) totally orders a survey's measurements.
+/// The canonical merged-log order: one target runs its tests strictly
+/// sequentially, so (target, test, at) totally orders a survey's
+/// measurements.
 bool canonical_less(const core::Measurement& a, const core::Measurement& b) {
   return std::tie(a.target, a.test, a.at) < std::tie(b.target, b.test, b.at);
 }
@@ -24,14 +24,24 @@ class EndCapture final : public core::ResultSink {
   core::SurveyEvent end{};
 };
 
+/// A checkpoint record is adoptable only by the target it measured. One
+/// whose measurements name another target came from a different fleet,
+/// or was filed under another index.
+void require_recorded_target(const core::ShardRunResult& recorded, const std::string& name,
+                             std::size_t index) {
+  for (const core::Measurement& m : recorded.log) {
+    if (m.target != name) {
+      throw std::invalid_argument{"SurveyService: checkpoint record " + std::to_string(index) +
+                                  " measured '" + m.target + "', not the admitted '" + name +
+                                  "'"};
+    }
+  }
+}
+
 }  // namespace
 
-SurveyService::SurveyService(SurveyServiceConfig config)
-    : config_{std::move(config)}, seeder_{config_.seed} {
-  util::WorkStealingPool::Options pool_options;
-  pool_options.threads = config_.workers;
-  pool_options.steal = config_.steal;
-  pool_ = std::make_unique<util::WorkStealingPool>(pool_options);
+SurveyService::SurveyService(SurveyServiceConfig config) : config_{std::move(config)} {
+  pool_ = std::make_unique<util::WorkStealingPool>(config_.workers);
   slots_.reserve(pool_->size());
   for (std::size_t i = 0; i < pool_->size(); ++i) {
     slots_.push_back(std::make_unique<Slot>());
@@ -87,11 +97,18 @@ std::vector<std::size_t> SurveyService::admit(std::vector<core::SurveyTargetConf
   indices.reserve(batch.size());
   std::vector<std::pair<std::size_t, RestoredEntry>> adopted;
   std::vector<std::size_t> fresh;
+  std::exception_ptr rejected;
   {
     std::lock_guard lock{admission_mu_};
     for (auto& target : batch) {
       std::optional<RestoredEntry> adopt;
-      const std::size_t index = admit_locked(std::move(target), std::nullopt, adopt);
+      std::size_t index = 0;
+      try {
+        index = admit_locked(std::move(target), std::nullopt, adopt);
+      } catch (...) {
+        rejected = std::current_exception();
+        break;
+      }
       indices.push_back(index);
       if (adopt.has_value()) {
         adopted.emplace_back(index, std::move(*adopt));
@@ -100,10 +117,13 @@ std::vector<std::size_t> SurveyService::admit(std::vector<core::SurveyTargetConf
       }
     }
   }
+  // Targets admitted before a rejection are pending: they must run, or
+  // drain() would wait on them forever.
   for (auto& [index, entry] : adopted) {
     complete_target(index, std::move(entry.result), entry.attempts, false);
   }
   for (const std::size_t index : fresh) submit_target(index);
+  if (rejected) std::rethrow_exception(rejected);
   return indices;
 }
 
@@ -118,23 +138,14 @@ std::size_t SurveyService::admit_locked(core::SurveyTargetConfig target,
     throw std::invalid_argument{"SurveyService: global index " + std::to_string(index) +
                                 " already admitted"};
   }
-  // Pin the target's identity to its global index exactly as the sharded
-  // planner does (ShardedSurveyEngine::shard_config): default name and
-  // address from the index, the whole stochastic identity from the
-  // seeder; explicit values a caller already set are theirs to keep.
-  if (target.name.empty()) target.name = core::default_target_name(index);
-  if (target.address == tcpip::Ipv4Address{}) {
-    target.address = core::default_target_address(index);
+  core::pin_global_identity(target, index, config_.seed);
+  const auto restored = restored_.find(index);
+  if (restored != restored_.end()) {
+    require_recorded_target(restored->second.result, target.name, index);
   }
-  const util::TargetSeeds seeds = seeder_.target(index);
-  if (!target.host_seed) target.host_seed = seeds.host_seed;
-  if (!target.ipid_initial) target.ipid_initial = seeds.ipid_initial;
-  if (!target.forward_path_tag) target.forward_path_tag = seeds.forward_tag;
-  if (!target.reverse_path_tag) target.reverse_path_tag = seeds.reverse_tag;
 
-  // Fleet-wide identity collisions reject at admission — same rationale
-  // as the batch engine's constructor check: results are keyed by name,
-  // so a duplicate would silently pool two streams.
+  // Fleet-wide identity collisions reject at admission: results are keyed
+  // by name, so a duplicate would silently pool two streams.
   if (!names_.insert(target.name).second) {
     throw std::invalid_argument{"SurveyService: duplicate target name '" + target.name + "'"};
   }
@@ -152,9 +163,9 @@ std::size_t SurveyService::admit_locked(core::SurveyTargetConfig target,
   admitted_.fetch_add(1);
   results_dirty_ = true;
 
-  if (auto it = restored_.find(index); it != restored_.end()) {
-    adopt = std::move(it->second);
-    restored_.erase(it);
+  if (restored != restored_.end()) {
+    adopt = std::move(restored->second);
+    restored_.erase(restored);
     return index;
   }
   ++pending_;
@@ -175,16 +186,22 @@ void SurveyService::restore(const core::SurveyCheckpoint& checkpoint) {
   }
   if (checkpoint.header().has_value()) {
     const core::SurveyCheckpoint::Header& h = *checkpoint.header();
-    // shards == 0 is the service marker: per-target records, not
-    // per-shard — a batch engine's checkpoint is not adoptable here.
+    // shards == 0 marks per-target records; anything else is the retired
+    // per-shard format, whose records do not map onto target indices.
     if (h.shards != 0 || h.rounds != config_.rounds || h.seed != config_.seed) {
       throw std::invalid_argument{
           "SurveyService::restore: checkpoint header does not match this service plan"};
     }
   }
+  // Until its target is adopted, a restored record is still this survey's
+  // durable progress: it is carried into this service's checkpoint, so no
+  // save (after a rejected admission, or a stop mid-admission) drops it.
+  // Adoption re-records it in place.
+  std::lock_guard checkpoint_lock{checkpoint_mu_};
   for (const std::size_t index : checkpoint.completed_shards()) {
-    restored_.insert_or_assign(
-        index, RestoredEntry{checkpoint.restore_shard(index), checkpoint.attempts(index)});
+    RestoredEntry entry{checkpoint.restore_shard(index), checkpoint.attempts(index)};
+    if (!config_.checkpoint_path.empty()) checkpoint_.record_shard(entry.result, entry.attempts);
+    restored_.insert_or_assign(index, std::move(entry));
   }
 }
 
@@ -192,10 +209,10 @@ void SurveyService::restore(const core::SurveyCheckpoint& checkpoint) {
 
 core::ShardRunResult SurveyService::run_world(std::size_t index,
                                               const core::SurveyTargetConfig& cfg) const {
-  // One admitted target is one complete world of its own — the sharded
-  // runtime with shards == fleet size. Per-target independence (the
-  // concurrent-vs-sequential equivalence property) makes this world's
-  // results identical to the target's results in any co-resident shard.
+  // One admitted target is one complete world of its own. Per-target
+  // independence (the concurrent-vs-sequential equivalence property)
+  // makes this world's results identical to the target's results on any
+  // shared event loop.
   core::SurveyTestbedConfig world;
   world.seed = config_.seed;
   world.probe_addr = config_.probe_addr;
@@ -233,8 +250,8 @@ void SurveyService::run_target(std::size_t index) {
     cfg = targets_.at(index).config;
   }
 
-  // The same retry discipline as the batch runtime, with the global
-  // target index in the shard slot of the fault-site convention.
+  // Fault sites carry the global target index in the shard slot of the
+  // "shard/<index>/run" convention.
   util::FaultInjector* faults = config_.engine.faults;
   const std::string run_site = "shard/" + std::to_string(index) + "/run";
   const std::string abort_site = "shard/" + std::to_string(index) + "/abort";
@@ -257,8 +274,8 @@ void SurveyService::run_target(std::size_t index) {
       error = fault.what();
     } catch (const std::invalid_argument& e) {
       // A broken survey PLAN — it would fail identically on every attempt.
-      // The batch engine fails fast out of run(); the resident service has
-      // no run() to unwind, so the error is parked and drain() rethrows.
+      // There is no caller to unwind into, so the error is parked and
+      // drain() rethrows it.
       fail_target(index, attempt, e.what(), true);
       return;
     } catch (const std::exception& e) {
@@ -276,8 +293,8 @@ void SurveyService::run_target(std::size_t index) {
 
 void SurveyService::complete_target(std::size_t index, core::ShardRunResult result, int attempts,
                                     bool decrement_pending) {
-  // Durability point first, mirroring the batch runtime: the checkpoint
-  // record exists before the result feeds any live view.
+  // Durability point first: the checkpoint record exists before the
+  // result feeds any live view.
   if (!config_.checkpoint_path.empty()) {
     std::lock_guard lock{checkpoint_mu_};
     checkpoint_.record_shard(result, attempts);
@@ -303,9 +320,8 @@ void SurveyService::complete_target(std::size_t index, core::ShardRunResult resu
     std::lock_guard lock{admission_mu_};
     AdmittedTarget& target = targets_.at(index);
     target.state = AdmittedTarget::State::kDone;
-    // Adopted results carry attempts = 0 in the live accounting (same as
-    // the batch engine's restored shards); the checkpoint keeps the real
-    // history recorded above.
+    // Adopted results carry attempts = 0 in the live accounting; the
+    // checkpoint keeps the real history recorded above.
     target.attempts = decrement_pending ? attempts : 0;
     target.config = core::SurveyTargetConfig{};  // retire the world description
     name = target.name;
@@ -494,8 +510,8 @@ void SurveyService::finalize_locked() {
   merged_end_.rounds = config_.rounds;
   merged_end_.measurements = total_measurements;
 
-  // Failure accounting in global-index order, exactly the batch shape
-  // (with shard == target here, failed_shards counts failed targets).
+  // Failure accounting in global-index order (failed_shards counts
+  // failed targets).
   for (const auto& [index, target] : targets_) {
     if (target.state != AdmittedTarget::State::kFailed) continue;
     merged_end_.degraded = true;
@@ -602,10 +618,12 @@ void SurveyService::checkpoint_loop() {
 }
 
 void SurveyService::save_checkpoint_locked() {
-  // Header written fresh every save: `targets` tracks admissions, and
+  // Header written fresh every save: `targets` tracks admissions (or the
+  // records held, when restored ones are not all re-admitted yet), and
   // shards == 0 marks the per-target (service) record granularity.
   checkpoint_.set_header(core::SurveyCheckpoint::Header{
-      0, admitted_.load(), config_.rounds, config_.seed});
+      0, std::max(admitted_.load(), checkpoint_.completed_count()), config_.rounds,
+      config_.seed});
   checkpoint_.save(config_.checkpoint_path);
 }
 

@@ -1,37 +1,37 @@
-// The resident survey service — the paper's finite batch survey turned
-// into an always-on daemon.
+// The survey service — the repository's one parallel survey runtime, both
+// for the paper's finite batch survey (admit the whole fleet, drain) and
+// as an always-on daemon.
 //
-// ShardedSurveyEngine runs one closed fleet to completion: partition,
-// execute, join, merge. SurveyService stays up instead. Targets are
-// ADMITTED continuously — one at a time or in batches, from any thread —
-// and each admission is assigned a GLOBAL IDENTITY INDEX. Identity is
-// everything: util::ShardSeeder derives the target's whole stochastic
-// world (host RNG, IPID origin, path tags) from (service seed, global
-// index), exactly as the sharded batch planner does, so a target's
-// results are byte-identical no matter WHEN it was admitted, WHICH
-// worker ran it, or what else was in flight — and therefore identical to
-// the one-shot ShardedSurveyEngine::run() over the same fleet (the
-// placement/admission-order invariance property tests pin this).
+// Targets are ADMITTED continuously — one at a time or in batches, from
+// any thread — and each admission is assigned a GLOBAL IDENTITY INDEX.
+// Identity is everything: core::pin_global_identity derives the target's
+// whole stochastic world (name and address defaults, host RNG, IPID
+// origin, path tags) from (service seed, global index), so a target's
+// results are byte-identical no matter WHEN it was admitted, WHICH worker
+// ran it, or what else was in flight — and therefore identical to one
+// event loop running the whole fleet (the placement/admission-order
+// invariance tests pin this against that single-loop reference).
 //
 // Scheduling is a work-stealing deque pool (util::WorkStealingPool):
-// admissions round-robin onto per-worker deques purely as a load hint,
-// and idle workers steal from random victims. The batch runtime's fixed
-// round-robin PLACEMENT is gone — only identity is round-robin-derived,
-// placement is free — which is what lets a fleet of wildly uneven
-// targets keep every core busy. Steal counters surface in snapshots.
+// each admitted target runs as one world of its own, admissions
+// round-robin onto per-worker deques purely as a load hint, and idle
+// workers steal from random victims — which is what lets a fleet of
+// wildly uneven targets keep every core busy. Steal counters surface in
+// snapshots.
 //
 // Live view: snapshot() folds the per-worker MetricEngine accumulators
 // through the metrics merge() contract into a fleet-wide engine MID-RUN,
 // without stopping admission — the per-slot locks are held only while
 // one slot's accumulator is copied. drain() waits for quiescence;
 // stop() additionally retires the workers. After drain, emit_jsonl()
-// produces the same canonical JSONL stream an equivalent batch run
-// emits, byte for byte.
+// produces the canonical JSONL stream: measurements in (target, test, at)
+// order, indices renumbered — the stream merge_fleet_streams makes of any
+// run over the same fleet.
 //
-// Fault tolerance composes from PR 8's pieces: every completed target is
-// recorded into a core::SurveyCheckpoint (saved atomically by a
-// background thread every checkpoint_interval), restore() adopts a
-// prior run's completed targets so only the missing ones re-run, and
+// Fault tolerance: every completed target is recorded into a
+// core::SurveyCheckpoint (one record per target, saved atomically by a
+// background thread every checkpoint_interval), restore() adopts a prior
+// run's completed targets so only the missing ones re-run, and
 // core::ShardRetryPolicy retries transient per-target failures with
 // backoff — exhaustion degrades the survey (full-fleet accounting)
 // instead of aborting it.
@@ -54,12 +54,10 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
-#include "core/sharded_survey.hpp"
 #include "core/survey_engine.hpp"
 #include "core/survey_testbed.hpp"
 #include "metrics/engine.hpp"
 #include "report/jsonl.hpp"
-#include "util/shard_seeder.hpp"
 #include "util/work_stealing_pool.hpp"
 
 namespace reorder::service {
@@ -78,17 +76,12 @@ struct TargetDone {
 };
 
 struct SurveyServiceConfig {
-  /// Survey seed: with the same seed, rounds and run config, a service
-  /// fleet reproduces a ShardedSurveyEngine fleet bit-exactly.
+  /// Survey seed: the root every admitted target's identity derives from.
   std::uint64_t seed{1};
   tcpip::Ipv4Address probe_addr{tcpip::Ipv4Address::from_octets(10, 0, 0, 1)};
   /// Worker threads; 0 picks hardware concurrency.
   std::size_t workers{0};
-  /// Work stealing on (default) or the per-worker FIFO fallback. Results
-  /// are identical either way — only load balance differs.
-  bool steal{true};
-  /// The survey plan every admitted target runs: fixed at construction,
-  /// like the (run, rounds, between) arguments of a batch run().
+  /// The survey plan every admitted target runs, fixed at construction.
   core::TestRunConfig run{};
   int rounds{1};
   util::Duration between{util::Duration::seconds(1)};
@@ -100,8 +93,8 @@ struct SurveyServiceConfig {
   /// Transient-failure retry policy per target (see ShardRetryPolicy).
   core::ShardRetryPolicy retry{};
   /// When non-empty, completed targets are durably recorded here: a
-  /// core::SurveyCheckpoint file (shard index == global target index,
-  /// header.shards == 0 as the service marker), rewritten atomically by
+  /// core::SurveyCheckpoint file (one record per target keyed by its
+  /// global index, header.shards == 0), rewritten atomically by
   /// a background thread whenever completions accumulated.
   std::string checkpoint_path{};
   /// Background checkpoint cadence (wall clock).
@@ -128,23 +121,30 @@ class SurveyService {
   // -------------------------------------------------------- admission
   /// Admits one target at the next free global index and returns that
   /// index. Unset identity fields (name, address, seeds) are pinned from
-  /// the index exactly as ShardedSurveyEngine::shard_config pins them.
-  /// Thread-safe; throws std::invalid_argument on duplicate name or
-  /// address (fleet-wide), std::logic_error after stop().
+  /// the index by core::pin_global_identity. Thread-safe; throws
+  /// std::invalid_argument on duplicate name or address (fleet-wide) or
+  /// when a restored checkpoint record at the index measured a different
+  /// target, std::logic_error after stop(). A rejected target leaves no
+  /// admission state behind.
   std::size_t admit(core::SurveyTargetConfig target);
   /// Admits one target AT a caller-chosen global index — the admission-
   /// order-invariant form: a fleet admitted in any order with explicit
   /// indices produces byte-identical output. Throws std::invalid_argument
   /// when the index is already taken.
   std::size_t admit(core::SurveyTargetConfig target, std::size_t global_index);
-  /// Batched admission at consecutive next-free indices.
+  /// Batched admission at consecutive next-free indices. When a target is
+  /// rejected, the ones before it stay admitted (and run), the rest are
+  /// not admitted, and the rejection is rethrown.
   std::vector<std::size_t> admit(std::vector<core::SurveyTargetConfig> batch);
 
   /// Adopts a prior run's completed targets from a checkpoint: when a
   /// matching global index is admitted, its recorded result is folded in
   /// instead of re-running the world. Must be called before the first
   /// admission; throws std::invalid_argument when the checkpoint header
-  /// disagrees with this service's plan (marker, rounds, seed).
+  /// disagrees with this service's plan (the per-target marker
+  /// shards == 0, rounds, seed). Record identity is checked at admission.
+  /// With a checkpoint_path, the restored records are kept in this
+  /// service's checkpoint whether or not their targets are admitted.
   void restore(const core::SurveyCheckpoint& checkpoint);
 
   // -------------------------------------------------------- live view
@@ -202,8 +202,8 @@ class SurveyService {
 
   // ------------------------------------- merged results (quiescent API)
   // Callable once drained (throw std::logic_error while targets are in
-  // flight). Outputs are canonical — identical to what the equivalent
-  // one-shot ShardedSurveyEngine::run() produces.
+  // flight). Outputs are canonical: independent of workers, admission
+  // order and batch size.
   /// The merged completion log in canonical (target, test, at) order.
   /// Needs retain_results.
   const std::vector<core::Measurement>& measurements();
@@ -217,8 +217,8 @@ class SurveyService {
   /// samples + measurement records with canonically renumbered indices,
   /// survey_end, one metrics record per key in canonical order, plus the
   /// participation manifest when degraded — byte-identical to
-  /// ShardedSurveyEngine::emit_jsonl over the same fleet + seed. Needs
-  /// retain_results.
+  /// merge_fleet_streams over a single-loop run of the same fleet + seed.
+  /// Needs retain_results.
   void emit_jsonl(report::JsonlWriter& out);
 
   // ------------------------------------------------ failure accounting
@@ -286,7 +286,6 @@ class SurveyService {
   void save_checkpoint_locked();
 
   SurveyServiceConfig config_;
-  util::ShardSeeder seeder_;
   std::unique_ptr<util::WorkStealingPool> pool_;
   /// Scheduler identity/counters preserved across stop() (pool retired).
   std::size_t final_workers_{0};

@@ -13,16 +13,17 @@
 // fault-injection determinism tests pin.
 //
 // Sites are hierarchical slash-paths carrying the caller's identity
-// ("shard/3/run", "target/host-2/test/syn", "jsonl/write"); plans match
-// a site exactly or by prefix ("shard/" arms every shard). Keying the
-// decision on identity-qualified sites (plus the per-site hit counter)
-// keeps the firing sequence deterministic even when many shards probe
-// their sites concurrently from pool threads.
+// ("shard/3/run" for the world of global target index 3,
+// "target/host-2/test/syn", "jsonl/write"); plans match a site exactly or
+// by prefix ("shard/" arms every target's world). Keying the decision on
+// identity-qualified sites (plus the per-site hit counter) keeps the
+// firing sequence deterministic even when many worlds probe their sites
+// concurrently from pool threads.
 //
 // The four modes mirror the survey's real failure classes:
 //   kThrow            a transient infrastructure error (util::InjectedFault)
-//   kShardAbort       a whole shard world dies mid-run (transient: the
-//                     sharded driver retries it with backoff)
+//   kShardAbort       a whole target world dies mid-run (transient: the
+//                     survey service retries it with backoff)
 //   kTargetTimeout    one target never answers: the measurement is
 //                     recorded inadmissible at its deadline
 //   kSinkWriteFailure the JSONL emit path's stream write fails
@@ -51,7 +52,7 @@ inline std::uint64_t fnv1a64(std::string_view bytes,
 }
 
 /// The exception every injected throw-class fault raises. `transient`
-/// separates the retry classes: transient faults (infrastructure: a shard
+/// separates the retry classes: transient faults (infrastructure: a
 /// worker died, a write failed) are retried with backoff; deterministic
 /// ones (a config error would fail identically every attempt) are not.
 class InjectedFault : public std::runtime_error {

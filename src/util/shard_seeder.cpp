@@ -1,7 +1,5 @@
 #include "util/shard_seeder.hpp"
 
-#include <cstddef>
-
 namespace reorder::util {
 
 TargetSeeds ShardSeeder::target(std::uint64_t global_index) const {
@@ -15,11 +13,6 @@ TargetSeeds ShardSeeder::target(std::uint64_t global_index) const {
   seeds.forward_tag = splitmix64(base + 0x03);
   seeds.reverse_tag = splitmix64(base + 0x04);
   return seeds;
-}
-
-std::size_t ShardSeeder::shard_of(std::uint64_t global_index, std::size_t shards) {
-  if (shards == 0) return 0;
-  return static_cast<std::size_t>(global_index % shards);
 }
 
 }  // namespace reorder::util

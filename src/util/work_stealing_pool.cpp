@@ -1,28 +1,34 @@
 #include "util/work_stealing_pool.hpp"
 
+#include <algorithm>
+
 #include "util/shard_seeder.hpp"
-#include "util/thread_pool.hpp"
 
 namespace reorder::util {
 
-WorkStealingPool::WorkStealingPool(Options options) : options_{options} {
-  const std::size_t n =
-      options_.threads != 0 ? options_.threads : ThreadPool::hardware_threads();
+namespace {
+
+/// Seed of the victim-selection streams. Load-balancing only — no result
+/// may depend on it.
+constexpr std::uint64_t kVictimSeed = 0x9e3779b97f4a7c15ull;
+
+}  // namespace
+
+std::size_t WorkStealingPool::hardware_threads() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+WorkStealingPool::WorkStealingPool(std::size_t threads) {
+  const std::size_t n = threads != 0 ? threads : hardware_threads();
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto worker = std::make_unique<Worker>();
-    worker->rng = splitmix64(options_.seed + i);
+    worker->rng = splitmix64(kVictimSeed + i);
     workers_.push_back(std::move(worker));
   }
   // Spawn only after every Worker exists: thieves index the whole vector.
   for (std::size_t i = 0; i < n; ++i) {
-    workers_[i]->thread = std::thread{[this, i] {
-      if (options_.steal) {
-        worker_loop(i);
-      } else {
-        worker_loop_no_steal(*workers_[i]);
-      }
-    }};
+    workers_[i]->thread = std::thread{[this, i] { worker_loop(i); }};
   }
 }
 
@@ -30,17 +36,13 @@ WorkStealingPool::~WorkStealingPool() { shutdown(); }
 
 void WorkStealingPool::shutdown() {
   {
-    // The epoch mutex doubles as the stop signal's fence in steal mode;
-    // in no-steal mode each worker checks stopping_ under its own mutex,
-    // so notify every per-worker cv as well.
+    // The epoch mutex doubles as the stop signal's fence: a worker checks
+    // stopping_ under it before sleeping, so the wake below cannot be
+    // missed.
     std::lock_guard lock{sleep_mu_};
     stopping_.store(true, std::memory_order_release);
   }
   sleep_cv_.notify_all();
-  for (auto& w : workers_) {
-    std::lock_guard lock{w->mu};
-  }
-  for (auto& w : workers_) w->cv.notify_all();
   for (auto& w : workers_) {
     if (w->thread.joinable()) w->thread.join();
   }
@@ -56,15 +58,11 @@ std::future<void> WorkStealingPool::submit(std::function<void()> job) {
   }
   queued_.fetch_add(1, std::memory_order_release);
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.steal) {
-    {
-      std::lock_guard lock{sleep_mu_};
-      ++epoch_;
-    }
-    sleep_cv_.notify_all();
-  } else {
-    target.cv.notify_one();
+  {
+    std::lock_guard lock{sleep_mu_};
+    ++epoch_;
   }
+  sleep_cv_.notify_all();
   return result;
 }
 
@@ -136,9 +134,9 @@ void WorkStealingPool::worker_loop(std::size_t index) {
       continue;
     }
     if (stopping_.load(std::memory_order_acquire)) {
-      // Drain guarantee: with stealing, any worker can run any job, so
-      // exit only once nothing is queued anywhere. A job that a sibling
-      // popped concurrently is that sibling's to finish.
+      // Drain guarantee: any worker can run any job, so exit only once
+      // nothing is queued anywhere. A job that a sibling popped
+      // concurrently is that sibling's to finish.
       if (queued_.load(std::memory_order_acquire) == 0) return;
       std::this_thread::yield();
       continue;
@@ -147,25 +145,6 @@ void WorkStealingPool::worker_loop(std::size_t index) {
     sleep_cv_.wait(lock, [&] {
       return stopping_.load(std::memory_order_acquire) || epoch_ != seen;
     });
-  }
-}
-
-void WorkStealingPool::worker_loop_no_steal(Worker& self) {
-  // The FIFO fallback: exactly ThreadPool's loop, on a private queue.
-  for (;;) {
-    std::packaged_task<void()> task;
-    {
-      std::unique_lock lock{self.mu};
-      self.cv.wait(lock, [&] {
-        return stopping_.load(std::memory_order_acquire) || !self.jobs.empty();
-      });
-      if (self.jobs.empty()) return;  // stopping and drained
-      task = std::move(self.jobs.front());
-      self.jobs.pop_front();
-      queued_.fetch_sub(1, std::memory_order_release);
-    }
-    task();
-    self.executed.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

@@ -4,13 +4,12 @@
 //     replaying a seed replays the exact failure sequence;
 //   * every library metric's snapshot round-trips to_json -> from_json ->
 //     merge bit-exactly (the contract checkpoint restore stands on);
-//   * kill-and-resume is byte-identical: interrupt a sharded survey after
-//     ANY k completed shards, resume from the checkpoint, and the merged
-//     JSONL and metric snapshots equal an uninterrupted run's — torn
-//     checkpoint records are detected by checksum and their shards re-run;
-//   * failed shards retry with backoff and classification (transient
-//     retries, deterministic does not), and retry exhaustion degrades the
-//     survey instead of aborting it, with the whole fleet accounted for;
+//   * kill-and-resume is byte-identical: interrupt a survey after ANY k
+//     completed targets, resume from the checkpoint, and the canonical
+//     JSONL and metric snapshots equal an uninterrupted run's — torn or
+//     misfiled checkpoint records are detected and their targets re-run;
+//   * deterministic failures are not retried, and an injected target
+//     timeout is recorded identically for any worker count;
 //   * the crash-safe JSONL writer publishes artifacts atomically and the
 //     lenient reader recovers the well-formed prefix of a torn file;
 //   * merge_fleet_streams folds two runs' artifacts into the byte-exact
@@ -19,65 +18,24 @@
 
 #include <cstdio>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/checkpoint.hpp"
-#include "core/fleet_merge.hpp"
 #include "core/scenario.hpp"
-#include "core/sharded_survey.hpp"
 #include "metrics/restore.hpp"
-#include "report/sinks.hpp"
+#include "survey_fixture.hpp"
 #include "util/fault_injector.hpp"
-#include "util/shard_seeder.hpp"
 
 namespace reorder::core {
 namespace {
 
+using namespace survey_fixture;
+using service::SurveyService;
 using util::Duration;
 using util::FaultInjector;
 using util::InjectedFault;
-
-SurveyTestbedConfig six_target_fleet(std::uint64_t seed = 7) {
-  SurveyTestbedConfig cfg;
-  cfg.seed = seed;
-  for (int i = 0; i < 6; ++i) {
-    SurveyTargetConfig target;
-    target.name = "host-" + std::to_string(i);
-    target.forward.swap_probability = (i % 3) * 0.11;
-    target.reverse.swap_probability = (i % 3) * 0.04;
-    target.remote.behavior.immediate_ack_on_hole_fill = true;
-    target.tests = {TestSpec{"single-connection"}, TestSpec{"syn"}};
-    cfg.targets.push_back(std::move(target));
-  }
-  return cfg;
-}
-
-ShardedSurveyConfig sharded(std::size_t shards, std::size_t threads = 2) {
-  ShardedSurveyConfig cfg;
-  cfg.fleet = six_target_fleet();
-  cfg.shards = shards;
-  cfg.threads = threads;
-  return cfg;
-}
-
-TestRunConfig quick_run() {
-  TestRunConfig run;
-  run.samples = 6;
-  return run;
-}
-
-constexpr int kRounds = 2;
-
-std::string canonical_jsonl(const ShardedSurveyEngine& engine) {
-  std::ostringstream text;
-  report::JsonlWriter writer{text};
-  engine.emit_jsonl(writer);
-  return text.str();
-}
 
 std::string metrics_jsonl(const metrics::MetricEngine& engine) {
   std::ostringstream text;
@@ -157,7 +115,7 @@ TEST(MetricRestore, EveryLibraryMetricRoundTripsBitExactly) {
   // engine's records, restore them into a fresh engine, and demand the
   // re-rendering is byte-identical — the exact path checkpoint restore
   // and reorder-merge ingestion take.
-  ShardedSurveyConfig cfg = sharded(2);
+  service::SurveyServiceConfig cfg = service_config(2);
   cfg.suite_factory = [](std::string_view target, std::string_view test) {
     metrics::MetricSuite suite = metrics::default_suite(target, test);
     suite.add(metrics::make_metric("sequence_extent"));
@@ -167,9 +125,10 @@ TEST(MetricRestore, EveryLibraryMetricRoundTripsBitExactly) {
     suite.add(metrics::make_metric("latency_histogram"));
     return suite;
   };
-  ShardedSurveyEngine engine{std::move(cfg)};
-  engine.run(quick_run(), kRounds, Duration::millis(500));
-  const std::string original = metrics_jsonl(engine.metrics());
+  SurveyService service{cfg};
+  service.admit(nine_targets());
+  service.drain();
+  const std::string original = metrics_jsonl(service.metrics());
   ASSERT_FALSE(original.empty());
 
   metrics::MetricEngine restored;
@@ -180,23 +139,27 @@ TEST(MetricRestore, EveryLibraryMetricRoundTripsBitExactly) {
 }
 
 TEST(MetricRestore, RestoredSnapshotsMergeBitExactlyWithLiveOnes) {
-  // The property resume() depends on: restoring HALF the shards from
-  // serialized snapshots and merging with the other half run live must
-  // equal the all-live batch merge bit-for-bit.
-  ShardedSurveyEngine reference{sharded(2)};
-  reference.run(quick_run(), kRounds, Duration::millis(500));
-  const std::string batch = metrics_jsonl(reference.metrics());
-
-  const ShardedSurveyEngine split{sharded(2)};
-  ShardRunResult live0 = split.run_shard(0, quick_run(), kRounds, Duration::millis(500));
-  const ShardRunResult live1 = split.run_shard(1, quick_run(), kRounds, Duration::millis(500));
-
-  metrics::MetricEngine restored1;
-  for (const report::Json& record : report::read_jsonl_text(metrics_jsonl(live1.metrics))) {
-    restored1.restore_record(record);
+  // The property resume depends on: restoring HALF the fleet's metrics
+  // from serialized snapshots and merging them with the other half run
+  // live must equal the all-live merge bit-for-bit.
+  const std::vector<SurveyTargetConfig> fleet = nine_targets();
+  SurveyService live{service_config(2)};
+  SurveyService serialized{service_config(2)};
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    (i < 5 ? live : serialized).admit(fleet[i], i);
   }
-  live0.metrics.merge(restored1);
-  EXPECT_EQ(metrics_jsonl(live0.metrics), batch);
+  live.drain();
+  serialized.drain();
+
+  metrics::MetricEngine merged;
+  merged.merge(live.metrics());
+  metrics::MetricEngine restored;
+  for (const report::Json& record :
+       report::read_jsonl_text(metrics_jsonl(serialized.metrics()))) {
+    restored.restore_record(record);
+  }
+  merged.merge(restored);
+  EXPECT_EQ(snapshot_dump(merged), reference().snapshots);
 }
 
 TEST(MetricRestore, UnknownMetricNameThrows) {
@@ -206,10 +169,11 @@ TEST(MetricRestore, UnknownMetricNameThrows) {
 // ------------------------------------------------------ checkpoint codec
 
 TEST(Checkpoint, MeasurementCodecIsFullFidelity) {
-  ShardedSurveyEngine engine{sharded(1, 1)};
-  engine.run(quick_run(), 1, Duration::millis(500));
-  ASSERT_FALSE(engine.measurements().empty());
-  for (const Measurement& m : engine.measurements()) {
+  SurveyService service{service_config(1)};
+  service.admit(nine_targets());
+  service.drain();
+  ASSERT_FALSE(service.measurements().empty());
+  for (const Measurement& m : service.measurements()) {
     const Measurement back = measurement_from_json(measurement_to_json(m));
     EXPECT_EQ(back.target, m.target);
     EXPECT_EQ(back.test, m.test);
@@ -237,11 +201,11 @@ TEST(Checkpoint, MeasurementCodecIsFullFidelity) {
 }
 
 TEST(Checkpoint, SerializeLoadRoundTripsAndChecksumGuardsEveryRecord) {
-  const ShardedSurveyEngine engine{sharded(3)};
+  const SurveyCheckpoint& full = full_checkpoint();
   SurveyCheckpoint cp;
-  cp.set_header({3, 6, kRounds, 7});
-  cp.record_shard(engine.run_shard(0, quick_run(), kRounds, Duration::millis(500)), 2);
-  cp.record_shard(engine.run_shard(2, quick_run(), kRounds, Duration::millis(500)), 1);
+  cp.set_header({0, 9, kRounds, kSeed});
+  cp.record_shard(full.restore_shard(0), 2);
+  cp.record_shard(full.restore_shard(2), 1);
 
   const std::string path = "/tmp/reorder_ckpt_roundtrip.jsonl";
   cp.save(path);
@@ -249,8 +213,9 @@ TEST(Checkpoint, SerializeLoadRoundTripsAndChecksumGuardsEveryRecord) {
   std::remove(path.c_str());
 
   ASSERT_TRUE(loaded.header().has_value());
-  EXPECT_EQ(loaded.header()->shards, 3u);
-  EXPECT_EQ(loaded.header()->seed, 7u);
+  EXPECT_EQ(loaded.header()->shards, 0u);
+  EXPECT_EQ(loaded.header()->targets, 9u);
+  EXPECT_EQ(loaded.header()->seed, kSeed);
   EXPECT_EQ(loaded.completed_shards(), (std::vector<std::size_t>{0, 2}));
   EXPECT_FALSE(loaded.has_shard(1));
   EXPECT_EQ(loaded.attempts(0), 2);
@@ -259,7 +224,7 @@ TEST(Checkpoint, SerializeLoadRoundTripsAndChecksumGuardsEveryRecord) {
   EXPECT_EQ(loaded.serialize(), cp.serialize());
 
   // Flip one byte inside a record's body: its checksum must disown it
-  // (the shard re-runs) while the intact record survives.
+  // (the target re-runs) while the intact record survives.
   std::string text = cp.serialize();
   const std::size_t flip = text.find("\"log\"");
   ASSERT_NE(flip, std::string::npos);
@@ -281,68 +246,77 @@ TEST(Checkpoint, MissingFileLoadsEmpty) {
   EXPECT_EQ(cp.torn_records(), 0u);
 }
 
+TEST(Checkpoint, RecordFiledUnderAnotherIndexIsTorn) {
+  // The checksum covers only a record's body, not the line's `shard`
+  // key. A line filing target 3's body under index 0 must be dropped, or
+  // index 0 would adopt target 3's results.
+  SurveyCheckpoint cp;
+  cp.set_header({0, 9, kRounds, kSeed});
+  cp.record_shard(full_checkpoint().restore_shard(1));
+  cp.record_shard(full_checkpoint().restore_shard(3));
+  std::string text = cp.serialize();
+  const std::string key = "\"type\":\"shard_done\",\"shard\":3,";
+  const std::size_t at = text.find(key);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, key.size(), "\"type\":\"shard_done\",\"shard\":0,");
+
+  const std::string path = testing::TempDir() + "reorder_ckpt_misfiled.jsonl";
+  {
+    std::ofstream out{path, std::ios::trunc};
+    out << text;
+  }
+  const SurveyCheckpoint loaded = SurveyCheckpoint::load(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(loaded.completed_shards(), (std::vector<std::size_t>{1}));
+  EXPECT_EQ(loaded.torn_records(), 1u);
+}
+
 // --------------------------------------------------- kill-and-resume
 
-class KillAndResume : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(KillAndResume, ResumeAfterAnyShardCountIsByteIdentical) {
-  const std::size_t shards = GetParam();
-
-  // The uninterrupted reference.
-  ShardedSurveyEngine reference{sharded(shards)};
-  reference.run(quick_run(), kRounds, Duration::millis(500));
-  const std::string ref_jsonl = canonical_jsonl(reference);
-  const std::string ref_metrics = metrics_jsonl(reference.metrics());
-
-  const std::string path = "/tmp/reorder_ckpt_resume.jsonl";
-  for (std::size_t k = 0; k < shards; ++k) {
-    // "Kill" after exactly k completed shards: record the first k shard
-    // results (run_shard is pure, so these are the bytes a killed run's
-    // checkpoint would hold) and resume from there.
-    const ShardedSurveyEngine partial{sharded(shards)};
+TEST(KillAndResume, ResumeAfterAnyPrefixIsByteIdentical) {
+  const SurveyCheckpoint& full = full_checkpoint();
+  ASSERT_EQ(full.completed_count(), 9u);
+  const std::string path = testing::TempDir() + "reorder_ckpt_resume.jsonl";
+  for (std::size_t k = 0; k <= 9; ++k) {
+    // "Kill" after exactly k completed targets: a checkpoint holding the
+    // first k per-target records (a world is pure, so these are the
+    // bytes a killed run's checkpoint would hold). Resume from there.
     SurveyCheckpoint cp;
-    cp.set_header({shards, 6, kRounds, 7});
-    for (std::size_t s = 0; s < k; ++s) {
-      cp.record_shard(partial.run_shard(s, quick_run(), kRounds, Duration::millis(500)));
-    }
+    cp.set_header({0, 9, kRounds, kSeed});
+    for (std::size_t i = 0; i < k; ++i) cp.record_shard(full.restore_shard(i), full.attempts(i));
     cp.save(path);
 
-    ShardedSurveyEngine resumed{sharded(shards)};
-    resumed.resume(SurveyCheckpoint::load(path), quick_run(), kRounds, Duration::millis(500));
+    SurveyService resumed{service_config(2)};
+    resumed.restore(SurveyCheckpoint::load(path));
+    resumed.admit(nine_targets());
+    resumed.drain();
     EXPECT_FALSE(resumed.degraded());
-    EXPECT_EQ(canonical_jsonl(resumed), ref_jsonl) << "k=" << k;
-    EXPECT_EQ(metrics_jsonl(resumed.metrics()), ref_metrics) << "k=" << k;
+    for (std::size_t i = 0; i < 9; ++i) {
+      EXPECT_EQ(resumed.attempts(i), i < k ? 0 : 1) << "k=" << k << " target " << i;
+    }
+    EXPECT_EQ(canonical_jsonl(resumed), reference().jsonl) << "k=" << k;
+    EXPECT_EQ(snapshot_dump(resumed.metrics()), reference().snapshots) << "k=" << k;
   }
   std::remove(path.c_str());
 }
 
-INSTANTIATE_TEST_SUITE_P(ShardCounts, KillAndResume, ::testing::Values(1u, 2u, 3u, 8u),
-                         [](const ::testing::TestParamInfo<std::size_t>& info) {
-                           return "shards_" + std::to_string(info.param);
-                         });
-
-TEST(KillAndResumeTorn, TornCheckpointRecordsAreDetectedAndTheirShardsReRun) {
-  constexpr std::size_t kShards = 3;
-  ShardedSurveyEngine reference{sharded(kShards)};
-  reference.run(quick_run(), kRounds, Duration::millis(500));
-  const std::string ref_jsonl = canonical_jsonl(reference);
-
-  // A checkpoint holding shards {0, 1}, with shard 1's record torn
-  // mid-write (the file ends mid-line, as a killed writer leaves it).
-  const ShardedSurveyEngine partial{sharded(kShards)};
+TEST(KillAndResume, TornCheckpointRecordsAreDetectedAndTheirTargetsReRun) {
+  // A checkpoint holding targets {0, 1}, with 1's record torn mid-write
+  // (the file ends mid-line, as a killed writer leaves it).
+  const SurveyCheckpoint& full = full_checkpoint();
   SurveyCheckpoint cp;
-  cp.set_header({kShards, 6, kRounds, 7});
-  cp.record_shard(partial.run_shard(0, quick_run(), kRounds, Duration::millis(500)));
-  cp.record_shard(partial.run_shard(1, quick_run(), kRounds, Duration::millis(500)));
+  cp.set_header({0, 9, kRounds, kSeed});
+  cp.record_shard(full.restore_shard(0));
+  cp.record_shard(full.restore_shard(1));
   std::string text = cp.serialize();
   const std::size_t first_nl = text.find('\n');
   const std::size_t second_nl = text.find('\n', first_nl + 1);
   ASSERT_NE(second_nl, std::string::npos);
-  const std::size_t last_begin = second_nl + 1;  // shard 1's record starts here
+  const std::size_t last_begin = second_nl + 1;  // target 1's record starts here
   ASSERT_LT(last_begin, text.size());
   text.resize(last_begin + (text.size() - last_begin) / 2);  // tear it mid-write
 
-  const std::string path = "/tmp/reorder_ckpt_torn.jsonl";
+  const std::string path = testing::TempDir() + "reorder_ckpt_torn.jsonl";
   {
     std::ofstream out{path, std::ios::trunc};
     out << text;
@@ -352,149 +326,55 @@ TEST(KillAndResumeTorn, TornCheckpointRecordsAreDetectedAndTheirShardsReRun) {
   EXPECT_EQ(loaded.completed_count(), 1u);
   EXPECT_GE(loaded.torn_records(), 1u);
 
-  ShardedSurveyEngine resumed{sharded(kShards)};
-  resumed.resume(loaded, quick_run(), kRounds, Duration::millis(500));
-  EXPECT_EQ(canonical_jsonl(resumed), ref_jsonl);
-}
-
-TEST(KillAndResume, MismatchedPlanIsRejected) {
-  SurveyCheckpoint cp;
-  cp.set_header({4, 6, kRounds, 7});  // 4 shards...
-  ShardedSurveyEngine engine{sharded(3)};  // ...resumed on a 3-shard plan
-  EXPECT_THROW(engine.resume(cp, quick_run(), kRounds, Duration::millis(500)),
-               std::invalid_argument);
+  SurveyService resumed{service_config(2)};
+  resumed.restore(loaded);
+  resumed.admit(nine_targets());
+  resumed.drain();
+  EXPECT_EQ(resumed.attempts(0), 0);
+  EXPECT_EQ(resumed.attempts(1), 1) << "the torn record's target re-ran";
+  EXPECT_EQ(canonical_jsonl(resumed), reference().jsonl);
 }
 
 // ------------------------------------------------ retry and degradation
-
-TEST(RetryPolicy, TransientFaultsAreRetriedUntilTheyStop) {
-  FaultInjector faults{11};
-  // Shard 1's first two attempts die in-flight; the third succeeds.
-  faults.arm({"shard/1/run", FaultInjector::Mode::kThrow, 1.0, 2, true});
-
-  ShardedSurveyConfig cfg = sharded(3);
-  cfg.engine.faults = &faults;
-  cfg.retry.max_attempts = 3;
-  ShardedSurveyEngine engine{std::move(cfg)};
-  engine.run(quick_run(), kRounds, Duration::millis(500));
-
-  EXPECT_FALSE(engine.degraded());
-  EXPECT_EQ(engine.shard_attempts(1), 3);
-  EXPECT_EQ(engine.shard_attempts(0), 1);
-  EXPECT_EQ(faults.fired("shard/1/run"), 2u);
-
-  // And the retried run's output is byte-identical to a fault-free one:
-  // a shard attempt is pure, so dying twice leaves no residue.
-  ShardedSurveyEngine clean{sharded(3)};
-  clean.run(quick_run(), kRounds, Duration::millis(500));
-  EXPECT_EQ(canonical_jsonl(engine), canonical_jsonl(clean));
-}
-
-TEST(RetryPolicy, ExhaustionDegradesTheSurveyWithFullFleetAccounting) {
-  FaultInjector faults{11};
-  faults.arm({"shard/1/abort", FaultInjector::Mode::kShardAbort, 1.0, 0, true});
-
-  ShardedSurveyConfig cfg = sharded(3);
-  cfg.engine.faults = &faults;
-  cfg.retry.max_attempts = 2;
-  ShardedSurveyEngine engine{std::move(cfg)};
-  const std::vector<std::size_t> shard1_targets = engine.shard_targets(1);
-  engine.run(quick_run(), kRounds, Duration::millis(500));
-
-  EXPECT_TRUE(engine.degraded());
-  EXPECT_EQ(engine.shard_attempts(1), 2);
-  EXPECT_EQ(engine.failed_shard_indices(), (std::vector<std::size_t>{1}));
-  ASSERT_EQ(engine.failure_messages().size(), 1u);
-  EXPECT_NE(engine.failure_messages()[0].find("shard/1/abort"), std::string::npos);
-
-  // survey_end accounts for the WHOLE fleet: participants + failed
-  // targets == configured targets, and the failed names are shard 1's.
-  const SurveyEvent& end = engine.survey_end();
-  EXPECT_TRUE(end.degraded);
-  EXPECT_EQ(end.failed_shards, 1u);
-  EXPECT_EQ(end.targets + end.failed_targets.size(), 6u);
-  EXPECT_EQ(end.failed_targets.size(), shard1_targets.size());
-  for (const std::size_t i : shard1_targets) {
-    EXPECT_NE(std::find(end.failed_targets.begin(), end.failed_targets.end(),
-                        "host-" + std::to_string(i)),
-              end.failed_targets.end());
-  }
-
-  // The participation manifest names every target exactly once.
-  const auto manifest = engine.participation();
-  ASSERT_EQ(manifest.size(), 6u);
-  std::size_t participated = 0;
-  for (const auto& [name, ok] : manifest) participated += ok ? 1 : 0;
-  EXPECT_EQ(participated, end.targets);
-
-  // The degraded emission carries the accounting: survey_end's tail and
-  // the trailing participation record.
-  const std::string jsonl = canonical_jsonl(engine);
-  const std::vector<report::Json> records = report::read_jsonl_text(jsonl);
-  const report::Json& last = records.back();
-  EXPECT_EQ(last.at("type").as_string(), "participation");
-  EXPECT_EQ(last.at("targets").size(), 6u);
-  bool saw_end = false;
-  for (const report::Json& r : records) {
-    if (r.at("type").as_string() != "survey_end") continue;
-    saw_end = true;
-    EXPECT_TRUE(r.at("degraded").as_bool());
-    EXPECT_EQ(r.at("failed_shards").as_int(), 1);
-    EXPECT_EQ(r.at("failed_targets").size(), shard1_targets.size());
-  }
-  EXPECT_TRUE(saw_end);
-
-  // A degraded run's checkpoint resumes to a CLEAN survey once the fault
-  // is gone: the failed shard is simply pending.
-  SurveyCheckpoint cp;
-  cp.set_header({3, 6, kRounds, 7});
-  const ShardedSurveyEngine rebuild{sharded(3)};
-  cp.record_shard(rebuild.run_shard(0, quick_run(), kRounds, Duration::millis(500)));
-  cp.record_shard(rebuild.run_shard(2, quick_run(), kRounds, Duration::millis(500)));
-  ShardedSurveyEngine healed{sharded(3)};
-  healed.resume(cp, quick_run(), kRounds, Duration::millis(500));
-  EXPECT_FALSE(healed.degraded());
-  ShardedSurveyEngine clean{sharded(3)};
-  clean.run(quick_run(), kRounds, Duration::millis(500));
-  EXPECT_EQ(canonical_jsonl(healed), canonical_jsonl(clean));
-}
 
 TEST(RetryPolicy, NonTransientFaultsAreNotRetried) {
   FaultInjector faults{11};
   faults.arm({"shard/0/run", FaultInjector::Mode::kThrow, 1.0, 0, /*transient=*/false});
 
-  ShardedSurveyConfig cfg = sharded(2);
+  service::SurveyServiceConfig cfg = service_config(2);
   cfg.engine.faults = &faults;
   cfg.retry.max_attempts = 5;
-  ShardedSurveyEngine engine{std::move(cfg)};
-  engine.run(quick_run(), kRounds, Duration::millis(500));
+  SurveyService service{cfg};
+  service.admit(nine_targets());
+  service.drain();
 
-  EXPECT_TRUE(engine.degraded());
+  EXPECT_TRUE(service.degraded());
   // One attempt only: a deterministic failure would fail all five.
-  EXPECT_EQ(engine.shard_attempts(0), 1);
+  EXPECT_EQ(service.attempts(0), 1);
   EXPECT_EQ(faults.fired("shard/0/run"), 1u);
 }
 
-TEST(TargetTimeout, InjectedTimeoutIsDeterministicAndShardInvariant) {
-  const auto run_with_faults = [](std::size_t shards) {
+TEST(TargetTimeout, InjectedTimeoutIsDeterministicAndWorkerInvariant) {
+  const auto run_with_faults = [](std::size_t workers) {
     FaultInjector faults{5};
     // host-2's syn measurements: the first probe of that site fires, so
-    // exactly one measurement times out, identically for any shard count
+    // exactly one measurement times out, identically for any worker count
     // (the site is identity-qualified, not schedule-qualified).
     faults.arm({"target/host-2/test/syn", FaultInjector::Mode::kTargetTimeout, 1.0, 1, true});
-    ShardedSurveyConfig cfg = sharded(shards);
+    service::SurveyServiceConfig cfg = service_config(workers);
     cfg.engine.faults = &faults;
     // The injected timeout runs the full measurement deadline in virtual
     // time; keep it short so the test stays fast.
     cfg.engine.measurement_deadline = Duration::seconds(30);
-    ShardedSurveyEngine engine{std::move(cfg)};
-    engine.run(quick_run(), kRounds, Duration::millis(500));
-    return canonical_jsonl(engine);
+    SurveyService service{cfg};
+    service.admit(nine_targets());
+    service.drain();
+    return canonical_jsonl(service);
   };
 
   const std::string one = run_with_faults(1);
-  const std::string three = run_with_faults(3);
-  EXPECT_EQ(one, three);
+  EXPECT_EQ(run_with_faults(2), one);
+  EXPECT_EQ(run_with_faults(4), one);
 
   // The timed-out measurement is recorded inadmissible with the watchdog
   // note — the uncooperative-host outcome, not a crash.
@@ -605,32 +485,22 @@ TEST(FlakyTarget, SynDropsAndRateLimitingAreExercisedYetMeasurementsComplete) {
 // --------------------------------------------------- fleet-stream merge
 
 TEST(FleetMerge, TwoRunsFoldIntoTheCombinedRunsBytes) {
-  // Two survey runs over DISJOINT fleet slices, every target's stochastic
-  // identity pinned explicitly so the combined run measures the exact
-  // same worlds.
-  const auto make_target = [](std::size_t i) {
-    SurveyTargetConfig target;
-    target.name = "m-" + std::to_string(i);
-    target.address = tcpip::Ipv4Address::from_octets(10, 1, 0, static_cast<std::uint8_t>(10 + i));
-    target.forward.swap_probability = (i % 2) * 0.13;
-    target.remote.behavior.immediate_ack_on_hole_fill = true;
-    target.tests = {TestSpec{"single-connection"}, TestSpec{"syn"}};
-    const util::TargetSeeds seeds = util::ShardSeeder{99}.target(i);
-    target.host_seed = seeds.host_seed;
-    target.ipid_initial = seeds.ipid_initial;
-    target.forward_path_tag = seeds.forward_tag;
-    target.reverse_path_tag = seeds.reverse_tag;
-    return target;
-  };
-  const auto run_slice = [&](std::size_t begin, std::size_t end) {
-    ShardedSurveyConfig cfg;
-    cfg.fleet.seed = 99;
-    for (std::size_t i = begin; i < end; ++i) cfg.fleet.targets.push_back(make_target(i));
-    cfg.shards = 2;
-    cfg.threads = 2;
-    ShardedSurveyEngine engine{std::move(cfg)};
-    engine.run(quick_run(), kRounds, Duration::millis(500));
-    return canonical_jsonl(engine);
+  // Two survey runs over DISJOINT fleet slices, every target admitted at
+  // its global index so the combined run measures the exact same worlds.
+  const auto run_slice = [](std::size_t begin, std::size_t end) {
+    service::SurveyServiceConfig cfg = service_config(2);
+    cfg.seed = 99;
+    SurveyService service{cfg};
+    for (std::size_t i = begin; i < end; ++i) {
+      SurveyTargetConfig target;
+      target.name = "m-" + std::to_string(i);
+      target.forward.swap_probability = (i % 2) * 0.13;
+      target.remote.behavior.immediate_ack_on_hole_fill = true;
+      target.tests = {TestSpec{"single-connection"}, TestSpec{"syn"}};
+      service.admit(std::move(target), i);
+    }
+    service.drain();
+    return canonical_jsonl(service);
   };
 
   const std::string east = run_slice(0, 2);

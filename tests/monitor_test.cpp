@@ -14,8 +14,9 @@
 //     false-positives at ANY budget, the one-sided detectors never
 //     false-positive anywhere, evade-window defeats exactly the window
 //     sketch at small K, flood-flows defeats exactly the small table;
-//   * monitor snapshots ride the sharded survey runtime: per-shard
-//     engines merged over {1, 2, 8} shards emit byte-identical JSONL.
+//   * monitor snapshots are shard-count invariant: one survey service
+//     run's log, partitioned by target over {1, 2, 8} per-shard engines
+//     and merged, emits byte-identical JSONL.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -24,11 +25,11 @@
 #include <string>
 #include <vector>
 
-#include "core/sharded_survey.hpp"
 #include "metrics/sequence_metrics.hpp"
 #include "monitor/detectors.hpp"
 #include "monitor/differential.hpp"
 #include "monitor/engine.hpp"
+#include "service/survey_service.hpp"
 #include "util/random.hpp"
 
 namespace reorder::monitor {
@@ -314,42 +315,49 @@ TEST(Differential, AccuracyBoundsAcrossTheSweep) {
 
 // ------------------------------------------------------- shard invariance
 
-core::SurveyTestbedConfig monitor_fleet(std::uint64_t seed = 21) {
-  core::SurveyTestbedConfig cfg;
-  cfg.seed = seed;
+std::vector<core::SurveyTargetConfig> monitor_fleet() {
+  std::vector<core::SurveyTargetConfig> fleet;
   for (int i = 0; i < 6; ++i) {
     core::SurveyTargetConfig target;
     target.name = "host-" + std::to_string(i);
     target.forward.swap_probability = (i % 3) * 0.12;
     target.remote.behavior.immediate_ack_on_hole_fill = true;
     target.tests = {core::TestSpec{"single-connection"}, core::TestSpec{"syn"}};
-    cfg.targets.push_back(std::move(target));
+    fleet.push_back(std::move(target));
   }
-  return cfg;
+  return fleet;
 }
 
-std::string monitor_jsonl_for_shards(std::uint64_t shards) {
-  core::ShardedSurveyConfig cfg;
-  cfg.fleet = monitor_fleet();
-  cfg.shards = shards;
-  cfg.threads = 2;
-  core::ShardedSurveyEngine survey{cfg};
-  core::TestRunConfig run;
-  run.samples = 6;
+/// One survey service run's log, partitioned round-robin by global target
+/// index across `shards` monitor engines, each fed its targets'
+/// measurements, then merged.
+std::string monitor_jsonl_for_shards(std::size_t shards) {
+  static const std::vector<core::Measurement> log = [] {
+    service::SurveyServiceConfig cfg;
+    cfg.seed = 21;
+    cfg.workers = 2;
+    cfg.run.samples = 6;
+    cfg.rounds = 2;
+    cfg.between = util::Duration::millis(500);
+    service::SurveyService survey{cfg};
+    survey.admit(monitor_fleet());
+    survey.drain();
+    return survey.measurements();
+  }();
+  std::map<std::string, std::size_t> index_of;
+  for (const core::SurveyTargetConfig& target : monitor_fleet()) {
+    index_of.emplace(target.name, index_of.size());
+  }
 
   MonitorConfig mc;
   mc.table.slots = 1024;  // >= the fleet's (target, test) flow count: no evictions
   std::vector<MonitorEngine> engines;
-  for (std::uint64_t shard = 0; shard < shards; ++shard) {
-    const core::ShardRunResult result =
-        survey.run_shard(shard, run, 2, util::Duration::millis(500));
-    MonitorEngine engine{mc};
-    MonitorSink sink{engine};
-    std::size_t index = 0;
-    for (const core::Measurement& m : result.log) {
-      core::publish_result(sink, m.target, m.test, m.at, m.result, index++);
-    }
-    engines.push_back(std::move(engine));
+  for (std::size_t shard = 0; shard < shards; ++shard) engines.emplace_back(mc);
+  std::vector<std::size_t> next_index(shards, 0);
+  for (const core::Measurement& m : log) {
+    const std::size_t shard = index_of.at(m.target) % shards;
+    MonitorSink sink{engines[shard]};
+    core::publish_result(sink, m.target, m.test, m.at, m.result, next_index[shard]++);
   }
   for (std::size_t i = 1; i < engines.size(); ++i) engines.front().merge(engines[i]);
   std::ostringstream text;

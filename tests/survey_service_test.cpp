@@ -1,9 +1,10 @@
-// The resident survey service's headline guarantee, enforced: a fleet
-// admitted continuously — in any order, any batch size, onto any number
-// of work-stealing workers — produces canonical merged JSONL and metric
-// snapshots BYTE-IDENTICAL to the one-shot ShardedSurveyEngine batch run
-// over the same fleet + seed. Plus live mid-run snapshots, checkpoint
-// adoption across service generations, per-target retry/degraded
+// The survey service's headline guarantee, enforced: a fleet admitted
+// continuously — in any order, any batch size, onto any number of
+// work-stealing workers — produces canonical merged JSONL and metric
+// snapshots BYTE-IDENTICAL to the independent single-loop reference (the
+// whole fleet on one event loop, canonicalized by merge_fleet_streams).
+// Plus live mid-run snapshots, checkpoint adoption across service
+// generations and its identity checks, per-target retry/degraded
 // accounting, and plan-error propagation through drain().
 #include <gtest/gtest.h>
 
@@ -11,118 +12,22 @@
 #include <future>
 #include <numeric>
 #include <random>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
-#include "core/checkpoint.hpp"
-#include "core/sharded_survey.hpp"
-#include "service/survey_service.hpp"
+#include "survey_fixture.hpp"
 #include "util/fault_injector.hpp"
+#include "util/shard_seeder.hpp"
 
 namespace reorder::service {
 namespace {
 
-using util::Duration;
+using namespace survey_fixture;
 
-/// The same heterogeneous nine-target fleet the sharded-survey suite
-/// pins its invariance guarantee on: clean, swapping and lossy paths,
-/// plus a random-IPID host whose dual test is inadmissible.
-std::vector<core::SurveyTargetConfig> nine_targets() {
-  std::vector<core::SurveyTargetConfig> targets;
-  for (int i = 0; i < 9; ++i) {
-    core::SurveyTargetConfig target;
-    target.name = "host-" + std::to_string(i);
-    target.forward.swap_probability = (i % 3) * 0.11;
-    target.reverse.swap_probability = (i % 3) * 0.04;
-    if (i == 4) target.forward.loss_probability = 0.02;
-    target.remote.behavior.immediate_ack_on_hole_fill = true;
-    target.tests = {core::TestSpec{"single-connection"}, core::TestSpec{"syn"}};
-    if (i == 7) {
-      target.remote.ipid_policy = tcpip::IpidPolicy::kRandom;
-      target.tests = {core::TestSpec{"dual-connection"}, core::TestSpec{"syn"}};
-    }
-    targets.push_back(std::move(target));
-  }
-  return targets;
-}
-
-constexpr std::uint64_t kSeed = 7;
-constexpr int kRounds = 2;
-
-core::TestRunConfig quick_run() {
-  core::TestRunConfig run;
-  run.samples = 8;
-  return run;
-}
-
-SurveyServiceConfig service_config(std::size_t workers, bool steal = true) {
-  SurveyServiceConfig cfg;
-  cfg.seed = kSeed;
-  cfg.workers = workers;
-  cfg.steal = steal;
-  cfg.run = quick_run();
-  cfg.rounds = kRounds;
-  cfg.between = Duration::millis(500);
-  return cfg;
-}
-
-std::string canonical_jsonl(SurveyService& service) {
-  std::ostringstream text;
-  report::JsonlWriter writer{text};
-  service.emit_jsonl(writer);
-  return text.str();
-}
-
-std::string canonical_jsonl(const core::ShardedSurveyEngine& engine) {
-  std::ostringstream text;
-  report::JsonlWriter writer{text};
-  engine.emit_jsonl(writer);
-  return text.str();
-}
-
-std::string snapshot_dump(const metrics::MetricEngine& engine) {
-  auto keys = engine.keys();
-  std::sort(keys.begin(), keys.end());
-  std::string out;
-  for (const auto& [target, test] : keys) {
-    out += target + "/" + test + " n=" + std::to_string(engine.measurements(target, test)) +
-           " adm=" + std::to_string(engine.admissible_measurements(target, test)) + " " +
-           engine.suite(target, test)->to_json().dump() + "\n";
-  }
-  return out;
-}
-
-/// The reference everything byte-compares against: the one-shot batch
-/// runtime over the same fleet + seed (its own suite proves this output
-/// shard-count-invariant).
-struct Reference {
-  std::string jsonl;
-  std::string snapshots;
-  core::SurveyEvent end{};
-};
-
-const Reference& batch_reference() {
-  static const Reference ref = [] {
-    core::ShardedSurveyConfig cfg;
-    cfg.fleet.seed = kSeed;
-    cfg.fleet.targets = nine_targets();
-    cfg.shards = 3;
-    cfg.threads = 2;
-    core::ShardedSurveyEngine engine{std::move(cfg)};
-    engine.run(quick_run(), kRounds, Duration::millis(500));
-    Reference out;
-    out.jsonl = canonical_jsonl(engine);
-    out.snapshots = snapshot_dump(engine.metrics());
-    out.end = engine.survey_end();
-    return out;
-  }();
-  return ref;
-}
-
-TEST(SurveyService, MatchesBatchRunByteForByteAcrossWorkerCounts) {
-  const Reference& ref = batch_reference();
+TEST(SurveyService, MatchesTheSingleLoopReferenceAcrossWorkerCounts) {
+  const Reference& ref = reference();
   ASSERT_FALSE(ref.jsonl.empty());
+  ASSERT_EQ(ref.end.measurements, 9u * 2u * kRounds);
   for (const std::size_t workers : {1u, 2u, 4u}) {
     SurveyService service{service_config(workers)};
     const std::vector<std::size_t> indices = service.admit(nine_targets());
@@ -136,15 +41,11 @@ TEST(SurveyService, MatchesBatchRunByteForByteAcrossWorkerCounts) {
     EXPECT_EQ(service.survey_end().at, ref.end.at);
     EXPECT_EQ(service.survey_end().measurements, ref.end.measurements);
     EXPECT_FALSE(service.degraded());
+    // Sanity anchors: the survey measured something real.
+    EXPECT_GT(service.metrics().aggregate("host-2", "single-connection", true).reordered, 0u);
+    EXPECT_EQ(service.metrics().admissible_measurements("host-7", "dual-connection"), 0u)
+        << "random IPIDs must rule the dual test out";
   }
-}
-
-TEST(SurveyService, FifoFallbackProducesTheSameBytes) {
-  SurveyService service{service_config(2, /*steal=*/false)};
-  service.admit(nine_targets());
-  service.drain();
-  EXPECT_EQ(canonical_jsonl(service), batch_reference().jsonl);
-  EXPECT_EQ(service.scheduler_stats().stolen, 0u);
 }
 
 TEST(SurveyService, AdmissionOrderIsInvisibleInTheOutput) {
@@ -161,8 +62,8 @@ TEST(SurveyService, AdmissionOrderIsInvisibleInTheOutput) {
       EXPECT_EQ(service.admit(fleet[index], index), index);
     }
     service.drain();
-    EXPECT_EQ(canonical_jsonl(service), batch_reference().jsonl);
-    EXPECT_EQ(snapshot_dump(service.metrics()), batch_reference().snapshots);
+    EXPECT_EQ(canonical_jsonl(service), reference().jsonl);
+    EXPECT_EQ(snapshot_dump(service.metrics()), reference().snapshots);
   }
 }
 
@@ -179,31 +80,36 @@ TEST(SurveyService, BatchSizeIsInvisibleInTheOutput) {
       admitted += n;
     }
     service.drain();
-    EXPECT_EQ(canonical_jsonl(service), batch_reference().jsonl) << "batch=" << batch;
+    EXPECT_EQ(canonical_jsonl(service), reference().jsonl) << "batch=" << batch;
+    EXPECT_EQ(snapshot_dump(service.metrics()), reference().snapshots) << "batch=" << batch;
   }
 }
 
-TEST(SurveyService, DefaultIdentityIsPinnedLikeTheBatchPlanner) {
-  // Targets admitted with identity fields unset get name, address and
-  // seeds from their global index — the same derivation shard_config
-  // applies, so the outputs still byte-match the batch runtime's.
+TEST(SurveyService, DefaultIdentityIsPinnedFromTheGlobalIndex) {
+  // Identity fields left unset take their values from the global index:
+  // default name and address, and the ShardSeeder derivation for seeds.
+  core::SurveyTargetConfig pinned;
+  core::pin_global_identity(pinned, 2, kSeed);
+  const util::TargetSeeds expected = util::ShardSeeder{kSeed}.target(2);
+  EXPECT_EQ(pinned.name, core::default_target_name(2));
+  EXPECT_EQ(pinned.address, core::default_target_address(2));
+  EXPECT_EQ(pinned.host_seed, expected.host_seed);
+  EXPECT_EQ(pinned.ipid_initial, expected.ipid_initial);
+  EXPECT_EQ(pinned.forward_path_tag, expected.forward_tag);
+  EXPECT_EQ(pinned.reverse_path_tag, expected.reverse_tag);
+
+  // The service pins through that same function, so nameless targets
+  // still byte-match the single-loop reference over the same fleet.
   const auto strip = [](std::vector<core::SurveyTargetConfig> fleet) {
     for (auto& target : fleet) target.name.clear();
     return fleet;
   };
-  core::ShardedSurveyConfig batch;
-  batch.fleet.seed = kSeed;
-  batch.fleet.targets = strip(nine_targets());
-  batch.shards = 2;
-  batch.threads = 2;
-  core::ShardedSurveyEngine engine{std::move(batch)};
-  engine.run(quick_run(), kRounds, Duration::millis(500));
-
+  const Reference ref = single_loop_reference(strip(nine_targets()));
   SurveyService service{service_config(2)};
   service.admit(strip(nine_targets()));
   service.drain();
-  EXPECT_EQ(canonical_jsonl(service), canonical_jsonl(engine));
-  EXPECT_EQ(snapshot_dump(service.metrics()), snapshot_dump(engine.metrics()));
+  EXPECT_EQ(canonical_jsonl(service), ref.jsonl);
+  EXPECT_EQ(snapshot_dump(service.metrics()), ref.snapshots);
 }
 
 TEST(SurveyService, LiveSnapshotsMidRunDoNotPerturbTheOutput) {
@@ -224,20 +130,23 @@ TEST(SurveyService, LiveSnapshotsMidRunDoNotPerturbTheOutput) {
       snapshots_taken.fetch_add(1);
     }
   }};
+  // Admit only once the reader is taking snapshots: a fast run could
+  // otherwise drain before the reader thread is first scheduled.
+  while (snapshots_taken.load() == 0) std::this_thread::yield();
   service.admit(nine_targets());
   service.drain();
   running.store(false);
   reader.join();
   EXPECT_GT(snapshots_taken.load(), 0u);
-  EXPECT_EQ(canonical_jsonl(service), batch_reference().jsonl);
+  EXPECT_EQ(canonical_jsonl(service), reference().jsonl);
 
   const SurveyService::Snapshot final_snap = service.snapshot();
   EXPECT_EQ(final_snap.admitted, 9u);
   EXPECT_EQ(final_snap.completed, 9u);
   EXPECT_EQ(final_snap.in_flight, 0u);
-  EXPECT_EQ(final_snap.measurements, batch_reference().end.measurements);
-  EXPECT_EQ(final_snap.virtual_end, batch_reference().end.at);
-  EXPECT_EQ(snapshot_dump(final_snap.metrics), batch_reference().snapshots);
+  EXPECT_EQ(final_snap.measurements, reference().end.measurements);
+  EXPECT_EQ(final_snap.virtual_end, reference().end.at);
+  EXPECT_EQ(snapshot_dump(final_snap.metrics), reference().snapshots);
 }
 
 TEST(SurveyService, SnapshotJsonCarriesTheServiceSchema) {
@@ -250,7 +159,7 @@ TEST(SurveyService, SnapshotJsonCarriesTheServiceSchema) {
   EXPECT_EQ(j.at("completed").as_u64(), 9u);
   EXPECT_EQ(j.at("failed").as_u64(), 0u);
   EXPECT_EQ(j.at("in_flight").as_u64(), 0u);
-  EXPECT_EQ(j.at("measurements").as_u64(), batch_reference().end.measurements);
+  EXPECT_EQ(j.at("measurements").as_u64(), reference().end.measurements);
   EXPECT_EQ(j.at("workers").as_u64(), 2u);
   EXPECT_FALSE(j.at("degraded").as_bool());
   EXPECT_TRUE(j.contains("steals"));
@@ -284,7 +193,7 @@ TEST(SurveyService, CheckpointAdoptionAcrossServiceGenerations) {
 
   // Generation 2 restores, admits the WHOLE fleet: recorded targets are
   // adopted (attempts == 0), the rest execute, and the merged output is
-  // byte-identical to an uninterrupted batch run.
+  // byte-identical to an uninterrupted run.
   {
     SurveyServiceConfig cfg = service_config(2);
     cfg.checkpoint_path = path;
@@ -294,8 +203,8 @@ TEST(SurveyService, CheckpointAdoptionAcrossServiceGenerations) {
     service.drain();
     EXPECT_EQ(service.attempts(0), 0) << "adopted, not re-run";
     EXPECT_EQ(service.attempts(8), 1);
-    EXPECT_EQ(canonical_jsonl(service), batch_reference().jsonl);
-    EXPECT_EQ(snapshot_dump(service.metrics()), batch_reference().snapshots);
+    EXPECT_EQ(canonical_jsonl(service), reference().jsonl);
+    EXPECT_EQ(snapshot_dump(service.metrics()), reference().snapshots);
     service.stop();
   }
   // The new generation's checkpoint re-recorded the adopted targets too.
@@ -303,19 +212,132 @@ TEST(SurveyService, CheckpointAdoptionAcrossServiceGenerations) {
   std::remove(path.c_str());
 }
 
-TEST(SurveyService, RestoreRejectsAMismatchedOrBatchCheckpoint) {
+TEST(SurveyService, RestoreRejectsAMismatchedOrPerShardCheckpoint) {
   core::SurveyCheckpoint wrong_seed;
   wrong_seed.set_header(core::SurveyCheckpoint::Header{0, 9, kRounds, kSeed + 1});
-  core::SurveyCheckpoint batch_granularity;
-  batch_granularity.set_header(core::SurveyCheckpoint::Header{3, 9, kRounds, kSeed});
+  core::SurveyCheckpoint wrong_rounds;
+  wrong_rounds.set_header(core::SurveyCheckpoint::Header{0, 9, kRounds + 1, kSeed});
+  core::SurveyCheckpoint per_shard;
+  per_shard.set_header(core::SurveyCheckpoint::Header{3, 9, kRounds, kSeed});
 
   SurveyService service{service_config(1)};
   EXPECT_THROW(service.restore(wrong_seed), std::invalid_argument);
-  EXPECT_THROW(service.restore(batch_granularity), std::invalid_argument);
+  EXPECT_THROW(service.restore(wrong_rounds), std::invalid_argument);
+  EXPECT_THROW(service.restore(per_shard), std::invalid_argument);
   service.admit(nine_targets()[0], 0);
   EXPECT_THROW(service.restore(core::SurveyCheckpoint{}), std::logic_error)
       << "restore must precede admission";
   service.drain();
+}
+
+TEST(SurveyService, RecordsOfAnotherFleetAreRejectedAtAdmission) {
+  // The checkpoint holds host-0..8. A fleet whose index 1 is another host
+  // must not adopt host-1's results under that host's name.
+  SurveyService service{service_config(2)};
+  service.restore(full_checkpoint());
+  std::vector<core::SurveyTargetConfig> other = nine_targets();
+  other[1].name = "other-1";
+  EXPECT_THROW(service.admit(other[1], 1), std::invalid_argument);
+  // In a batch, the targets before the rejected one stay admitted, the
+  // rest are not, and drain() still returns.
+  EXPECT_THROW(service.admit(other), std::invalid_argument);
+  service.drain();
+  EXPECT_EQ(service.admitted(), 1u);
+  EXPECT_EQ(service.attempts(0), 0) << "host-0 matched its record and was adopted";
+
+  // The rejections left no admission state behind: the right targets
+  // take indices 1..8 and the output is the uninterrupted run's.
+  std::vector<core::SurveyTargetConfig> rest = nine_targets();
+  rest.erase(rest.begin());
+  EXPECT_EQ(service.admit(std::move(rest)).front(), 1u);
+  service.drain();
+  EXPECT_EQ(service.attempts(1), 0);
+  EXPECT_EQ(canonical_jsonl(service), reference().jsonl);
+}
+
+TEST(SurveyService, SavesKeepRestoredRecordsThatWereNotAdopted) {
+  // A resumed run's restored records are durable progress until adopted:
+  // no save of the new generation may drop them.
+  const std::string path = testing::TempDir() + "survey_service_kept.ckpt";
+  full_checkpoint().save(path);
+  SurveyServiceConfig cfg = service_config(2);
+  cfg.checkpoint_path = path;
+
+  // Admission rejects another fleet's first target; the destructor's
+  // final save then runs with nothing adopted.
+  {
+    SurveyService service{cfg};
+    service.restore(core::SurveyCheckpoint::load(path));
+    std::vector<core::SurveyTargetConfig> other = nine_targets();
+    other[0].name = "other-0";
+    EXPECT_THROW(service.admit(std::move(other)), std::invalid_argument);
+  }
+  core::SurveyCheckpoint kept = core::SurveyCheckpoint::load(path);
+  EXPECT_EQ(kept.torn_records(), 0u);
+  EXPECT_EQ(kept.serialize(), full_checkpoint().serialize());
+
+  // A resumed run stopped mid-admission (a SIGTERM) adopts two targets;
+  // the seven it never reached stay recorded.
+  {
+    SurveyService service{cfg};
+    service.restore(core::SurveyCheckpoint::load(path));
+    std::vector<core::SurveyTargetConfig> fleet = nine_targets();
+    fleet.resize(2);
+    service.admit(std::move(fleet));
+    service.stop();
+  }
+  kept = core::SurveyCheckpoint::load(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(kept.torn_records(), 0u);
+  EXPECT_EQ(kept.serialize(), full_checkpoint().serialize());
+}
+
+TEST(SurveyService, AWorldTornDownMidRunLeavesNothingBehind) {
+  // Target 3's world dies mid-survey: build it, drive it partway, tear
+  // it down...
+  {
+    core::SurveyTargetConfig target = nine_targets()[3];
+    core::pin_global_identity(target, 3, kSeed);
+    core::SurveyTestbedConfig world;
+    world.seed = kSeed;
+    world.targets.push_back(std::move(target));
+    core::SurveyTestbed casualty{std::move(world)};
+    core::SurveyEngine partial{casualty.loop()};
+    casualty.populate(partial);
+    partial.start(quick_run(), kRounds, util::Duration::millis(500));
+    casualty.loop().run_until(util::TimePoint::from_ns(2'000'000'000));
+    ASSERT_TRUE(partial.running()) << "tear-down must interrupt a live survey";
+  }
+  // ...and nothing of it survives: running the fleet again reproduces the
+  // reference (the recovery path is "just run it again").
+  {
+    SurveyService service{service_config(1)};
+    service.admit(nine_targets());
+    service.drain();
+    EXPECT_EQ(canonical_jsonl(service), reference().jsonl);
+    EXPECT_EQ(snapshot_dump(service.metrics()), reference().snapshots);
+  }
+
+  // The service's own path: a world that throws mid-run (here its suite
+  // factory, at target 3's first completed measurement) is torn down on
+  // its worker and retried there, to the same bytes.
+  std::atomic<bool> thrown{false};
+  SurveyServiceConfig cfg = service_config(1);
+  cfg.retry.initial_backoff = std::chrono::milliseconds(1);
+  cfg.suite_factory = [&thrown](std::string_view target, std::string_view test) {
+    if (target == "host-3" && !thrown.exchange(true)) {
+      throw std::runtime_error{"world died mid-run"};
+    }
+    return metrics::default_suite(target, test);
+  };
+  SurveyService service{cfg};
+  service.admit(nine_targets());
+  service.drain();
+  EXPECT_TRUE(thrown.load());
+  EXPECT_EQ(service.attempts(3), 2);
+  EXPECT_FALSE(service.degraded());
+  EXPECT_EQ(canonical_jsonl(service), reference().jsonl);
+  EXPECT_EQ(snapshot_dump(service.metrics()), reference().snapshots);
 }
 
 TEST(SurveyService, TransientFailuresRetryToTheSameBytes) {
@@ -336,18 +358,21 @@ TEST(SurveyService, TransientFailuresRetryToTheSameBytes) {
   EXPECT_EQ(service.attempts(2), 1);
   EXPECT_FALSE(service.degraded());
   // Retries are invisible in the output: same bytes as the fault-free run.
-  EXPECT_EQ(canonical_jsonl(service), batch_reference().jsonl);
-  EXPECT_EQ(snapshot_dump(service.metrics()), batch_reference().snapshots);
+  EXPECT_EQ(canonical_jsonl(service), reference().jsonl);
+  EXPECT_EQ(snapshot_dump(service.metrics()), reference().snapshots);
 }
 
 TEST(SurveyService, ExhaustedRetriesDegradeWithFullFleetAccounting) {
   util::FaultInjector faults{17};
   faults.arm({"shard/4/run", util::FaultInjector::Mode::kThrow, 1.0, 0, true});
 
+  const std::string path = testing::TempDir() + "survey_service_degraded.ckpt";
+  std::remove(path.c_str());
   SurveyServiceConfig cfg = service_config(2);
   cfg.engine.faults = &faults;
   cfg.retry.max_attempts = 2;
   cfg.retry.initial_backoff = std::chrono::milliseconds(1);
+  cfg.checkpoint_path = path;
   SurveyService service{cfg};
   service.admit(nine_targets());
   service.drain();
@@ -374,6 +399,22 @@ TEST(SurveyService, ExhaustedRetriesDegradeWithFullFleetAccounting) {
   const SurveyService::Snapshot snap = service.snapshot();
   EXPECT_EQ(snap.failed, 1u);
   EXPECT_TRUE(snap.degraded);
+
+  // The degraded run's checkpoint resumes to a CLEAN survey once the
+  // fault is gone: the failed target was never recorded, so it re-runs.
+  service.stop();
+  const core::SurveyCheckpoint recorded = core::SurveyCheckpoint::load(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(recorded.completed_count(), 8u);
+  EXPECT_FALSE(recorded.has_shard(4));
+  SurveyService healed{service_config(2)};
+  healed.restore(recorded);
+  healed.admit(nine_targets());
+  healed.drain();
+  EXPECT_FALSE(healed.degraded());
+  EXPECT_EQ(healed.attempts(4), 1);
+  EXPECT_EQ(healed.attempts(3), 0);
+  EXPECT_EQ(canonical_jsonl(healed), reference().jsonl);
 }
 
 TEST(SurveyService, PlanErrorsSurfaceAtDrainNotAsDegradation) {
@@ -424,8 +465,20 @@ TEST(SurveyService, AdmissionRejectsIdentityCollisionsFleetWide) {
   clone.address = core::default_target_address(0);
   EXPECT_THROW(service.admit(clone, 6), std::invalid_argument) << "duplicate address";
   EXPECT_THROW(service.admit(fleet[2], 0), std::invalid_argument) << "duplicate index";
+  // An explicit name equal to another target's pinned default name is the
+  // sneaky variant of the duplicate-name bug.
+  core::SurveyTargetConfig nameless = fleet[3];
+  nameless.name.clear();
+  EXPECT_EQ(service.admit(nameless, 3), 3u);
+  core::SurveyTargetConfig impostor = fleet[4];
+  impostor.name = core::default_target_name(3);
+  EXPECT_THROW(service.admit(impostor, 4), std::invalid_argument) << "default-name collision";
+  // A collision mid-batch: the target before it is admitted and runs, so
+  // drain() returns instead of waiting on a target never submitted.
+  EXPECT_THROW(service.admit(std::vector{fleet[5], fleet[0]}), std::invalid_argument);
   service.drain();
-  EXPECT_EQ(service.admitted(), 1u);
+  EXPECT_EQ(service.admitted(), 3u);
+  EXPECT_EQ(service.completed(), 3u);
 }
 
 TEST(SurveyService, StopRetiresTheServiceButKeepsResultsReadable) {
@@ -433,7 +486,7 @@ TEST(SurveyService, StopRetiresTheServiceButKeepsResultsReadable) {
   service.admit(nine_targets());
   service.stop();
   EXPECT_THROW(service.admit(nine_targets()[0]), std::logic_error);
-  EXPECT_EQ(canonical_jsonl(service), batch_reference().jsonl);
+  EXPECT_EQ(canonical_jsonl(service), reference().jsonl);
   const SurveyService::Snapshot snap = service.snapshot();
   EXPECT_EQ(snap.completed, 9u);
   EXPECT_EQ(snap.workers, 2u) << "scheduler identity preserved across stop";

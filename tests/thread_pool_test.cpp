@@ -1,85 +1,21 @@
-// util::ThreadPool: the sharded runtime's execution substrate. Jobs all
-// run exactly once, worker exceptions surface at the join point, and
-// destruction drains the queue. Plus util::WorkStealingPool, the survey
-// service's scheduler: the same contracts under stealing, oversubscription
-// and empty-victim races, with the steal counters accounting exactly.
+// util::WorkStealingPool, the survey service's scheduler: jobs all run
+// exactly once under stealing, oversubscription and empty-victim races,
+// worker exceptions surface at the join point, destruction drains every
+// deque, and the steal counters account exactly.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <mutex>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "util/thread_pool.hpp"
 #include "util/work_stealing_pool.hpp"
 
 namespace reorder::util {
 namespace {
-
-TEST(ThreadPool, RunsEveryJobExactlyOnce) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool{4};
-    std::vector<std::future<void>> done;
-    for (int i = 0; i < 100; ++i) {
-      done.push_back(pool.submit([&counter] { counter.fetch_add(1); }));
-    }
-    for (auto& f : done) f.get();
-    EXPECT_EQ(counter.load(), 100);
-  }
-}
-
-TEST(ThreadPool, SpreadsWorkAcrossWorkers) {
-  std::mutex mu;
-  std::set<std::thread::id> workers;
-  std::atomic<int> rendezvous{0};
-  ThreadPool pool{2};
-  std::vector<std::future<void>> done;
-  for (int i = 0; i < 2; ++i) {
-    done.push_back(pool.submit([&] {
-      // Hold both workers in the job until each has arrived, so two
-      // distinct threads must participate.
-      rendezvous.fetch_add(1);
-      while (rendezvous.load() < 2) std::this_thread::yield();
-      const std::lock_guard<std::mutex> lock{mu};
-      workers.insert(std::this_thread::get_id());
-    }));
-  }
-  for (auto& f : done) f.get();
-  EXPECT_EQ(workers.size(), 2u);
-}
-
-TEST(ThreadPool, ExceptionsSurfaceThroughTheFuture) {
-  ThreadPool pool{2};
-  auto ok = pool.submit([] {});
-  auto bad = pool.submit([] { throw std::runtime_error{"shard failed"}; });
-  EXPECT_NO_THROW(ok.get());
-  EXPECT_THROW(bad.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, DestructionDrainsPendingJobs) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool{1};
-    for (int i = 0; i < 8; ++i) {
-      pool.submit([&counter] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        counter.fetch_add(1);
-      });
-    }
-  }  // ~ThreadPool joins only after the queue is empty
-  EXPECT_EQ(counter.load(), 8);
-}
-
-TEST(ThreadPool, ClampsToAtLeastOneWorker) {
-  ThreadPool pool{0};
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_GE(ThreadPool::hardware_threads(), 1u);
-}
 
 TEST(WorkStealingPool, RunsEveryJobExactlyOnceWithStealing) {
   std::atomic<int> counter{0};
@@ -95,7 +31,8 @@ TEST(WorkStealingPool, RunsEveryJobExactlyOnceWithStealing) {
 TEST(WorkStealingPool, SurvivesOversubscription) {
   // Far more workers than cores: correctness must not depend on every
   // worker making progress promptly (context switches only cost time).
-  const std::size_t threads = 4 * ThreadPool::hardware_threads();
+  ASSERT_GE(WorkStealingPool::hardware_threads(), 1u);
+  const std::size_t threads = 4 * WorkStealingPool::hardware_threads();
   std::atomic<int> counter{0};
   WorkStealingPool pool{threads};
   EXPECT_EQ(pool.size(), threads);
@@ -138,6 +75,9 @@ TEST(WorkStealingPool, StealCountersAccountExactly) {
     done.push_back(pool.submit([] {}));
   }
   for (auto& f : done) f.get();
+  // A future resolves before its worker bumps `executed`; shutdown()
+  // joins the workers, after which the counters are exact.
+  pool.shutdown();
   const WorkStealingPool::Stats stats = pool.stats();
   EXPECT_EQ(stats.submitted, 300u);
   EXPECT_EQ(stats.executed, 300u);
@@ -176,29 +116,19 @@ TEST(WorkStealingPool, StealsFromABlockedWorkersDeque) {
   blocker.get();
 }
 
-TEST(WorkStealingPool, FifoFallbackMatchesSubmissionOrder) {
-  // steal=false with one worker must degenerate to exactly ThreadPool's
-  // FIFO; the steal-mode owner pop is front-first, so a single steal-mode
-  // worker preserves the same order — the equivalence the service's
-  // no-steal mode relies on.
-  for (const bool steal : {false, true}) {
-    WorkStealingPool::Options options;
-    options.threads = 1;
-    options.steal = steal;
-    WorkStealingPool pool{options};
-    EXPECT_EQ(pool.stealing_enabled(), steal);
-    std::vector<int> order;
-    std::vector<std::future<void>> done;
-    for (int i = 0; i < 32; ++i) {
-      done.push_back(pool.submit([&order, i] { order.push_back(i); }));
-    }
-    for (auto& f : done) f.get();
-    ASSERT_EQ(order.size(), 32u);
-    for (int i = 0; i < 32; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-    if (!steal) {
-      EXPECT_EQ(pool.stats().stolen, 0u);
-    }
+TEST(WorkStealingPool, OneWorkerRunsJobsInSubmissionOrder) {
+  // The owner pops its deque front-first and a lone worker has no victim
+  // to steal from, so one worker runs jobs in exactly submission order.
+  WorkStealingPool pool{1};
+  std::vector<int> order;
+  std::vector<std::future<void>> done;
+  for (int i = 0; i < 32; ++i) {
+    done.push_back(pool.submit([&order, i] { order.push_back(i); }));
   }
+  for (auto& f : done) f.get();
+  ASSERT_EQ(order.size(), 32u);
+  for (int i = 0; i < 32; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(pool.stats().stolen, 0u);
 }
 
 TEST(WorkStealingPool, ExceptionsSurfaceThroughTheFuture) {
@@ -209,23 +139,18 @@ TEST(WorkStealingPool, ExceptionsSurfaceThroughTheFuture) {
   EXPECT_THROW(bad.get(), std::runtime_error);
 }
 
-TEST(WorkStealingPool, DestructionDrainsPendingJobsInBothModes) {
-  for (const bool steal : {true, false}) {
-    std::atomic<int> counter{0};
-    {
-      WorkStealingPool::Options options;
-      options.threads = 2;
-      options.steal = steal;
-      WorkStealingPool pool{options};
-      for (int i = 0; i < 16; ++i) {
-        pool.submit([&counter] {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          counter.fetch_add(1);
-        });
-      }
-    }  // ~WorkStealingPool joins only after every deque is empty
-    EXPECT_EQ(counter.load(), 16);
-  }
+TEST(WorkStealingPool, DestructionDrainsPendingJobs) {
+  std::atomic<int> counter{0};
+  {
+    WorkStealingPool pool{2};
+    for (int i = 0; i < 16; ++i) {
+      pool.submit([&counter] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        counter.fetch_add(1);
+      });
+    }
+  }  // ~WorkStealingPool joins only after every deque is empty
+  EXPECT_EQ(counter.load(), 16);
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
-// Unit tests for util: checksum, RNG, time, byte codec, flags.
+// Unit tests for util: checksum, RNG, time, byte codec, flags, seed derivation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <set>
 #include <vector>
 
 #include "util/byte_io.hpp"
 #include "util/checksum.hpp"
 #include "util/flags.hpp"
 #include "util/random.hpp"
+#include "util/shard_seeder.hpp"
 #include "util/time.hpp"
 
 namespace reorder::util {
@@ -363,6 +365,29 @@ TEST(Flags, UsageMentionsFlagsAndDefaults) {
   const auto usage = flags.usage();
   EXPECT_NE(usage.find("--answer"), std::string::npos);
   EXPECT_NE(usage.find("42"), std::string::npos);
+}
+
+TEST(ShardSeeder, DerivationIsPureAndDecorrelated) {
+  const ShardSeeder seeder{42};
+  const TargetSeeds a0 = seeder.target(0);
+  const TargetSeeds a0_again = ShardSeeder{42}.target(0);
+  EXPECT_EQ(a0.host_seed, a0_again.host_seed);
+  EXPECT_EQ(a0.forward_tag, a0_again.forward_tag);
+
+  // Neighbouring indices and lanes must not collide (the avalanche is
+  // doing its job).
+  std::set<std::uint64_t> streams;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    const TargetSeeds s = seeder.target(i);
+    streams.insert(s.host_seed);
+    streams.insert(s.forward_tag);
+    streams.insert(s.reverse_tag);
+  }
+  EXPECT_EQ(streams.size(), 3u * 64u);
+
+  // The splitmix64 finalizer is an on-disk contract (recorded seeds must
+  // replay across versions): pin a known vector.
+  EXPECT_EQ(splitmix64(0), 0xe220a8397b1dcdafull);
 }
 
 }  // namespace

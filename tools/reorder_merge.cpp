@@ -1,17 +1,18 @@
 // reorder-merge: fold the canonical JSONL artifacts of N survey runs
 // into one fleet-wide report.
 //
-// A production survey is many survey_fleet processes — different
-// machines, different fleet slices, different days — each leaving one
-// canonical JSONL stream. This tool merges them into the stream one run
-// over the combined fleet would have produced: measurements re-sorted
-// into the canonical (target, test, at) order and renumbered, metric
-// snapshots restored and pooled through the bit-exact merge contract,
-// lifecycle and degraded-mode accounting summed so the combined fleet
-// stays fully accounted for.
+// A production survey is many survey processes — different machines,
+// different fleet slices, different days — each leaving one JSONL
+// stream. This tool merges them into the stream one run over the
+// combined fleet would have produced: measurements re-sorted into the
+// canonical (target, test, at) order and renumbered, metric snapshots
+// restored and pooled through the bit-exact merge contract, lifecycle
+// and degraded-mode accounting summed so the combined fleet stays fully
+// accounted for. Given one live completion-order stream (survey_fleet
+// --jsonl), it writes that run's canonical form.
 //
-//   $ survey_fleet --targets=8 --shards=4 --jsonl=east.jsonl  ...
-//   $ survey_fleet --targets=8 --shards=4 --jsonl=west.jsonl  ...
+//   $ survey_service --admit=east.txt --jsonl=east.jsonl
+//   $ survey_service --admit=west.txt --jsonl=west.jsonl
 //   $ reorder-merge --out=fleet.jsonl east.jsonl west.jsonl
 #include <cstdio>
 #include <exception>
