@@ -530,43 +530,15 @@ void BM_BatchedObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedObserve)->ArgName("flows")->Arg(64)->Arg(4096);
 
-// The whole subsystem end to end: producer thread renders the coalesced
-// stream into batches, SPSC ring, consumer thread drains the batched
-// sequence-metric path. UseRealTime: the analytics run on the consumer
-// thread, so wall time is the arrivals/s that matters (the README's
-// line-rate number).
-void BM_IngestPipeline(benchmark::State& state) {
-  const std::size_t flows = static_cast<std::size_t>(state.range(0));
-  std::vector<ingest::Arrival> stream;
-  for (const ingest::ArrivalBatch& batch :
-       coalesced_batches(flows, /*packets=*/512, /*run=*/16, /*batch_capacity=*/1024)) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      stream.push_back(
-          ingest::Arrival{batch.flows()[i], batch.send_indices()[i], batch.timestamps_ns()[i]});
-    }
-  }
-  ingest::SequenceEngine engine;
-  ingest::PipelineConfig cfg;
-  cfg.batch_capacity = 1024;
-  cfg.ring_batches = 64;
-  std::int64_t arrivals = 0;
-  for (auto _ : state) {
-    ingest::IngestPipeline pipeline{cfg, &engine, nullptr};
-    arrivals += static_cast<std::int64_t>(pipeline.run(stream).arrivals_consumed);
-    engine.flush();
-  }
-  state.SetItemsProcessed(arrivals);
-}
-BENCHMARK(BM_IngestPipeline)->ArgName("flows")->Arg(4096)->UseRealTime();
-
-// The multi-queue pipeline at shard counts {1,2,4}: the dispatcher splits
-// the same coalesced stream by flow hash across N consumer shards, each
-// draining a private SequenceEngine. shards:1 is the honest baseline (the
-// same 1 producer + 1 consumer shape as BM_IngestPipeline, plus the
-// dispatcher's split); the CI perf gate asserts shards:4 sustains >= 2.5x
-// its real_time on the 4-vCPU runner — the scaling the sharding buys.
-// UseRealTime for the same reason as above: the analytics run on the
-// consumer threads.
+// The ingest pipeline end to end at shard counts {1,2,4}: the producer
+// packs the coalesced stream by flow hash into per-shard sub-batches, and
+// N consumer shards each drain a private SequenceEngine. shards:1 is one
+// producer and one consumer thread. Every iteration also builds and frees
+// the pipeline and its 4096 per-flow suites, so this times construction
+// and teardown as well as the stream. The CI perf gate asserts shards:4
+// sustains >= 2.5x the shards:1 real_time on the 4-vCPU runner.
+// UseRealTime: the analytics run on the consumer threads, so wall time is
+// the arrivals/s that matters.
 void BM_ParallelIngest(benchmark::State& state) {
   const std::size_t shards = static_cast<std::size_t>(state.range(0));
   std::vector<ingest::Arrival> stream;

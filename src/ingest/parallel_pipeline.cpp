@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -33,9 +34,9 @@ const ParallelPipelineStats& ParallelIngestPipeline::run(Source source) {
   stats_.shards.resize(n_shards);
 
   // One data ring per shard, plus the return direction: consumers recycle
-  // emptied sub-batches back to the dispatcher's builders, so steady state
+  // emptied sub-batches back to the producer's builders, so steady state
   // allocates nothing. Each ring keeps its SPSC discipline — the
-  // dispatcher thread is the only producer of every data ring and the only
+  // producer thread is the only producer of every data ring and the only
   // consumer of every free ring.
   std::vector<std::unique_ptr<SpscRing<ArrivalBatch>>> rings;
   std::vector<std::unique_ptr<SpscRing<ArrivalBatch>>> free_rings;
@@ -55,62 +56,54 @@ const ParallelPipelineStats& ParallelIngestPipeline::run(Source source) {
 
   const auto started = std::chrono::steady_clock::now();
 
-  std::vector<std::thread> consumers;
-  consumers.reserve(n_shards);
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    consumers.emplace_back([&, s] {
-      SequenceEngine* seq = config_.sequences ? &sequence_shards_[s] : nullptr;
-      monitor::MonitorEngine* mon = config_.monitor ? &monitor_shards_[s] : nullptr;
-      const std::int64_t stall_ns = config_.consumer_stall.ns();
-      ArrivalBatch batch;
-      const auto consume = [&] {
-        if (seq != nullptr) seq->ingest_batch(batch);
-        if (mon != nullptr) mon->ingest_batch(batch);
-        ++consumed[s].batches;
-        consumed[s].arrivals += batch.size();
-        if (stall_ns > 0) {
-          const auto until =
-              std::chrono::steady_clock::now() + std::chrono::nanoseconds{stall_ns};
-          while (std::chrono::steady_clock::now() < until) {
-          }
+  const auto consumer = [&](std::size_t s) {
+    SequenceEngine* seq = config_.sequences ? &sequence_shards_[s] : nullptr;
+    monitor::MonitorEngine* mon = config_.monitor ? &monitor_shards_[s] : nullptr;
+    const std::int64_t stall_ns = config_.consumer_stall.ns();
+    ArrivalBatch batch;
+    const auto consume = [&] {
+      if (seq != nullptr) seq->ingest_batch(batch);
+      if (mon != nullptr) mon->ingest_batch(batch);
+      ++consumed[s].batches;
+      consumed[s].arrivals += batch.size();
+      if (stall_ns > 0) {
+        const auto until = std::chrono::steady_clock::now() + std::chrono::nanoseconds{stall_ns};
+        while (std::chrono::steady_clock::now() < until) {
         }
-        batch.clear();
-        ArrivalBatch recycled = std::move(batch);
-        free_rings[s]->push_or_drop(recycled);  // full free ring: deallocate
-        batch = std::move(recycled);            // no-op if the push took it
-      };
-      for (;;) {
-        if (rings[s]->try_pop(batch)) {
-          consume();
-          continue;
-        }
-        if (done.load(std::memory_order_acquire)) {
-          // Dispatcher finished: one final drain settles the race between
-          // its last publish and our failed pop.
-          while (rings[s]->try_pop(batch)) consume();
-          break;
-        }
-        std::this_thread::yield();
       }
-    });
-  }
+      batch.clear();
+      ArrivalBatch recycled = std::move(batch);
+      free_rings[s]->push_or_drop(recycled);  // full free ring: deallocate
+      batch = std::move(recycled);            // no-op if the push took it
+    };
+    for (;;) {
+      if (rings[s]->try_pop(batch)) {
+        consume();
+        continue;
+      }
+      if (done.load(std::memory_order_acquire)) {
+        // Producer finished: one final drain settles the race between its
+        // last publish and our failed pop.
+        while (rings[s]->try_pop(batch)) consume();
+        break;
+      }
+      std::this_thread::yield();
+    }
+  };
 
-  // ------------------------------------------- producer + dispatcher stage
-  // Runs on the calling thread: pack the source into parent batches, split
-  // each by flow hash into per-shard builders, ship full sub-batches. One
-  // thread does both so a 1-shard pipeline costs the same two threads as
-  // the single-consumer IngestPipeline (the scaling baseline is honest).
-  {
-    ArrivalBatchBuilder parent_builder{config_.batch_capacity};
-    std::vector<ArrivalBatchBuilder> sub_builders;
-    sub_builders.reserve(n_shards);
-    for (std::size_t s = 0; s < n_shards; ++s) sub_builders.emplace_back(config_.batch_capacity);
+  // The producer, on the calling thread: pack each source arrival
+  // straight into its shard's sub-batch builder and ship sub-batches as
+  // they fill. Each builder sees its flows' arrivals in source order.
+  const auto produce = [&] {
+    std::vector<ArrivalBatchBuilder> builders;
+    builders.reserve(n_shards);
+    for (std::size_t s = 0; s < n_shards; ++s) builders.emplace_back(config_.batch_capacity);
     std::vector<Arrival> scratch(config_.batch_capacity);
 
-    const auto ship_sub = [&](std::size_t s) {
+    const auto ship = [&](std::size_t s) {
       ArrivalBatch recycled;
-      while (free_rings[s]->try_pop(recycled)) sub_builders[s].recycle(std::move(recycled));
-      ArrivalBatch sub = sub_builders[s].take();
+      while (free_rings[s]->try_pop(recycled)) builders[s].recycle(std::move(recycled));
+      ArrivalBatch sub = builders[s].take();
       if (sub.empty()) return;
       const std::size_t fill = sub.size();
       ++stats_.dispatcher.sub_batches;
@@ -124,17 +117,7 @@ const ParallelPipelineStats& ParallelIngestPipeline::run(Source source) {
       } else if (!rings[s]->push_or_drop(sub)) {
         ++stats_.shards[s].batches_dropped;
         stats_.shards[s].arrivals_dropped += fill;
-        sub_builders[s].recycle(std::move(sub));
-      }
-    };
-    const auto dispatch = [&](const ArrivalBatch& parent) {
-      ++stats_.dispatcher.parent_batches;
-      const std::uint64_t* flows = parent.flows();
-      const std::uint32_t* send = parent.send_indices();
-      const std::int64_t* at = parent.timestamps_ns();
-      for (std::size_t i = 0; i < parent.size(); ++i) {
-        const std::size_t s = shard_of(flows[i], n_shards);
-        if (sub_builders[s].push(flows[i], send[i], at[i])) ship_sub(s);
+        builders[s].recycle(std::move(sub));
       }
     };
 
@@ -143,20 +126,29 @@ const ParallelPipelineStats& ParallelIngestPipeline::run(Source source) {
       if (n == 0) break;
       stats_.arrivals_produced += n;
       for (std::size_t i = 0; i < n; ++i) {
-        if (parent_builder.push(scratch[i])) {
-          ArrivalBatch parent = parent_builder.take();
-          dispatch(parent);
-          parent.clear();
-          parent_builder.recycle(std::move(parent));
-        }
+        const std::size_t s = shard_of(scratch[i].flow, n_shards);
+        if (builders[s].push(scratch[i])) ship(s);
       }
     }
-    if (parent_builder.size() > 0) dispatch(parent_builder.take());
     // Flush every shard's partial sub-batch, then let the consumers drain.
-    for (std::size_t s = 0; s < n_shards; ++s) ship_sub(s);
+    for (std::size_t s = 0; s < n_shards; ++s) ship(s);
+  };
+
+  // Unwinding past a joinable std::thread ends the process, so a throwing
+  // source (or a failed thread start) first stops and joins the consumers
+  // and only then reaches the caller.
+  std::vector<std::thread> consumers;
+  consumers.reserve(n_shards);
+  std::exception_ptr failure;
+  try {
+    for (std::size_t s = 0; s < n_shards; ++s) consumers.emplace_back(consumer, s);
+    produce();
+  } catch (...) {
+    failure = std::current_exception();
   }
   done.store(true, std::memory_order_release);
   for (std::thread& t : consumers) t.join();
+  if (failure) std::rethrow_exception(failure);
 
   // ------------------------------------------------------------- fold stats
   std::uint64_t max_dispatched = 0;
@@ -204,37 +196,8 @@ void ParallelIngestPipeline::flush() {
   for (monitor::MonitorEngine& mon : monitor_shards_) mon.flush();
 }
 
-metrics::MetricSuite ParallelIngestPipeline::merged_sequences() const {
-  // Re-interleave the disjoint shard flow sets into one ascending global
-  // order and replay SequenceEngine::merged()'s exact fold: a fresh
-  // factory suite, merging an end_sequence()'d copy of every flow's suite.
-  std::vector<std::pair<std::uint64_t, const SequenceEngine*>> all;
-  for (const SequenceEngine& seq : sequence_shards_) {
-    for (const std::uint64_t flow : seq.flow_ids()) all.emplace_back(flow, &seq);
-  }
-  std::sort(all.begin(), all.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  metrics::MetricSuite out = suite_factory_();
-  for (const auto& [flow, seq] : all) {
-    metrics::MetricSuite copy = seq->flow_suite(flow)->snapshot();
-    copy.end_sequence();
-    out.merge(copy);
-  }
-  return out;
-}
-
 report::Json ParallelIngestPipeline::sequences_json() const {
-  std::uint64_t arrivals = 0;
-  std::uint64_t flows = 0;
-  for (const SequenceEngine& seq : sequence_shards_) {
-    arrivals += seq.arrivals();
-    flows += seq.flow_count();
-  }
-  report::Json j = report::Json::object();
-  j.set("arrivals", arrivals);
-  j.set("flows", flows);
-  j.set("metrics", merged_sequences().to_json());
-  return j;
+  return SequenceEngine::to_json(sequence_shards_, suite_factory_);
 }
 
 monitor::MonitorEngine ParallelIngestPipeline::merged_monitor() const {
@@ -245,7 +208,6 @@ monitor::MonitorEngine ParallelIngestPipeline::merged_monitor() const {
 
 report::Json ParallelIngestPipeline::to_json() const {
   report::Json j = report::Json::object();
-  j.set("mode", std::string{"parallel"});
   j.set("shards", static_cast<std::uint64_t>(config_.shards));
   j.set("backpressure",
         std::string{config_.backpressure == Backpressure::kSpin ? "spin" : "drop"});
@@ -263,7 +225,6 @@ report::Json ParallelIngestPipeline::to_json() const {
         secs > 0.0 ? static_cast<double>(stats_.arrivals_consumed) / secs : 0.0);
 
   report::Json dispatcher = report::Json::object();
-  dispatcher.set("parent_batches", stats_.dispatcher.parent_batches);
   dispatcher.set("sub_batches", stats_.dispatcher.sub_batches);
   report::Json hist = report::Json::array();
   for (const std::uint64_t count : stats_.dispatcher.fill_hist) hist.push(count);

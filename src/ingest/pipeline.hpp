@@ -1,34 +1,23 @@
-// The line-rate ingest pipeline (ROADMAP item 3): a producer thread
-// renders an arrival stream into SoA ArrivalBatches and pushes them
-// through an SpscRing to a consumer thread that drains each batch into
-// the analytics engines over their batched fast paths —
-// SequenceEngine (per-flow exact metrics::MetricSuite, fed one
-// observe_arrivals() span per same-flow run) and
-// monitor::MonitorEngine::ingest_batch() (one FlowTable::lookup_run per
-// run). Both paths are bit-exact with their scalar equivalents; batching
-// buys only the amortization, never the answer.
-//
-// Backpressure is explicit policy: kSpin blocks the producer (counting
-// spin rounds), kDrop sheds whole batches (counting drops). Either way
-// the ring's transfer counters surface in to_json(), so saturation is
-// visible in the JSONL record, not silently absorbed.
-//
-// A second ring runs the other way, recycling emptied batches to the
-// producer's builder: steady state allocates nothing.
+// The engine-side pieces of the line-rate ingest path that
+// ParallelIngestPipeline (ingest/parallel_pipeline.hpp) builds on:
+// SequenceEngine, the exact per-flow metrics::MetricSuite state each
+// consumer shard drains its ArrivalBatches into (batched
+// observe_arrivals() spans, bit-exact with the scalar observe());
+// Backpressure, the producer's policy when a shard's ring fills; and
+// from_monitor(), which renders a monitor-level arrival stream as
+// ingest arrivals.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "ingest/arrival_batch.hpp"
-#include "ingest/spsc_ring.hpp"
 #include "metrics/metric.hpp"
 #include "monitor/differential.hpp"
-#include "monitor/engine.hpp"
-#include "report/jsonl.hpp"
-#include "util/time.hpp"
+#include "report/json.hpp"
 
 namespace reorder::ingest {
 
@@ -42,7 +31,7 @@ enum class Backpressure {
 /// ring: one metrics::MetricSuite per flow id, fed through the batched
 /// observe_arrivals() span path (scalar observe() is the bit-exactness
 /// comparator the tests drive). Snapshot/merge discipline matches the
-/// other engines: merged() folds flush-closed copies of every flow's
+/// other engines: to_json() folds flush-closed copies of every flow's
 /// suite in sorted-key order, so the JSON is byte-stable regardless of
 /// hash-map iteration order.
 class SequenceEngine {
@@ -57,34 +46,31 @@ class SequenceEngine {
 
   /// Scalar path: one arrival on `flow` (one map lookup per arrival).
   void observe(std::uint64_t flow, std::uint32_t send_index);
-  /// Batched path: a run of consecutive same-flow arrivals (one map
+  /// Batched path: splits a batch into maximal same-flow runs and feeds
+  /// each to its flow's suite as one observe_arrivals() span (one map
   /// lookup and one virtual fan-in per member per run).
-  void observe_run(std::uint64_t flow, const std::uint32_t* send_indices, std::size_t count);
-  /// Splits a batch into maximal same-flow runs through observe_run().
   void ingest_batch(const ArrivalBatch& batch);
-  /// Closes `flow`'s open sequence (the suite stays, ready for more).
-  void end_flow(std::uint64_t flow);
   /// Closes every flow's open sequence.
   void flush();
 
   std::uint64_t arrivals() const { return arrivals_; }
   std::size_t flow_count() const { return flows_.size(); }
 
-  /// The fold of every flow's suite, each end_sequence()'d as a copy, in
-  /// ascending flow-id order (deterministic bytes).
-  metrics::MetricSuite merged() const;
-
-  /// Every live flow id, ascending — merged()'s fold order, exposed so the
-  /// parallel pipeline can interleave N disjoint shards into the same
-  /// global order (the bit-identity argument needs the fold sequence, not
-  /// just the per-flow states, to match the single engine's).
+  /// Every live flow id, ascending.
   std::vector<std::uint64_t> flow_ids() const;
   /// The flow's live suite, or nullptr; no insertion.
   const metrics::MetricSuite* flow_suite(std::uint64_t flow) const;
-  const SuiteFactory& factory() const { return factory_; }
 
   /// {"arrivals":..,"flows":..,"metrics":{<merged suite>}}
   report::Json to_json() const;
+  /// to_json() of engines holding disjoint flow sets, as if one engine
+  /// had seen every flow. The one sequence fold: a fresh `factory` suite
+  /// merges an end_sequence()'d copy of each flow's suite in ascending
+  /// global flow-id order. The fold order, not just the per-flow states,
+  /// fixes the bytes, so any split of the flows over shards yields the
+  /// same JSON as one engine.
+  static report::Json to_json(std::span<const SequenceEngine> engines,
+                              const SuiteFactory& factory);
 
  private:
   struct ResolvedRun {
@@ -97,65 +83,6 @@ class SequenceEngine {
   std::unordered_map<std::uint64_t, metrics::MetricSuite> flows_;
   std::vector<ResolvedRun> scratch_;  ///< ingest_batch working set, reused
   std::uint64_t arrivals_{0};
-};
-
-struct PipelineConfig {
-  /// Arrivals per batch (the amortization grain).
-  std::size_t batch_capacity{1024};
-  /// Ring capacity in batches; rounded up to a power of two.
-  std::size_t ring_batches{64};
-  Backpressure backpressure{Backpressure::kSpin};
-  /// Saturation knob for tests/benches: the consumer busy-waits this long
-  /// after each batch, forcing the producer into its backpressure policy.
-  util::Duration consumer_stall{util::Duration::nanos(0)};
-};
-
-/// One run()'s transfer accounting. consumed + dropped == produced.
-struct PipelineStats {
-  std::uint64_t arrivals_produced{0};
-  std::uint64_t arrivals_consumed{0};
-  std::uint64_t arrivals_dropped{0};
-  std::uint64_t batches_produced{0};
-  std::uint64_t batches_consumed{0};
-  std::uint64_t batches_dropped{0};
-  std::uint64_t spin_waits{0};  ///< producer spin rounds (kSpin)
-  std::int64_t wall_ns{0};      ///< producer start -> consumer drained
-};
-
-class IngestPipeline {
- public:
-  /// Bulk arrival source, called on the producer thread: fill up to `max`
-  /// arrivals into `out`, return how many; 0 ends the stream.
-  using Source = std::function<std::size_t(Arrival* out, std::size_t max)>;
-
-  /// Either engine may be null (that side is skipped).
-  IngestPipeline(PipelineConfig config, SequenceEngine* sequences,
-                 monitor::MonitorEngine* monitor);
-
-  /// Runs one producer and one consumer thread until `source` is
-  /// exhausted and the ring is drained; returns the run's stats.
-  const PipelineStats& run(Source source);
-  /// Replays a pre-rendered stream (simulation replay / synthetic
-  /// generator output) through run(Source).
-  const PipelineStats& run(const Arrival* arrivals, std::size_t count);
-  const PipelineStats& run(const std::vector<Arrival>& arrivals);
-
-  const PipelineStats& stats() const { return stats_; }
-  const SpscRingCounters& ring_counters() const { return ring_counters_; }
-
-  /// {"backpressure":..,"batch_capacity":..,"ring_batches":..,
-  ///  "arrivals_produced":..,...,"wall_ns":..,"arrivals_per_sec":..,
-  ///  "ring":{"pushed":..,"popped":..,"dropped":..,"spin_waits":..}}
-  report::Json to_json() const;
-  /// One {"type":"ingest",...} JSONL record of to_json().
-  void emit_jsonl(report::JsonlWriter& out) const;
-
- private:
-  PipelineConfig config_;
-  SequenceEngine* sequences_;
-  monitor::MonitorEngine* monitor_;
-  PipelineStats stats_;
-  SpscRingCounters ring_counters_;
 };
 
 /// ingest-side view of a monitor-level arrival stream: timestamps are

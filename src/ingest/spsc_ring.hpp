@@ -13,8 +13,6 @@
 //   * head and tail live on separate cache lines, and each side keeps a
 //     cached copy of the other's cursor so the fast path touches only its
 //     own line (the classic Lamport queue refinement);
-//   * batched multi-slot push/pop move several payloads per cursor
-//     publish, amortizing the release store and the cross-core miss;
 //   * backpressure is the caller's policy: try_push() reports a full ring,
 //     push_spin() blocks spinning (counting the waits), push_or_drop()
 //     sheds load and counts the drop. The counters are single-writer
@@ -88,23 +86,6 @@ class SpscRing {
   }
   bool try_push(T&& value) { return try_push(value); }
 
-  /// Moves in as many of values[0..count) as fit; returns how many.
-  std::size_t try_push_n(T* values, std::size_t count) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    std::uint64_t free = slots_.size() - (tail - head_cache_);
-    if (free < count) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      free = slots_.size() - (tail - head_cache_);
-    }
-    const std::size_t n = count < free ? count : static_cast<std::size_t>(free);
-    for (std::size_t i = 0; i < n; ++i) slots_[(tail + i) & mask_] = std::move(values[i]);
-    if (n > 0) {
-      tail_.store(tail + n, std::memory_order_release);
-      pushed_.fetch_add(n, std::memory_order_relaxed);
-    }
-    return n;
-  }
-
   /// Spin-blocking backpressure: waits for space with exponential backoff —
   /// cpu-pause bursts doubling 1, 2, 4, ... up to kSpinPauseCap beats, then
   /// scheduler yields — so a briefly-full ring is re-probed within
@@ -147,29 +128,6 @@ class SpscRing {
     head_.store(head + 1, std::memory_order_release);
     popped_.fetch_add(1, std::memory_order_relaxed);
     return true;
-  }
-
-  /// Moves up to `max` payloads into out[0..); returns how many.
-  std::size_t try_pop_n(T* out, std::size_t max) {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    std::uint64_t avail = tail_cache_ - head;
-    if (avail < max) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      avail = tail_cache_ - head;
-    }
-    const std::size_t n = max < avail ? max : static_cast<std::size_t>(avail);
-    for (std::size_t i = 0; i < n; ++i) out[i] = std::move(slots_[(head + i) & mask_]);
-    if (n > 0) {
-      head_.store(head + n, std::memory_order_release);
-      popped_.fetch_add(n, std::memory_order_relaxed);
-    }
-    return n;
-  }
-
-  /// Consumer-side emptiness probe (exact for the consumer; a producer
-  /// may be publishing concurrently).
-  bool empty() const {
-    return head_.load(std::memory_order_relaxed) == tail_.load(std::memory_order_acquire);
   }
 
   /// Snapshot of the transfer counters — exact once both sides quiesced.

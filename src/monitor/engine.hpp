@@ -62,8 +62,8 @@ class MonitorEngine {
   /// verdicts are not reported on this path.
   void ingest_run(std::uint64_t flow, const std::uint32_t* send_indices, std::size_t count);
   /// Splits an ingest::ArrivalBatch into maximal same-flow runs and
-  /// feeds each through ingest_run() — what the IngestPipeline's
-  /// consumer thread drains into.
+  /// feeds each through ingest_run() — what each consumer shard of
+  /// ingest::ParallelIngestPipeline drains its sub-batches into.
   void ingest_batch(const ingest::ArrivalBatch& batch);
   /// A whole arrival sequence (trace::data_arrival_sequence shape); the
   /// flow is closed afterwards. The pointer+length form is the copy-free

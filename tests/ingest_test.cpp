@@ -1,22 +1,21 @@
-// The line-rate ingest subsystem's contracts, enforced:
+// The line-rate ingest subsystem's building blocks, enforced:
 //
 //   * SpscRing is a correct bounded FIFO at every boundary — empty, full,
-//     wrap-around, batched multi-slot transfers, move-only payloads — and
-//     a real producer/consumer thread pair streams a long sequence
-//     through a tiny ring intact (the TSAN job proves the fences);
+//     wrap-around, move-only payloads — and a real producer/consumer
+//     thread pair streams a long sequence through a tiny ring intact (the
+//     TSAN job proves the fences);
 //   * backpressure is observable: push_or_drop counts every shed batch,
 //     push_spin counts every full-ring spin round;
 //   * ArrivalBatch's SoA lanes and run iteration reproduce the pushed
 //     stream exactly; the builder recycles storage;
 //   * FlowTable::lookup_run is bit-exact with the scalar lookup loop —
 //     same counters, same ticks, same eviction pattern;
-//   * THE tentpole invariant: the batched paths (observe_arrivals spans,
-//     MonitorEngine::ingest_batch, the threaded IngestPipeline) produce
-//     byte-identical snapshots and JSONL to the scalar per-arrival paths,
-//     over every scenario in the library — batching buys amortization,
-//     never a different answer;
-//   * a saturated kDrop pipeline surfaces its drop counters in the JSONL
-//     record; a saturated kSpin pipeline loses nothing and counts spins.
+//   * the batched engine paths (observe_arrivals spans,
+//     MonitorEngine::ingest_batch) produce byte-identical snapshots and
+//     JSONL to the scalar per-arrival paths, over every scenario in the
+//     library — batching buys amortization, never a different answer.
+//     The threaded pipeline's end-to-end identity, saturation and drop
+//     accounting live in parallel_ingest_test.cpp.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -73,7 +72,6 @@ TEST(SpscRing, FullAndEmptyBoundaries) {
     EXPECT_EQ(out, i);  // FIFO
   }
   EXPECT_FALSE(ring.try_pop(out));
-  EXPECT_TRUE(ring.empty());
 }
 
 TEST(SpscRing, WrapAroundPreservesFifoOrder) {
@@ -90,21 +88,6 @@ TEST(SpscRing, WrapAroundPreservesFifoOrder) {
   }
   while (ring.try_pop(out)) EXPECT_EQ(out, next_pop++);
   EXPECT_EQ(next_pop, next_push);
-}
-
-TEST(SpscRing, BatchedPushPopMoveCounts) {
-  SpscRing<int> ring{8};
-  std::vector<int> in{0, 1, 2, 3, 4, 5};
-  EXPECT_EQ(ring.try_push_n(in.data(), in.size()), 6u);
-  std::vector<int> more{6, 7, 8, 9};
-  EXPECT_EQ(ring.try_push_n(more.data(), more.size()), 2u);  // only 2 fit
-  std::vector<int> out(16, -1);
-  EXPECT_EQ(ring.try_pop_n(out.data(), 3), 3u);
-  EXPECT_EQ(ring.try_pop_n(out.data() + 3, 16), 5u);  // drains the rest
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
-  const SpscRingCounters c = ring.counters();
-  EXPECT_EQ(c.pushed, 8u);
-  EXPECT_EQ(c.popped, 8u);
 }
 
 TEST(SpscRing, MoveOnlyPayloads) {
@@ -361,107 +344,8 @@ TEST(SequenceEngine, BatchedRunsMatchScalarObserves) {
   EXPECT_EQ(scalar.arrivals(), batched.arrivals());
   EXPECT_EQ(scalar.flow_count(), batched.flow_count());
   EXPECT_EQ(scalar.to_json().dump(), batched.to_json().dump());
-  // merged() folds in sorted-key order: repeated snapshots are stable.
+  // to_json() folds in sorted-key order: repeated snapshots are stable.
   EXPECT_EQ(batched.to_json().dump(), batched.to_json().dump());
-}
-
-// ------------------------------------------- the pipeline, end to end
-
-TEST(IngestPipeline, ThreadedBatchedPathBitExactWithScalarOverEveryScenario) {
-  for (const std::string& scenario : core::scenarios::names()) {
-    const std::vector<Arrival> arrivals =
-        from_monitor(monitor::scenario_arrivals(scenario, 31, small_traffic()));
-
-    // Scalar reference: per-arrival observe/ingest, no threads.
-    SequenceEngine seq_scalar;
-    monitor::MonitorEngine mon_scalar{monitor::MonitorConfig{}};
-    for (const Arrival& a : arrivals) {
-      seq_scalar.observe(a.flow, a.send_index);
-      mon_scalar.ingest(a.flow, a.send_index);
-    }
-    seq_scalar.flush();
-    mon_scalar.flush();
-
-    // Batched path: producer thread -> ring -> consumer thread.
-    SequenceEngine seq_batched;
-    monitor::MonitorEngine mon_batched{monitor::MonitorConfig{}};
-    PipelineConfig cfg;
-    cfg.batch_capacity = 43;  // unaligned: runs split across batches
-    cfg.ring_batches = 4;
-    cfg.backpressure = Backpressure::kSpin;
-    IngestPipeline pipeline{cfg, &seq_batched, &mon_batched};
-    const PipelineStats& stats = pipeline.run(arrivals);
-    seq_batched.flush();
-    mon_batched.flush();
-
-    EXPECT_EQ(stats.arrivals_produced, arrivals.size()) << scenario;
-    EXPECT_EQ(stats.arrivals_consumed, arrivals.size()) << scenario;
-    EXPECT_EQ(stats.arrivals_dropped, 0u) << scenario;
-    EXPECT_EQ(seq_scalar.to_json().dump(), seq_batched.to_json().dump()) << scenario;
-    EXPECT_EQ(mon_scalar.to_json().dump(), mon_batched.to_json().dump()) << scenario;
-
-    std::ostringstream scalar_jsonl, batched_jsonl;
-    report::JsonlWriter ws{scalar_jsonl}, wb{batched_jsonl};
-    mon_scalar.emit_jsonl(ws);
-    mon_batched.emit_jsonl(wb);
-    EXPECT_EQ(scalar_jsonl.str(), batched_jsonl.str()) << scenario;
-  }
-}
-
-TEST(IngestPipeline, DropPolicyShedsAndSurfacesCountersInJsonl) {
-  // Force saturation deterministically: a 1-batch ring, 1-arrival
-  // batches, and a consumer that stalls 1ms per batch while the producer
-  // streams 1000 batches in microseconds — the ring MUST overflow.
-  const std::vector<Arrival> arrivals = [&] {
-    std::vector<Arrival> out;
-    for (std::uint32_t i = 0; i < 1000; ++i) out.push_back(Arrival{5, i, 0});
-    return out;
-  }();
-  SequenceEngine seq;
-  PipelineConfig cfg;
-  cfg.batch_capacity = 1;
-  cfg.ring_batches = 1;
-  cfg.backpressure = Backpressure::kDrop;
-  cfg.consumer_stall = util::Duration::millis(1);
-  IngestPipeline pipeline{cfg, &seq, nullptr};
-  const PipelineStats& stats = pipeline.run(arrivals);
-
-  EXPECT_EQ(stats.arrivals_produced, 1000u);
-  EXPECT_GT(stats.arrivals_dropped, 0u);
-  EXPECT_EQ(stats.arrivals_consumed + stats.arrivals_dropped, stats.arrivals_produced);
-  EXPECT_EQ(stats.batches_consumed + stats.batches_dropped, stats.batches_produced);
-  EXPECT_EQ(seq.arrivals(), stats.arrivals_consumed);
-
-  // The drop counters land in the JSONL record (satellite: saturation is
-  // visible in the artifact, not silently absorbed).
-  const report::Json j = pipeline.to_json();
-  ASSERT_NE(j.find("arrivals_dropped"), nullptr);
-  EXPECT_EQ(j.find("arrivals_dropped")->dump(), std::to_string(stats.arrivals_dropped));
-  std::ostringstream jsonl;
-  report::JsonlWriter writer{jsonl};
-  pipeline.emit_jsonl(writer);
-  EXPECT_NE(jsonl.str().find("\"type\":\"ingest\""), std::string::npos);
-  EXPECT_NE(jsonl.str().find("\"arrivals_dropped\":" + std::to_string(stats.arrivals_dropped)),
-            std::string::npos);
-  EXPECT_NE(jsonl.str().find("\"ring\":"), std::string::npos);
-}
-
-TEST(IngestPipeline, SpinPolicyLosesNothingUnderTheSameSaturation) {
-  std::vector<Arrival> arrivals;
-  for (std::uint32_t i = 0; i < 64; ++i) arrivals.push_back(Arrival{5, i, 0});
-  SequenceEngine seq;
-  PipelineConfig cfg;
-  cfg.batch_capacity = 1;
-  cfg.ring_batches = 1;
-  cfg.backpressure = Backpressure::kSpin;
-  cfg.consumer_stall = util::Duration::micros(200);
-  IngestPipeline pipeline{cfg, &seq, nullptr};
-  const PipelineStats& stats = pipeline.run(arrivals);
-  EXPECT_EQ(stats.arrivals_produced, 64u);
-  EXPECT_EQ(stats.arrivals_consumed, 64u);
-  EXPECT_EQ(stats.arrivals_dropped, 0u);
-  EXPECT_GT(stats.spin_waits, 0u);  // the producer did wait
-  EXPECT_EQ(seq.arrivals(), 64u);
 }
 
 }  // namespace
