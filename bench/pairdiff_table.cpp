@@ -83,8 +83,8 @@ int main() {
       }
     }
     if (striped_path) {
-      const auto dt = session.aggregate("host", "data-transfer", false);
-      const auto syn = session.aggregate("host", "syn", false);
+      const auto dt = session.metrics().aggregate("host", "data-transfer", false);
+      const auto syn = session.metrics().aggregate("host", "syn", false);
       if (syn.rate_or(0.0) > 0) dt_ratio.add(dt.rate_or(0.0) / *syn.rate());
     }
     session.metrics().emit_jsonl(artifact.jsonl());

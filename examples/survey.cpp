@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
     core::ReorderEstimate pooled_fwd;
     core::ReorderEstimate pooled_rev;
     for (const char* test : {"single-connection", "syn"}) {
-      pooled_fwd += session.aggregate("host", test, true);
-      pooled_rev += session.aggregate("host", test, false);
+      pooled_fwd += session.metrics().aggregate("host", test, true);
+      pooled_rev += session.metrics().aggregate("host", test, false);
     }
     cdf.add_target(session.metrics(), "host");
     per_host.row({report::integer(h), report::fixed(true_fwd, 3), report::fixed(true_rev, 3),

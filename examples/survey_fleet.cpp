@@ -118,8 +118,8 @@ int main(int argc, char** argv) {
   int reordering_paths = 0;
   for (std::size_t i = 0; i < bed.target_count(); ++i) {
     const std::string& name = bed.target_name(i);
-    const auto single = engine.aggregate(name, "single-connection", /*forward=*/true);
-    const auto syn = engine.aggregate(name, "syn", /*forward=*/true);
+    const auto single = engine.metrics().aggregate(name, "single-connection", /*forward=*/true);
+    const auto syn = engine.metrics().aggregate(name, "syn", /*forward=*/true);
     core::ReorderEstimate pooled;
     pooled += single;
     pooled += syn;

@@ -245,6 +245,10 @@ int main(int argc, char** argv) {
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "survey_service: broken plan: %s\n", e.what());
     return 1;
+  } catch (const std::runtime_error& e) {
+    // The final checkpoint save failed (its message names the path).
+    std::fprintf(stderr, "survey_service: %s\n", e.what());
+    return 1;
   }
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();

@@ -12,8 +12,9 @@
 // SurveyEngine fans every completed measurement out to its attached
 // sinks in event-loop order; single-test drivers (benches, examples) use
 // publish_result() to feed the same sinks from a run_sync completion.
-// The columnar ResultStore is itself just one sink; report emitters
-// (JSONL, CSV) are others. Sinks compose: SinkFanout is a sink too.
+// metrics::EngineSink (the metric engine's intake) is one sink; the JSONL
+// emitter and the narrator are others. Sinks compose: SinkFanout is a
+// sink too.
 #pragma once
 
 #include <cstddef>

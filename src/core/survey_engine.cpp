@@ -7,8 +7,11 @@
 namespace reorder::core {
 
 SurveyEngine::SurveyEngine(sim::EventLoop& loop, Options options)
-    : loop_{loop}, options_{options} {
-  sinks_.add(store_);
+    : loop_{loop},
+      options_{std::move(options)},
+      metrics_{options_.suite_factory ? options_.suite_factory
+                                      : metrics::SuiteFactory{&metrics::default_suite}} {
+  sinks_.add(metrics_sink_);
 }
 
 void SurveyEngine::add_sink(ResultSink& sink) {
@@ -144,13 +147,13 @@ void SurveyEngine::record(Target& target, util::TimePoint at, TestRunResult resu
   m.at = at;
   m.result = std::move(result);
   // Stream the completed measurement out before the next one begins: the
-  // store and every attached sink observe results in event-loop order,
-  // mid-survey, not after the fact.
+  // metric engine and every attached sink observe results in event-loop
+  // order, mid-survey, not after the fact.
   publish_result(sinks_, m.target, m.test, m.at, m.result, measurements_.size());
-  // The per-sample payload now lives columnar in the store (and in any
-  // sink that kept it); unless a replay consumer asked for it, the
+  // The metric engine has folded the per-sample payload, and a sink that
+  // needs it has kept it; unless a replay consumer asked for it, the
   // completion log retains only the summary so a long survey's dominant
-  // data is not resident twice.
+  // data does not stay resident.
   if (!options_.retain_samples) {
     m.result.samples.clear();
     m.result.samples.shrink_to_fit();

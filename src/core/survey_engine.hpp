@@ -9,8 +9,9 @@
 // Results stream: every completed measurement is published to the
 // attached ResultSinks (per-sample events, then the measurement event) in
 // event-loop order, while the survey is still running. The engine's own
-// columnar ResultStore is just one such sink; the session-era query API
-// (rate_series / aggregate / compare) delegates to it.
+// metrics::MetricEngine is fed first; every query (rate_series /
+// aggregate / compare / time_domain) is a snapshot read of it through
+// metrics().
 #pragma once
 
 #include <functional>
@@ -20,18 +21,17 @@
 
 #include "core/reorder_test.hpp"
 #include "core/result_sink.hpp"
-#include "core/result_store.hpp"
 #include "core/test_registry.hpp"
+#include "metrics/engine.hpp"
 #include "netsim/event_loop.hpp"
-#include "stats/pair_difference.hpp"
 #include "util/fault_injector.hpp"
 
 namespace reorder::core {
 
 /// One completed measurement in a survey. The engine's completion log
 /// keeps only the summary: `result.samples` is emptied after the
-/// measurement streams to the sinks — per-sample data lives columnar in
-/// SurveyEngine::store() (and in any sink that retained it).
+/// measurement streams to the sinks (a sink that needs the per-sample
+/// data keeps it), unless Options::retain_samples is set.
 struct Measurement {
   std::string target;
   std::string test;
@@ -51,11 +51,14 @@ class SurveyEngine {
     /// test's worst case rather than using it as a pacing knob.
     util::Duration measurement_deadline{util::Duration::seconds(600)};
     /// Keep each Measurement's per-sample payload in the completion log.
-    /// Off by default (a long survey's dominant data would be resident
-    /// twice — it already lives columnar in the store); the survey
-    /// service turns it on so the merged log can replay full event
-    /// streams through the canonical emission path.
+    /// Off by default (it is a long survey's dominant data, and the
+    /// metric engine has already folded it); the survey service turns it
+    /// on so the merged log can replay full event streams through the
+    /// canonical emission path.
     bool retain_samples{false};
+    /// Builds the metric suite of each (target, test) key in metrics();
+    /// null uses metrics::default_suite.
+    metrics::SuiteFactory suite_factory{};
     /// Deterministic fault injection (not owned; may be null). A
     /// kTargetTimeout plan firing at site "target/<name>/test/<test>"
     /// makes that measurement behave like a target that never answers:
@@ -69,18 +72,15 @@ class SurveyEngine {
   SurveyEngine(sim::EventLoop& loop, Options options);
 
   /// Attaches a streaming sink (not owned; must outlive the engine). The
-  /// engine's own ResultStore is always the first sink; added sinks see
-  /// every event after it, in attachment order. Must not be called while
-  /// a survey is running.
+  /// engine's own metric engine sees every measurement first; added sinks
+  /// see every event after it, in attachment order. Must not be called
+  /// while a survey is running.
   void add_sink(ResultSink& sink);
 
-  /// The columnar archive (row/column access for report emitters).
-  const ResultStore& store() const { return store_; }
-
-  /// The streaming metrics engine every query below reads from: one
-  /// metric suite per (target, test), updated mid-survey in event-loop
-  /// order, mergeable with other shards' engines.
-  const metrics::MetricEngine& metrics() const { return store_.metrics(); }
+  /// The streaming metrics engine: one metric suite per (target, test),
+  /// updated mid-survey in event-loop order, mergeable with other
+  /// shards' engines. Every survey query is a snapshot read of it.
+  const metrics::MetricEngine& metrics() const { return metrics_; }
 
   /// Registers a target whose test suite is built through the global
   /// TestRegistry.
@@ -116,27 +116,6 @@ class SurveyEngine {
   /// survey is running.
   std::vector<Measurement> release_measurements();
 
-  /// Mean reordering rate per admissible measurement of (target, test), in
-  /// time order — the paired series for the §IV-B comparison.
-  std::vector<double> rate_series(const std::string& target, const std::string& test,
-                                  bool forward) const {
-    return store_.rate_series(target, test, forward);
-  }
-
-  /// Aggregate estimate over every measurement of (target, test).
-  ReorderEstimate aggregate(const std::string& target, const std::string& test,
-                            bool forward) const {
-    return store_.aggregate(target, test, forward);
-  }
-
-  /// Paired comparison of two tests on one target (paper: 99.9% CI).
-  /// Series are truncated to the shorter length; needs >= 2 measurements.
-  stats::PairDifferenceResult compare(const std::string& target, const std::string& test_a,
-                                      const std::string& test_b, bool forward,
-                                      double confidence = 0.999) const {
-    return store_.compare(target, test_a, test_b, forward, confidence);
-  }
-
  private:
   struct Target {
     std::string name;
@@ -163,9 +142,10 @@ class SurveyEngine {
   sim::EventLoop& loop_;
   Options options_;
   std::vector<std::unique_ptr<Target>> targets_;
-  /// Completion-order log (the legacy poll API); queries go to store_.
+  /// Completion-order log (the legacy poll API); queries go to metrics_.
   std::vector<Measurement> measurements_;
-  ResultStore store_;
+  metrics::MetricEngine metrics_;
+  metrics::EngineSink metrics_sink_{metrics_};
   SinkFanout sinks_;
 
   TestRunConfig config_{};

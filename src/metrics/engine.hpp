@@ -62,8 +62,8 @@ class MetricEngine {
                                         const std::string& test) const;
 
   // ------------------------------------------- session-era query shims
-  // Snapshot reads of the standard suite's metrics; empty defaults when
-  // the key or metric is absent (matching the old store semantics).
+  // Snapshot reads of the standard suite's metrics; empty defaults (no
+  // estimate, empty series) when the key or metric is absent.
   core::ReorderEstimate aggregate(const std::string& target, const std::string& test,
                                   bool forward) const;
   std::vector<double> rate_series(const std::string& target, const std::string& test,

@@ -71,19 +71,19 @@ core::ReorderEstimate estimate_from_json(const Json& j) {
 }
 
 void JsonlResultSink::on_survey_begin(const core::SurveyEvent& e) {
-  if (options_.lifecycle) out_.write(survey_event_json("survey_begin", e));
+  out_.write(survey_event_json("survey_begin", e));
 }
 
 void JsonlResultSink::on_sample(const core::SampleEvent& e) {
-  if (options_.samples) out_.write(to_json(e));
+  out_.write(to_json(e));
 }
 
 void JsonlResultSink::on_measurement(const core::MeasurementEvent& e) {
-  if (options_.measurements) out_.write(to_json(e));
+  out_.write(to_json(e));
 }
 
 void JsonlResultSink::on_survey_end(const core::SurveyEvent& e) {
-  if (options_.lifecycle) out_.write(survey_event_json("survey_end", e));
+  out_.write(survey_event_json("survey_end", e));
 }
 
 void NarratingSink::on_survey_begin(const core::SurveyEvent& e) {

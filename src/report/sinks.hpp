@@ -94,14 +94,7 @@ class NarratingSink final : public core::ResultSink {
 
 class JsonlResultSink final : public core::ResultSink {
  public:
-  struct Options {
-    bool samples{true};       ///< emit per-sample lines
-    bool measurements{true};  ///< emit per-measurement lines
-    bool lifecycle{true};     ///< emit survey_begin / survey_end lines
-  };
-
   explicit JsonlResultSink(JsonlWriter& out) : out_{out} {}
-  JsonlResultSink(JsonlWriter& out, Options options) : out_{out}, options_{options} {}
 
   void on_survey_begin(const core::SurveyEvent& e) override;
   void on_sample(const core::SampleEvent& e) override;
@@ -110,7 +103,6 @@ class JsonlResultSink final : public core::ResultSink {
 
  private:
   JsonlWriter& out_;
-  Options options_;
 };
 
 // ------------------------------------------- event <-> JSON conversions

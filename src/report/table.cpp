@@ -1,10 +1,7 @@
 #include "report/table.hpp"
 
 #include <algorithm>
-#include <ostream>
 #include <stdexcept>
-
-#include "report/csv.hpp"
 
 namespace reorder::report {
 
@@ -66,14 +63,6 @@ std::string Table::to_string() const {
 void Table::print(std::FILE* out) const {
   const std::string rendered = to_string();
   std::fwrite(rendered.data(), 1, rendered.size(), out);
-}
-
-void Table::write_csv(std::ostream& out) const {
-  std::vector<std::string> headers;
-  headers.reserve(columns_.size());
-  for (const auto& col : columns_) headers.push_back(col.header);
-  write_csv_row(out, headers);
-  for (const auto& row : rows_) write_csv_row(out, row);
 }
 
 std::string fixed(double v, int precision) {

@@ -1,13 +1,11 @@
 // The human side of the report layer: a column-aligned text table that
 // replaces the hand-rolled printf loops every bench used to carry. Build
 // columns, append rows (cells are preformatted strings; the fmt helpers
-// cover the common numeric renderings), print. The same rows render as
-// CSV for spreadsheet-side analysis.
+// cover the common numeric renderings), print.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -36,9 +34,6 @@ class Table {
   /// Aligned rendering: header, dashed rule, rows. Two-space gutters.
   std::string to_string() const;
   void print(std::FILE* out = stdout) const;
-
-  /// The same header + rows as RFC-4180-quoted CSV.
-  void write_csv(std::ostream& out) const;
 
  private:
   std::vector<Column> columns_;

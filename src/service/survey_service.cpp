@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 #include "report/sinks.hpp"
 #include "util/fault_injector.hpp"
@@ -221,14 +222,8 @@ core::ShardRunResult SurveyService::run_world(std::size_t index,
   core::SurveyTestbed bed{std::move(world)};
   core::SurveyEngine::Options options = config_.engine;
   options.retain_samples = config_.retain_results;
-  core::SurveyEngine engine{bed.loop(), options};
+  core::SurveyEngine engine{bed.loop(), std::move(options)};
   bed.populate(engine);
-
-  metrics::MetricEngine custom{config_.suite_factory
-                                   ? config_.suite_factory
-                                   : metrics::SuiteFactory{&metrics::default_suite}};
-  metrics::EngineSink custom_sink{custom};
-  if (config_.suite_factory) engine.add_sink(custom_sink);
 
   EndCapture end;
   engine.add_sink(end);
@@ -238,7 +233,7 @@ core::ShardRunResult SurveyService::run_world(std::size_t index,
   core::ShardRunResult out;
   out.shard = index;
   out.log = engine.release_measurements();
-  out.metrics.merge(config_.suite_factory ? custom : engine.metrics());
+  out.metrics.merge(engine.metrics());
   out.end = end.end;
   return out;
 }
@@ -419,17 +414,21 @@ report::Json SurveyService::Snapshot::to_json() const {
 // ------------------------------------------------------------- shutdown
 
 void SurveyService::drain() {
-  std::exception_ptr plan_error;
   {
     std::unique_lock lock{admission_mu_};
     done_cv_.wait(lock, [&] { return pending_ == 0; });
-    plan_error = plan_error_;
-    plan_error_ = nullptr;
   }
   if (!config_.checkpoint_path.empty()) {
+    // Throws when the file cannot be written; the checkpoint stays dirty
+    // and a parked plan error stays parked for the next drain().
     std::lock_guard lock{checkpoint_mu_};
     save_checkpoint_locked();
     checkpoint_dirty_ = false;
+  }
+  std::exception_ptr plan_error;
+  {
+    std::lock_guard lock{admission_mu_};
+    plan_error = std::exchange(plan_error_, nullptr);
   }
   if (plan_error) std::rethrow_exception(plan_error);
 }
@@ -610,8 +609,13 @@ void SurveyService::checkpoint_loop() {
     checkpoint_cv_.wait_for(lock, config_.checkpoint_interval,
                             [&] { return checkpoint_stop_; });
     if (checkpoint_dirty_) {
-      save_checkpoint_locked();
-      checkpoint_dirty_ = false;
+      try {
+        save_checkpoint_locked();
+        checkpoint_dirty_ = false;
+      } catch (const std::exception&) {
+        // Still dirty: the next tick retries, and drain() makes the last
+        // save on its caller's thread, where a lasting failure throws.
+      }
     }
     if (checkpoint_stop_) return;
   }

@@ -86,16 +86,17 @@ struct SurveyServiceConfig {
   int rounds{1};
   util::Duration between{util::Duration::seconds(1)};
   /// Per-world engine options (retain_samples is derived from
-  /// retain_results; faults passes the injector through to every world).
+  /// retain_results; faults and suite_factory pass through to every
+  /// world, whose one metric engine is what the service merges).
   core::SurveyEngine::Options engine{};
-  /// Per-world metric suite factory; null uses metrics::default_suite.
-  metrics::SuiteFactory suite_factory{};
   /// Transient-failure retry policy per target (see ShardRetryPolicy).
   core::ShardRetryPolicy retry{};
   /// When non-empty, completed targets are durably recorded here: a
   /// core::SurveyCheckpoint file (one record per target keyed by its
   /// global index, header.shards == 0), rewritten atomically by
-  /// a background thread whenever completions accumulated.
+  /// a background thread whenever completions accumulated. A failed
+  /// background save is retried at the next interval; drain() makes the
+  /// last save and throws if it fails.
   std::string checkpoint_path{};
   /// Background checkpoint cadence (wall clock).
   std::chrono::milliseconds checkpoint_interval{200};
@@ -193,8 +194,9 @@ class SurveyService {
   /// Blocks until every target admitted so far completed or failed, then
   /// durably saves the checkpoint (when enabled) and rethrows the first
   /// plan error (std::invalid_argument — a typo'd survey must not
-  /// degrade silently). Admission stays open afterwards: a resident
-  /// caller may keep admitting and drain again.
+  /// degrade silently). A checkpoint that cannot be written throws
+  /// std::runtime_error; results stay readable. Admission stays open
+  /// afterwards: a resident caller may keep admitting and drain again.
   void drain();
   /// drain(), then retires the workers and the checkpoint thread.
   /// Further admissions throw; results stay readable.

@@ -116,7 +116,7 @@ TEST(MetricRestore, EveryLibraryMetricRoundTripsBitExactly) {
   // re-rendering is byte-identical — the exact path checkpoint restore
   // and reorder-merge ingestion take.
   service::SurveyServiceConfig cfg = service_config(2);
-  cfg.suite_factory = [](std::string_view target, std::string_view test) {
+  cfg.engine.suite_factory = [](std::string_view target, std::string_view test) {
     metrics::MetricSuite suite = metrics::default_suite(target, test);
     suite.add(metrics::make_metric("sequence_extent"));
     suite.add(metrics::make_metric("n_reordering"));

@@ -71,15 +71,15 @@ TEST(FullSuiteSession, AllFourTestsRoundRobin) {
   // Every two-way test's forward aggregate should be in the vicinity of
   // the configured rate.
   for (const char* name : {"single-connection", "dual-connection", "syn"}) {
-    const auto agg = session.aggregate("host", name, /*forward=*/true);
+    const auto agg = session.metrics().aggregate("host", name, /*forward=*/true);
     EXPECT_GT(agg.usable(), 60) << name;
     EXPECT_NEAR(agg.rate_or(0.0), 0.10, 0.07) << name;
   }
   // The data-transfer test saw the reverse path only.
-  const auto dt = session.aggregate("host", "data-transfer", /*forward=*/false);
+  const auto dt = session.metrics().aggregate("host", "data-transfer", /*forward=*/false);
   EXPECT_GT(dt.usable(), 40);
   // Cross-test paired comparison at the paper's confidence level.
-  const auto cmp = session.compare("host", "single-connection", "dual-connection", true);
+  const auto cmp = session.metrics().compare("host", "single-connection", "dual-connection", true);
   EXPECT_TRUE(cmp.null_supported);
 }
 
@@ -97,9 +97,9 @@ TEST(FullSuiteSession, InadmissibleHostIsolatedToDualTest) {
   TestRunConfig run;
   run.samples = 10;
   session.run(run, 2, Duration::millis(100));
-  EXPECT_TRUE(session.rate_series("host", "dual-connection", true).empty())
+  EXPECT_TRUE(session.metrics().rate_series("host", "dual-connection", true).empty())
       << "inadmissible measurements must not produce rates";
-  EXPECT_EQ(session.rate_series("host", "syn", true).size(), 2u)
+  EXPECT_EQ(session.metrics().rate_series("host", "syn", true).size(), 2u)
       << "other tests keep working against the same host";
 }
 

@@ -1,7 +1,7 @@
 // Tests for the streaming metrics engine: suite composition and feeding,
-// admissibility gating, query equivalence with the columnar ResultStore
-// under real SurveyEngine concurrency, cross-shard merging, and the JSONL
-// `metrics` record schema.
+// admissibility gating, the survey's own engine matching an attached
+// EngineSink under real SurveyEngine concurrency, cross-shard merging, and
+// the JSONL `metrics` record schema.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/result_sink.hpp"
-#include "core/result_store.hpp"
+#include "core/survey_engine.hpp"
 #include "core/survey_testbed.hpp"
 #include "metrics/engine.hpp"
 #include "metrics/pair_metrics.hpp"
@@ -61,7 +61,7 @@ TEST(MetricEngine, DefaultSuiteCompositionAndAggregates) {
   EXPECT_EQ(engine.measurements("host-a", "syn"), 1u);
   EXPECT_EQ(engine.admissible_measurements("host-a", "syn"), 1u);
 
-  // Unknown keys answer with empty defaults, like the old store.
+  // Unknown keys answer with empty defaults.
   EXPECT_EQ(engine.aggregate("nope", "syn", true).total(), 0u);
   EXPECT_TRUE(engine.rate_series("host-a", "nope", true).empty());
   EXPECT_EQ(engine.time_domain("nope", "nope").distinct_gaps(), 0u);
@@ -81,11 +81,11 @@ TEST(MetricEngine, InadmissibleMeasurementsAreCountedButNotAggregated) {
   EXPECT_EQ(engine.time_domain("h", "t").distinct_gaps(), 0u);
 }
 
-// The store's queries are now snapshot reads of its embedded engine; a
-// standalone engine attached as a sibling sink must agree exactly with
-// them under real SurveyEngine concurrency (interleaved targets on one
-// event loop, mid-run publication).
-TEST(MetricEngine, StreamingMatchesResultStoreUnderSurveyConcurrency) {
+// The survey's queries are snapshot reads of the engine it owns; a
+// standalone engine attached as a sink must agree exactly with them under
+// real SurveyEngine concurrency (interleaved targets on one event loop,
+// mid-run publication).
+TEST(MetricEngine, SurveyEngineMatchesAnAttachedEngineSinkUnderConcurrency) {
   core::SurveyTestbedConfig cfg;
   cfg.seed = 99;
   const double swap[] = {0.0, 0.15, 0.3};
@@ -113,18 +113,18 @@ TEST(MetricEngine, StreamingMatchesResultStoreUnderSurveyConcurrency) {
     const std::string& name = bed.target_name(t);
     for (const char* test : {"single-connection", "syn"}) {
       for (const bool forward : {true, false}) {
-        const auto via_store = survey.aggregate(name, test, forward);
+        const auto via_survey = survey.metrics().aggregate(name, test, forward);
         const auto via_shadow = shadow.aggregate(name, test, forward);
-        EXPECT_EQ(via_store.in_order, via_shadow.in_order);
-        EXPECT_EQ(via_store.reordered, via_shadow.reordered);
-        EXPECT_EQ(via_store.ambiguous, via_shadow.ambiguous);
-        EXPECT_EQ(via_store.lost, via_shadow.lost);
-        EXPECT_EQ(survey.rate_series(name, test, forward),
+        EXPECT_EQ(via_survey.in_order, via_shadow.in_order);
+        EXPECT_EQ(via_survey.reordered, via_shadow.reordered);
+        EXPECT_EQ(via_survey.ambiguous, via_shadow.ambiguous);
+        EXPECT_EQ(via_survey.lost, via_shadow.lost);
+        EXPECT_EQ(survey.metrics().rate_series(name, test, forward),
                   shadow.rate_series(name, test, forward));
       }
     }
   }
-  // Bit-identical snapshots: the engine embedded in the store and the
+  // Bit-identical snapshots: the survey's own engine and the
   // independently fed shadow engine render the same JSON.
   EXPECT_EQ(survey.metrics().to_json().dump(), shadow.to_json().dump());
 }

@@ -1,5 +1,5 @@
 // Tests for the report layer: the JSON value (dump/parse round-trips),
-// the table and CSV emitters, the streaming JsonlResultSink, and the
+// the table emitter, the streaming JsonlResultSink, and the
 // golden round-trip the benches rely on — JSONL written during a survey,
 // parsed back, reproducing the aggregate rates exactly.
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 
 #include "core/survey_testbed.hpp"
 #include "report/builders.hpp"
-#include "report/csv.hpp"
 #include "report/sinks.hpp"
 #include "report/table.hpp"
 
@@ -133,31 +132,12 @@ TEST(Table, PadsShortRowsRejectsLongOnes) {
   EXPECT_THROW(t.row({"1", "2", "3"}), std::invalid_argument);
 }
 
-TEST(Table, CsvRenderingQuotes) {
-  Table t = Table::with_headers({"label", "value"});
-  t.row({"plain", "1"});
-  t.row({"with, comma", "has \"quote\""});
-  std::ostringstream out;
-  t.write_csv(out);
-  EXPECT_EQ(out.str(),
-            "label,value\n"
-            "plain,1\n"
-            "\"with, comma\",\"has \"\"quote\"\"\"\n");
-}
-
 TEST(Table, CellFormatters) {
   EXPECT_EQ(fixed(0.12345, 3), "0.123");
   EXPECT_EQ(signed_fixed(0.02, 2), "+0.02");
   EXPECT_EQ(signed_fixed(-0.02, 2), "-0.02");
   EXPECT_EQ(percent(0.125, 1), "12.5");
   EXPECT_EQ(integer(-42), "-42");
-}
-
-TEST(Csv, EscapeOnlyWhenNeeded) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(csv_escape("two\nlines"), "\"two\nlines\"");
 }
 
 // ------------------------------------- the golden JSONL round trip
@@ -199,6 +179,7 @@ TEST(JsonlResultSink, RoundTripReproducesAggregateRates) {
   std::map<std::pair<std::string, std::string>, core::ReorderEstimate> rev;
   std::size_t measurement_lines = 0;
   std::size_t sample_lines = 0;
+  std::size_t samples_declared = 0;
   for (const auto& line : lines) {
     const std::string& type = line.at("type").as_string();
     if (type == "sample") {
@@ -207,6 +188,7 @@ TEST(JsonlResultSink, RoundTripReproducesAggregateRates) {
     }
     if (type != "measurement") continue;
     ++measurement_lines;
+    samples_declared += static_cast<std::size_t>(line.at("samples").as_int());
     if (!line.at("admissible").as_bool()) continue;
     const std::pair<std::string, std::string> key{line.at("target").as_string(),
                                                   line.at("test").as_string()};
@@ -214,11 +196,11 @@ TEST(JsonlResultSink, RoundTripReproducesAggregateRates) {
     rev[key] += estimate_from_json(line.at("rev"));
   }
   EXPECT_EQ(measurement_lines, engine.measurements().size());
-  EXPECT_EQ(sample_lines, engine.store().sample_count());
+  EXPECT_EQ(sample_lines, samples_declared);
 
-  // The parsed-back aggregates reproduce the store's, rate for rate.
+  // The parsed-back aggregates reproduce the engine's, rate for rate.
   for (const auto& [key, estimate] : fwd) {
-    const auto want = engine.aggregate(key.first, key.second, true);
+    const auto want = engine.metrics().aggregate(key.first, key.second, true);
     EXPECT_EQ(estimate.in_order, want.in_order) << key.first << "/" << key.second;
     EXPECT_EQ(estimate.reordered, want.reordered);
     EXPECT_EQ(estimate.rate().has_value(), want.rate().has_value());
@@ -227,7 +209,7 @@ TEST(JsonlResultSink, RoundTripReproducesAggregateRates) {
     }
   }
   for (const auto& [key, estimate] : rev) {
-    const auto want = engine.aggregate(key.first, key.second, false);
+    const auto want = engine.metrics().aggregate(key.first, key.second, false);
     EXPECT_EQ(estimate.reordered, want.reordered);
     if (want.rate().has_value()) {
       EXPECT_DOUBLE_EQ(*estimate.rate(), *want.rate());
@@ -239,28 +221,6 @@ TEST(JsonlResultSink, RoundTripReproducesAggregateRates) {
   EXPECT_EQ(lines.back().at("type").as_string(), "survey_end");
   EXPECT_EQ(static_cast<std::size_t>(lines.back().at("measurements").as_int()),
             engine.measurements().size());
-}
-
-TEST(JsonlResultSink, OptionsFilterGranularities) {
-  core::TestRunResult result;
-  result.test_name = "syn";
-  core::SampleResult sample;
-  sample.forward = core::Ordering::kReordered;
-  result.samples.assign(3, sample);
-  result.aggregate();
-
-  std::ostringstream out;
-  JsonlWriter writer{out};
-  JsonlResultSink::Options options;
-  options.samples = false;
-  options.lifecycle = false;
-  JsonlResultSink sink{writer, options};
-  core::publish_result(sink, "t", "syn", util::TimePoint::epoch(), result);
-
-  const auto lines = read_jsonl_text(out.str());
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(lines[0].at("type").as_string(), "measurement");
-  EXPECT_EQ(lines[0].at("fwd").at("reordered").as_int(), 3);
 }
 
 // ----------------------------------------------------------- builders

@@ -1,14 +1,14 @@
 // Tests for the streaming results pipeline: ResultSink fan-out from the
 // SurveyEngine (callbacks arriving mid-run, in event-loop order), the
-// columnar ResultStore's query API matching the pre-redesign (target,
-// test) map exactly, and the publish_result single-test driver path.
+// survey's metric queries matching the pre-redesign (target, test) map
+// exactly, and the publish_result single-test driver path.
 #include <gtest/gtest.h>
 
 #include <map>
 
-#include "core/result_store.hpp"
 #include "core/scenario.hpp"
 #include "core/survey_testbed.hpp"
+#include "metrics/engine.hpp"
 
 namespace reorder::core {
 namespace {
@@ -45,6 +45,7 @@ class RecordingSink final : public ResultSink {
     util::TimePoint arrived_at;       ///< loop time when the callback fired
     bool engine_running;              ///< engine.running() inside the callback
     std::size_t samples_seen_before;  ///< per-sample events for this measurement
+    std::size_t samples_in_result;    ///< e.result.samples.size()
     ReorderEstimate forward;
   };
 
@@ -66,6 +67,7 @@ class RecordingSink final : public ResultSink {
     rec.arrived_at = loop_.now();
     rec.engine_running = engine_.running();
     rec.samples_seen_before = pending_samples_;
+    rec.samples_in_result = e.result.samples.size();
     rec.forward = e.result.forward;
     pending_samples_ = 0;
     measurements_.push_back(std::move(rec));
@@ -123,12 +125,11 @@ TEST(ResultPipeline, MeasurementCallbacksArriveMidRunInEventLoopOrder) {
     if (i > 0) {
       EXPECT_GE(rec.arrived_at, sink.measurements_[i - 1].arrived_at);
     }
-    // Each measurement's per-sample events all arrived just before it
-    // (the store's row ranges are the durable record of sample counts —
-    // the completion log intentionally drops the per-sample payload).
-    const auto row = engine.store().measurement(i);
-    EXPECT_EQ(rec.samples_seen_before, row.samples_end - row.samples_begin);
-    EXPECT_TRUE(ms[i].result.samples.empty()) << "log must not duplicate the sample columns";
+    // Each measurement's per-sample events all arrived just before it,
+    // one per sample of the result it carries (the completion log
+    // intentionally drops the per-sample payload).
+    EXPECT_EQ(rec.samples_seen_before, rec.samples_in_result);
+    EXPECT_TRUE(ms[i].result.samples.empty()) << "log must not keep the sample payload";
   }
   // The callbacks interleave targets (concurrency is observable in the
   // stream, not only in the final log).
@@ -139,7 +140,7 @@ TEST(ResultPipeline, MeasurementCallbacksArriveMidRunInEventLoopOrder) {
   EXPECT_TRUE(interleaved);
 }
 
-TEST(ResultPipeline, StoreQueriesMatchThePreRedesignMap) {
+TEST(ResultPipeline, MetricQueriesMatchThePreRedesignMap) {
   SurveyTestbed bed{two_target_config()};
   SurveyEngine engine{bed.loop()};
   bed.populate(engine);
@@ -148,7 +149,7 @@ TEST(ResultPipeline, StoreQueriesMatchThePreRedesignMap) {
   engine.run(run, 4, Duration::millis(200));
 
   // Recompute every query the way the old poll-only map did — straight
-  // from the completion log — and demand identity from the store.
+  // from the completion log — and demand identity from the metric engine.
   std::map<std::pair<std::string, std::string>, std::vector<std::size_t>> by_key;
   const auto& ms = engine.measurements();
   for (std::size_t i = 0; i < ms.size(); ++i) by_key[{ms[i].target, ms[i].test}].push_back(i);
@@ -166,12 +167,12 @@ TEST(ResultPipeline, StoreQueriesMatchThePreRedesignMap) {
         }
         want_aggregate += est;
       }
-      const auto got_series = engine.rate_series(key.first, key.second, forward);
+      const auto got_series = engine.metrics().rate_series(key.first, key.second, forward);
       ASSERT_EQ(got_series.size(), want_series.size()) << key.first << "/" << key.second;
       for (std::size_t i = 0; i < got_series.size(); ++i) {
         EXPECT_DOUBLE_EQ(got_series[i], want_series[i]);
       }
-      const auto got_aggregate = engine.aggregate(key.first, key.second, forward);
+      const auto got_aggregate = engine.metrics().aggregate(key.first, key.second, forward);
       EXPECT_EQ(got_aggregate.in_order, want_aggregate.in_order);
       EXPECT_EQ(got_aggregate.reordered, want_aggregate.reordered);
       EXPECT_EQ(got_aggregate.ambiguous, want_aggregate.ambiguous);
@@ -179,10 +180,10 @@ TEST(ResultPipeline, StoreQueriesMatchThePreRedesignMap) {
     }
   }
 
-  // compare() built on the store agrees with one built on the raw series.
-  const auto cmp = engine.compare("host-0", "single-connection", "syn", true);
-  auto a = engine.rate_series("host-0", "single-connection", true);
-  auto b = engine.rate_series("host-0", "syn", true);
+  // compare() built on the engine agrees with one built on the raw series.
+  const auto cmp = engine.metrics().compare("host-0", "single-connection", "syn", true);
+  auto a = engine.metrics().rate_series("host-0", "single-connection", true);
+  auto b = engine.metrics().rate_series("host-0", "syn", true);
   const std::size_t n = std::min(a.size(), b.size());
   a.resize(n);
   b.resize(n);
@@ -191,8 +192,8 @@ TEST(ResultPipeline, StoreQueriesMatchThePreRedesignMap) {
   EXPECT_EQ(cmp.null_supported, want.null_supported);
 
   // Unknown keys answer empty, as the map did.
-  EXPECT_TRUE(engine.rate_series("no-such-host", "syn", true).empty());
-  EXPECT_EQ(engine.aggregate("host-0", "no-such-test", true).total(), 0);
+  EXPECT_TRUE(engine.metrics().rate_series("no-such-host", "syn", true).empty());
+  EXPECT_EQ(engine.metrics().aggregate("host-0", "no-such-test", true).total(), 0);
 }
 
 TEST(ResultPipeline, FanOutDeliversIdenticalStreamsToEverySink) {
@@ -242,9 +243,10 @@ TEST(ResultPipeline, AttachingSinksMidSurveyThrows) {
   bed.loop().run();
 }
 
-TEST(ResultPipeline, PublishResultFeedsAStandaloneStore) {
-  // The single-test driver path: a run_sync completion published into a
-  // store must answer queries exactly as the result itself does.
+TEST(ResultPipeline, PublishResultFeedsAStandaloneEngine) {
+  // The single-test driver path: a run_sync completion published into an
+  // engine must answer queries exactly as the result itself does, and
+  // every sample must reach the sinks intact and in order.
   TestbedConfig cfg;
   cfg.seed = 99;
   cfg.forward.swap_probability = 0.2;
@@ -255,39 +257,47 @@ TEST(ResultPipeline, PublishResultFeedsAStandaloneStore) {
   const TestRunResult result = bed.run_sync(*test, run);
   ASSERT_TRUE(result.admissible);
 
-  ResultStore store;
-  publish_result(store, "target", result.test_name, bed.loop().now(), result);
+  struct SampleRecorder final : ResultSink {
+    std::vector<SampleResult> samples;
+    std::size_t measurements{0};
+    void on_sample(const SampleEvent& e) override { samples.push_back(e.sample); }
+    void on_measurement(const MeasurementEvent&) override { ++measurements; }
+  };
+  metrics::MetricEngine engine;
+  metrics::EngineSink engine_sink{engine};
+  SampleRecorder recorder;
+  SinkFanout fanout;
+  fanout.add(engine_sink);
+  fanout.add(recorder);
+  publish_result(fanout, "target", result.test_name, bed.loop().now(), result);
 
-  ASSERT_EQ(store.measurement_count(), 1u);
-  EXPECT_EQ(store.sample_count(), result.samples.size());
-  const auto agg = store.aggregate("target", result.test_name, true);
+  using Key = std::pair<std::string, std::string>;
+  EXPECT_EQ(engine.keys(), std::vector<Key>{Key("target", result.test_name)});
+  EXPECT_EQ(engine.measurements("target", result.test_name), 1u);
+  const auto agg = engine.aggregate("target", result.test_name, true);
   EXPECT_EQ(agg.reordered, result.forward.reordered);
   EXPECT_EQ(agg.in_order, result.forward.in_order);
 
-  const auto row = store.measurement(0);
-  EXPECT_EQ(row.target, "target");
-  EXPECT_EQ(row.samples_begin, 0u);
-  EXPECT_EQ(row.samples_end, result.samples.size());
-
-  // The columnar sample data survives intact.
-  const auto cols = store.samples();
+  // Every sample streams out intact and in order.
+  EXPECT_EQ(recorder.measurements, 1u);
+  ASSERT_EQ(recorder.samples.size(), result.samples.size());
   for (std::size_t i = 0; i < result.samples.size(); ++i) {
-    EXPECT_EQ(static_cast<Ordering>(cols.forward[i]), result.samples[i].forward);
-    EXPECT_EQ(static_cast<Ordering>(cols.reverse[i]), result.samples[i].reverse);
-    EXPECT_EQ(cols.gap_ns[i], result.samples[i].gap.ns());
-    EXPECT_EQ(cols.started_ns[i], result.samples[i].started.ns());
-    EXPECT_EQ(cols.completed_ns[i], result.samples[i].completed.ns());
+    EXPECT_EQ(recorder.samples[i].forward, result.samples[i].forward);
+    EXPECT_EQ(recorder.samples[i].reverse, result.samples[i].reverse);
+    EXPECT_EQ(recorder.samples[i].gap, result.samples[i].gap);
+    EXPECT_EQ(recorder.samples[i].started, result.samples[i].started);
+    EXPECT_EQ(recorder.samples[i].completed, result.samples[i].completed);
   }
 }
 
-TEST(ResultPipeline, ScenarioRunnerStreamsIntoSinksAndStoreBuildsTimeDomain) {
+TEST(ResultPipeline, ScenarioRunnerStreamsIntoSinksAndEngineBuildsTimeDomain) {
   ScenarioSpec spec = scenarios::swap_shaper(0.15, 0.0, /*seed=*/5);
   spec.tests = {TestSpec{"syn"}};
   spec.run.samples = 20;
   spec.gap_sweep = {util::Duration::micros(0), util::Duration::micros(40)};
 
-  // A fanout of the store plus a lifecycle counter: the scenario runner
-  // must bracket its stream like the survey engine does.
+  // A fanout of a metric engine plus a lifecycle counter: the scenario
+  // runner must bracket its stream like the survey engine does.
   struct LifecycleCounter final : ResultSink {
     int begins{0};
     int ends{0};
@@ -298,30 +308,31 @@ TEST(ResultPipeline, ScenarioRunnerStreamsIntoSinksAndStoreBuildsTimeDomain) {
       measurements_at_end = e.measurements;
     }
   };
-  ResultStore store;
+  metrics::MetricEngine engine;
+  metrics::EngineSink engine_sink{engine};
   LifecycleCounter lifecycle;
   SinkFanout fanout;
-  fanout.add(store);
+  fanout.add(engine_sink);
   fanout.add(lifecycle);
   const ScenarioResult result = run_scenario(spec, &fanout);
   EXPECT_EQ(lifecycle.begins, 1);
   EXPECT_EQ(lifecycle.ends, 1);
   EXPECT_EQ(lifecycle.measurements_at_end, result.measurements.size());
-  ASSERT_EQ(store.measurement_count(), result.measurements.size());
-  EXPECT_EQ(store.targets(), std::vector<std::string>{spec.name});
-  EXPECT_EQ(store.tests(spec.name), std::vector<std::string>{"syn"});
+  using Key = std::pair<std::string, std::string>;
+  EXPECT_EQ(engine.keys(), std::vector<Key>{Key(spec.name, "syn")});
+  ASSERT_EQ(engine.measurements(spec.name, "syn"), result.measurements.size());
 
-  // The store's time-domain profile equals one accumulated by hand from
+  // The engine's time-domain profile equals one accumulated by hand from
   // the measurement log (the old fig7/time_domain loop).
   TimeDomainProfile manual;
   for (const auto& m : result.measurements) {
     if (!m.result.admissible) continue;
     for (const auto& s : m.result.samples) manual.add(s.gap, s.forward);
   }
-  const TimeDomainProfile from_store = store.time_domain(spec.name, "syn");
-  ASSERT_EQ(from_store.distinct_gaps(), manual.distinct_gaps());
+  const TimeDomainProfile from_engine = engine.time_domain(spec.name, "syn");
+  ASSERT_EQ(from_engine.distinct_gaps(), manual.distinct_gaps());
   for (const auto& point : manual.points()) {
-    const auto got = from_store.at(point.gap);
+    const auto got = from_engine.at(point.gap);
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->in_order, point.estimate.in_order);
     EXPECT_EQ(got->reordered, point.estimate.reordered);
@@ -351,9 +362,9 @@ TEST(ResultPipeline, WatchdogTimeoutsStreamAsInadmissibleMeasurements) {
     EXPECT_EQ(rec.test, "never-completes");
     EXPECT_EQ(rec.samples_seen_before, 0u) << "a timed-out run has no samples to stream";
   }
-  // The store records them as inadmissible: no rates, but counted rows.
-  EXPECT_EQ(engine.store().measurement_count(), 2u);
-  EXPECT_TRUE(engine.rate_series("stuck", "never-completes", true).empty());
+  // The metrics record them as inadmissible: no rates, but counted.
+  EXPECT_EQ(engine.metrics().measurements("stuck", "never-completes"), 2u);
+  EXPECT_TRUE(engine.metrics().rate_series("stuck", "never-completes", true).empty());
 }
 
 }  // namespace

@@ -19,6 +19,21 @@ TEST(Session, RoundRobinProducesAllMeasurements) {
   SurveyEngine session{bed.loop()};
   session.add_target("remote", bed.probe(), bed.remote_addr(),
                      {TestSpec{"single-connection"}, TestSpec{"syn"}});
+  // Per-measurement sample counts, as the sinks saw them.
+  struct SampleCounter final : ResultSink {
+    std::size_t pending{0};
+    std::vector<std::size_t> per_measurement;
+    std::size_t total{0};
+    void on_sample(const SampleEvent&) override {
+      ++pending;
+      ++total;
+    }
+    void on_measurement(const MeasurementEvent&) override {
+      per_measurement.push_back(pending);
+      pending = 0;
+    }
+  } counter;
+  session.add_sink(counter);
 
   TestRunConfig run;
   run.samples = 10;
@@ -27,16 +42,15 @@ TEST(Session, RoundRobinProducesAllMeasurements) {
   EXPECT_EQ(ms[0].test, "single-connection");
   EXPECT_EQ(ms[1].test, "syn");
   EXPECT_LT(ms[0].at, ms[1].at);
+  ASSERT_EQ(counter.per_measurement.size(), ms.size());
   for (std::size_t i = 0; i < ms.size(); ++i) {
     EXPECT_TRUE(ms[i].result.admissible);
     EXPECT_EQ(ms[i].result.forward.total(), 10);
-    // The log keeps summaries only; per-sample data lives columnar in
-    // the store.
+    // The log keeps summaries only; the samples streamed to the sinks.
     EXPECT_TRUE(ms[i].result.samples.empty());
-    const auto row = session.store().measurement(i);
-    EXPECT_EQ(row.samples_end - row.samples_begin, 10u);
+    EXPECT_EQ(counter.per_measurement[i], 10u);
   }
-  EXPECT_EQ(session.store().sample_count(), 60u);
+  EXPECT_EQ(counter.total, 60u);
 }
 
 TEST(Session, SeriesAndAggregate) {
@@ -52,9 +66,9 @@ TEST(Session, SeriesAndAggregate) {
   run.samples = 20;
   session.run(run, 5, Duration::millis(50));
 
-  const auto series = session.rate_series("remote", "syn", /*forward=*/true);
+  const auto series = session.metrics().rate_series("remote", "syn", /*forward=*/true);
   ASSERT_EQ(series.size(), 5u);
-  const auto agg = session.aggregate("remote", "syn", true);
+  const auto agg = session.metrics().aggregate("remote", "syn", true);
   EXPECT_EQ(agg.total(), 100);
   EXPECT_NEAR(agg.rate_or(0.0), 0.25, 0.15);
   // Aggregate equals the sample-weighted union of the series measurements.
@@ -75,7 +89,7 @@ TEST(Session, CompareEquivalentTestsSupportsNull) {
   run.samples = 25;
   session.run(run, 8, Duration::millis(50));
 
-  const auto cmp = session.compare("remote", "single-connection", "syn", true);
+  const auto cmp = session.metrics().compare("remote", "single-connection", "syn", true);
   EXPECT_EQ(cmp.n, 8u);
   EXPECT_TRUE(cmp.null_supported)
       << "two unbiased tests of the same stationary process must agree at 99.9%; mean diff = "
@@ -85,8 +99,8 @@ TEST(Session, CompareEquivalentTestsSupportsNull) {
 TEST(Session, UnknownTargetYieldsEmptySeries) {
   sim::EventLoop loop;
   SurveyEngine session{loop};
-  EXPECT_TRUE(session.rate_series("nope", "syn", true).empty());
-  EXPECT_EQ(session.aggregate("nope", "syn", true).total(), 0);
+  EXPECT_TRUE(session.metrics().rate_series("nope", "syn", true).empty());
+  EXPECT_EQ(session.metrics().aggregate("nope", "syn", true).total(), 0);
 }
 
 TEST(Session, CompareErrorPaths) {
@@ -103,10 +117,10 @@ TEST(Session, CompareErrorPaths) {
   run.samples = 5;
   session.run(run, /*rounds=*/1, Duration::millis(50));
 
-  EXPECT_THROW(session.compare("remote", "single-connection", "syn", true),
+  EXPECT_THROW(session.metrics().compare("remote", "single-connection", "syn", true),
                std::invalid_argument);
   // An unknown test name truncates both series to zero pairs: same error.
-  EXPECT_THROW(session.compare("remote", "single-connection", "no-such-test", true),
+  EXPECT_THROW(session.metrics().compare("remote", "single-connection", "no-such-test", true),
                std::invalid_argument);
 }
 

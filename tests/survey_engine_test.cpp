@@ -73,8 +73,8 @@ TEST(SurveyEngine, ThreeTargetsInterleaveOnOneLoop) {
   }
 
   // Measured rates track each target's configured process.
-  EXPECT_NEAR(engine.aggregate("host-0", "syn", true).rate_or(0.0), 0.0, 0.02);
-  EXPECT_NEAR(engine.aggregate("host-2", "syn", true).rate_or(0.0), 0.3, 0.12);
+  EXPECT_NEAR(engine.metrics().aggregate("host-0", "syn", true).rate_or(0.0), 0.0, 0.02);
+  EXPECT_NEAR(engine.metrics().aggregate("host-2", "syn", true).rate_or(0.0), 0.3, 0.12);
 }
 
 TEST(SurveyEngine, ConcurrentResultsMatchTheSynchronousDriver) {
@@ -126,7 +126,7 @@ TEST(SurveyEngine, ConcurrentResultsMatchTheSynchronousDriver) {
   for (std::size_t t = 0; t < 3; ++t) {
     for (const char* test : {"single-connection", "syn"}) {
       for (const bool forward : {true, false}) {
-        const auto concurrent = engine.rate_series(twin.target_name(t), test, forward);
+        const auto concurrent = engine.metrics().rate_series(twin.target_name(t), test, forward);
         const auto& sequential = reference[{twin.target_name(t), test, forward}];
         ASSERT_EQ(concurrent.size(), sequential.size())
             << twin.target_name(t) << "/" << test << (forward ? " fwd" : " rev");
@@ -139,10 +139,10 @@ TEST(SurveyEngine, ConcurrentResultsMatchTheSynchronousDriver) {
   }
   // The reverse path is genuinely exercised (the behaviour knobs set in
   // three_target_config survived into the simulated hosts).
-  EXPECT_FALSE(engine.rate_series("host-2", "single-connection", false).empty());
+  EXPECT_FALSE(engine.metrics().rate_series("host-2", "single-connection", false).empty());
 
   // And the §IV-B cross-test comparison lands on the same verdict.
-  const auto cmp = engine.compare("host-2", "single-connection", "syn", true);
+  const auto cmp = engine.metrics().compare("host-2", "single-connection", "syn", true);
   const auto& a = reference[{"host-2", "single-connection", true}];
   const auto& b = reference[{"host-2", "syn", true}];
   const std::size_t n = std::min(a.size(), b.size());
@@ -255,7 +255,7 @@ TEST(SurveyEngine, AbandonedMeasurementResidueNeverReachesSinks) {
   // Pins the sink contract: a measurement that passes measurement_deadline
   // is recorded as a timeout, and when the abandoned run completes later —
   // mid-survey or after the survey ended — its per-sample events must NOT
-  // be published to the sinks, and the store must not grow. Today the
+  // be published to the sinks nor folded into the metrics. Today the
   // open/generation check drops both orderings exercised here; the
   // explicit past-deadline guard in finish_measurement is defense in depth
   // behind it. If either is weakened enough to leak residue, this fails.
@@ -282,7 +282,6 @@ TEST(SurveyEngine, AbandonedMeasurementResidueNeverReachesSinks) {
     EXPECT_FALSE(m.result.admissible);
     EXPECT_TRUE(m.result.samples.empty());
   }
-  EXPECT_EQ(engine.store().sample_count(), 0u);
   EXPECT_EQ(engine.metrics().admissible_measurements("late", "late-with-samples"), 0u);
 }
 

@@ -5,7 +5,8 @@
 // whole fleet on one event loop, canonicalized by merge_fleet_streams).
 // Plus live mid-run snapshots, checkpoint adoption across service
 // generations and its identity checks, per-target retry/degraded
-// accounting, and plan-error propagation through drain().
+// accounting, and plan-error and checkpoint-write-error propagation
+// through drain().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -324,7 +325,7 @@ TEST(SurveyService, AWorldTornDownMidRunLeavesNothingBehind) {
   std::atomic<bool> thrown{false};
   SurveyServiceConfig cfg = service_config(1);
   cfg.retry.initial_backoff = std::chrono::milliseconds(1);
-  cfg.suite_factory = [&thrown](std::string_view target, std::string_view test) {
+  cfg.engine.suite_factory = [&thrown](std::string_view target, std::string_view test) {
     if (target == "host-3" && !thrown.exchange(true)) {
       throw std::runtime_error{"world died mid-run"};
     }
@@ -441,7 +442,7 @@ TEST(SurveyService, ResultsAreGatedOnQuiescence) {
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
   SurveyServiceConfig cfg = service_config(2);
-  cfg.suite_factory = [released](std::string_view target, std::string_view test) {
+  cfg.engine.suite_factory = [released](std::string_view target, std::string_view test) {
     released.wait();
     return metrics::default_suite(target, test);
   };
@@ -453,6 +454,35 @@ TEST(SurveyService, ResultsAreGatedOnQuiescence) {
   release.set_value();
   service.drain();
   EXPECT_NO_THROW(service.metrics());
+}
+
+TEST(SurveyService, AnUnwritableCheckpointFailsDrainNotTheProcess) {
+  // host-1's world is held in its suite factory while host-0 completes, so
+  // the background checkpointer has a dirty checkpoint and fails to save
+  // it for many ticks. Each failure must stay on its thread; drain() makes
+  // the last save on the caller's thread and reports the failure there.
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  SurveyServiceConfig cfg = service_config(2);
+  cfg.checkpoint_path = testing::TempDir() + "no-such-dir/survey_service.ckpt";
+  cfg.checkpoint_interval = std::chrono::milliseconds(1);
+  cfg.engine.suite_factory = [released](std::string_view target, std::string_view test) {
+    if (target == "host-1") released.wait();
+    return metrics::default_suite(target, test);
+  };
+  {
+    SurveyService service{cfg};
+    std::vector<core::SurveyTargetConfig> fleet = nine_targets();
+    fleet.resize(2);
+    service.admit(std::move(fleet));
+    while (service.completed() == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    release.set_value();
+    EXPECT_THROW(service.drain(), std::runtime_error);
+    EXPECT_EQ(service.completed(), 2u);
+    EXPECT_EQ(service.metrics().measurements("host-1", "syn"),
+              static_cast<std::uint64_t>(kRounds));
+  }  // the destructor's own final save fails too, and it still returns
 }
 
 TEST(SurveyService, AdmissionRejectsIdentityCollisionsFleetWide) {

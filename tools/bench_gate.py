@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Perf-regression gate over google-benchmark JSON output.
 
-Two subcommands:
+Three subcommands:
 
   baseline <gbench.json> -o BENCH_baseline.json
       Extracts per-benchmark medians (cpu_time, ns) from a google-benchmark
@@ -27,6 +27,13 @@ Two subcommands:
       same machine*, which is what a real regression changes. Calibration
       benches themselves are reported but not gated.
 
+  ratio <gbench.json> <numerator> <denominator> --field F --min M
+      Divides the numerator benchmark's median ``F`` (real_time, cpu_time,
+      items_per_second, ...) by the denominator's, both from the same run,
+      prints the ratio and exits non-zero when it is below ``M``. A
+      within-run ratio needs no cross-machine calibration; ``--min 0``
+      prints a ratio without gating it.
+
 The gate intentionally tracks only benchmarks listed in the baseline, which
 is curated to the stable scheduling / codec / end-to-end set.
 """
@@ -38,10 +45,11 @@ import sys
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
-def _load_medians(path):
-    """name -> median cpu_time in ns from a google-benchmark JSON file.
+def _load_medians(path, field="cpu_time"):
+    """name -> median ``field`` from a google-benchmark JSON file.
 
-    Prefers explicit ``_median`` aggregates (present with
+    Times (``*_time``) are converted to ns; other fields are read as they
+    are. Prefers explicit ``_median`` aggregates (present with
     --benchmark_repetitions); otherwise computes the median over the plain
     iteration runs of each benchmark name.
     """
@@ -50,13 +58,15 @@ def _load_medians(path):
     aggregates = {}
     runs = {}
     for b in doc.get("benchmarks", []):
-        unit = _UNIT_NS[b.get("time_unit", "ns")]
-        cpu_ns = float(b["cpu_time"]) * unit
+        if field not in b:
+            continue
+        scale = _UNIT_NS[b.get("time_unit", "ns")] if field.endswith("_time") else 1.0
+        value = float(b[field]) * scale
         if b.get("run_type") == "aggregate":
             if b.get("aggregate_name") == "median":
-                aggregates[b["run_name"]] = cpu_ns
+                aggregates[b["run_name"]] = value
         else:
-            runs.setdefault(b["name"], []).append(cpu_ns)
+            runs.setdefault(b["name"], []).append(value)
     if aggregates:
         return aggregates
     out = {}
@@ -129,6 +139,22 @@ def cmd_check(args):
     return 0
 
 
+def cmd_ratio(args):
+    medians = _load_medians(args.gbench_json, args.field)
+    missing = [n for n in (args.numerator, args.denominator) if n not in medians]
+    if missing:
+        print(f"FAIL: no {args.field} for {', '.join(missing)}", file=sys.stderr)
+        return 1
+    num, den = medians[args.numerator], medians[args.denominator]
+    ratio = num / den if den > 0 else float("inf")
+    print(f"{args.numerator} / {args.denominator} ({args.field}): "
+          f"{num:.4g} / {den:.4g} = {ratio:.2f}x")
+    if ratio < args.min:
+        print(f"FAIL: {ratio:.2f}x < {args.min}x", file=sys.stderr)
+        return 1
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -147,6 +173,17 @@ def main():
                          help="frozen benchmark whose ratio calibrates machine speed "
                               "(repeatable; excluded from gating)")
     p_check.set_defaults(func=cmd_check)
+
+    p_ratio = sub.add_parser("ratio", help="fail when a within-run median ratio is too low")
+    p_ratio.add_argument("gbench_json")
+    p_ratio.add_argument("numerator")
+    p_ratio.add_argument("denominator")
+    p_ratio.add_argument("--field", required=True,
+                         help="benchmark field to compare (real_time, cpu_time, "
+                              "items_per_second, ...)")
+    p_ratio.add_argument("--min", type=float, required=True,
+                         help="smallest passing numerator/denominator ratio")
+    p_ratio.set_defaults(func=cmd_ratio)
 
     args = parser.parse_args()
     sys.exit(args.func(args))
