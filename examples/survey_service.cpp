@@ -204,10 +204,17 @@ int main(int argc, char** argv) {
   service_ptr = &service;
 
   if (resume) {
-    const core::SurveyCheckpoint cp = core::SurveyCheckpoint::load(checkpoint_path);
-    std::printf("resuming: %zu targets recorded in %s (%zu torn records dropped)\n",
-                cp.completed_count(), checkpoint_path.c_str(), cp.torn_records());
-    service.restore(cp);
+    // An unreadable header or another plan's checkpoint rejects the
+    // resume; the service recorded nothing, so the file is left as it was.
+    try {
+      const core::SurveyCheckpoint cp = core::SurveyCheckpoint::load(checkpoint_path);
+      std::printf("resuming: %zu targets recorded in %s (%zu torn records dropped)\n",
+                  cp.completed_count(), checkpoint_path.c_str(), cp.torn_records());
+      service.restore(cp);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "survey_service: cannot resume: %s\n", e.what());
+      return 1;
+    }
   }
 
   std::printf("service up: %zu workers; admitting %zu targets in batches of %lld\n",

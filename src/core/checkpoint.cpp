@@ -138,11 +138,8 @@ void SurveyCheckpoint::record_shard(const ShardRunResult& result, int attempts) 
   // The target's metric snapshots travel as the exact `metrics` records
   // the engine would emit — the same schema restore_record consumes, so
   // checkpointing exercises no second serialization format.
-  std::ostringstream text;
-  report::JsonlWriter writer{text};
-  result.metrics.emit_jsonl(writer, metrics::MetricEngine::EmitOrder::kCanonical);
   report::Json records = report::Json::array();
-  for (report::Json& rec : report::read_jsonl_text(text.str())) records.push(std::move(rec));
+  for (report::Json& rec : result.metrics.records()) records.push(std::move(rec));
   body.set("metrics", std::move(records));
   shards_[result.shard] = ShardRecord{std::move(body)};
 }
@@ -166,9 +163,7 @@ int SurveyCheckpoint::attempts(std::size_t shard) const {
   return static_cast<int>(shards_.at(shard).body.at("attempts").as_int());
 }
 
-std::string SurveyCheckpoint::serialize() const {
-  std::ostringstream text;
-  report::JsonlWriter writer{text};
+void SurveyCheckpoint::write_lines(report::JsonlWriter& writer) const {
   if (header_) {
     report::Json h = report::Json::object();
     h.set("type", "checkpoint_header");
@@ -186,16 +181,18 @@ std::string SurveyCheckpoint::serialize() const {
     line.set("body", record.body);
     writer.write(line);
   }
+}
+
+std::string SurveyCheckpoint::serialize() const {
+  std::ostringstream text;
+  report::JsonlWriter writer{text};
+  write_lines(writer);
   return text.str();
 }
 
 void SurveyCheckpoint::save(const std::string& path) const {
   report::AtomicJsonlFile file{path};
-  // Re-emit through the same writer so serialize() stays the single
-  // source of the on-disk rendering (the torn-write tests slice it).
-  for (report::Json& line : report::read_jsonl_text(serialize())) {
-    file.writer().write(line);
-  }
+  write_lines(file.writer());
   file.commit();
 }
 
@@ -210,12 +207,19 @@ SurveyCheckpoint SurveyCheckpoint::load(const std::string& path) {
       continue;
     }
     if (type->as_string() == "checkpoint_header") {
-      Header h;
-      h.shards = static_cast<std::size_t>(line.at("shards").as_u64());
-      h.targets = static_cast<std::size_t>(line.at("targets").as_u64());
-      h.rounds = static_cast<int>(line.at("rounds").as_int());
-      h.seed = line.at("seed").as_u64();
-      cp.header_ = h;
+      // Unlike a corrupt record, which costs only its target, an
+      // unreadable header (the plan of every record) rejects the file.
+      try {
+        Header h;
+        h.shards = static_cast<std::size_t>(line.at("shards").as_u64());
+        h.targets = static_cast<std::size_t>(line.at("targets").as_u64());
+        h.rounds = static_cast<int>(line.at("rounds").as_int());
+        h.seed = line.at("seed").as_u64();
+        cp.header_ = h;
+      } catch (const std::exception& e) {
+        throw std::runtime_error{"SurveyCheckpoint::load: " + path +
+                                 ": unreadable checkpoint header (" + e.what() + ")"};
+      }
       continue;
     }
     if (type->as_string() != "shard_done") {

@@ -32,6 +32,7 @@
 #include "core/survey_engine.hpp"
 #include "metrics/engine.hpp"
 #include "report/json.hpp"
+#include "report/jsonl.hpp"
 
 namespace reorder::core {
 
@@ -121,7 +122,10 @@ class SurveyCheckpoint {
   /// Parses checkpoint JSONL, dropping torn lines, checksum-failed
   /// records and records whose line `shard` differs from their body's
   /// (all counted in torn_records()). A missing file loads as an empty
-  /// checkpoint — resume from nothing is a plain run.
+  /// checkpoint — resume from nothing is a plain run. A corrupt record
+  /// costs only its target, but the header names the plan every record
+  /// belongs to: a header with a missing field or a bad value rejects the
+  /// whole file with std::runtime_error naming `path`.
   static SurveyCheckpoint load(const std::string& path);
   /// Records dropped by load() because they were torn or corrupt — the
   /// targets that will re-run.
@@ -131,6 +135,10 @@ class SurveyCheckpoint {
   struct ShardRecord {
     report::Json body;  ///< {"shard":..,"attempts":..,"end":..,"log":[..],"metrics":[..]}
   };
+
+  /// The one rendering of the file, line by line, that serialize() and
+  /// save() share.
+  void write_lines(report::JsonlWriter& writer) const;
 
   std::optional<Header> header_;
   std::map<std::size_t, ShardRecord> shards_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -10,7 +9,6 @@
 
 #include "core/result_sink.hpp"
 #include "metrics/engine.hpp"
-#include "report/jsonl.hpp"
 #include "report/sinks.hpp"
 
 namespace reorder::core {
@@ -43,7 +41,6 @@ std::vector<report::Json> merge_fleet_streams(
     // regroup on it before the fleet-wide renumbering erases it.
     std::map<std::tuple<std::string, std::string, std::int64_t>, std::size_t> local;
     metrics::MetricEngine run_metrics;
-    bool saw_metrics = false;
     for (const report::Json& record : run) {
       const std::string& type = record.at("type").as_string();
       if (type == "survey_begin") {
@@ -90,7 +87,6 @@ std::vector<report::Json> merge_fleet_streams(
       }
       if (type == "metrics") {
         run_metrics.restore_record(record);
-        saw_metrics = true;
         continue;
       }
       if (type == "participation") {
@@ -104,7 +100,7 @@ std::vector<report::Json> merge_fleet_streams(
     }
     // Pool the run's snapshots; keys shared across runs (the same target
     // measured twice) merge suite-wise via the bit-exact merge contract.
-    if (saw_metrics) merged_metrics.merge(run_metrics);
+    merged_metrics.merge(run_metrics);
   }
 
   for (const Group& g : groups) {
@@ -137,12 +133,7 @@ std::vector<report::Json> merge_fleet_streams(
   end.measurements = groups.size();
   out.push_back(report::survey_event_json("survey_end", end));
 
-  std::ostringstream text;
-  report::JsonlWriter writer{text};
-  merged_metrics.emit_jsonl(writer, metrics::MetricEngine::EmitOrder::kCanonical);
-  for (report::Json& record : report::read_jsonl_text(text.str())) {
-    out.push_back(std::move(record));
-  }
+  for (report::Json& record : merged_metrics.records()) out.push_back(std::move(record));
 
   if (any_participation) {
     report::Json manifest = report::Json::object();

@@ -53,6 +53,7 @@ const ParallelPipelineStats& ParallelIngestPipeline::run(Source source) {
     std::uint64_t batches{0};
   };
   std::vector<ConsumerCounters> consumed(n_shards);
+  std::vector<std::exception_ptr> consumer_failures(n_shards);  // read after the join
 
   const auto started = std::chrono::steady_clock::now();
 
@@ -60,10 +61,20 @@ const ParallelPipelineStats& ParallelIngestPipeline::run(Source source) {
     SequenceEngine* seq = config_.sequences ? &sequence_shards_[s] : nullptr;
     monitor::MonitorEngine* mon = config_.monitor ? &monitor_shards_[s] : nullptr;
     const std::int64_t stall_ns = config_.consumer_stall.ns();
+    std::exception_ptr& failure = consumer_failures[s];
     ArrivalBatch batch;
     const auto consume = [&] {
-      if (seq != nullptr) seq->ingest_batch(batch);
-      if (mon != nullptr) mon->ingest_batch(batch);
+      // An exception escaping this thread would end the process. A failed
+      // shard stops folding but keeps draining its ring, so a spinning
+      // producer cannot hang; run() rethrows after the join.
+      if (!failure) {
+        try {
+          if (seq != nullptr) seq->ingest_batch(batch);
+          if (mon != nullptr) mon->ingest_batch(batch);
+        } catch (...) {
+          failure = std::current_exception();
+        }
+      }
       ++consumed[s].batches;
       consumed[s].arrivals += batch.size();
       if (stall_ns > 0) {
@@ -149,6 +160,9 @@ const ParallelPipelineStats& ParallelIngestPipeline::run(Source source) {
   done.store(true, std::memory_order_release);
   for (std::thread& t : consumers) t.join();
   if (failure) std::rethrow_exception(failure);
+  for (const std::exception_ptr& consumer_failure : consumer_failures) {
+    if (consumer_failure) std::rethrow_exception(consumer_failure);
+  }
 
   // ------------------------------------------------------------- fold stats
   std::uint64_t max_dispatched = 0;

@@ -128,7 +128,9 @@ class ParallelIngestPipeline {
   /// the run's stats. The shard engines accumulate across run() calls
   /// (replay-style drivers call run repeatedly, then flush()). An
   /// exception from `source` stops the run: the consumers drain what was
-  /// shipped and are joined, then the exception reaches the caller.
+  /// shipped and are joined, then the exception reaches the caller. A
+  /// consumer-thread exception (say, from the suite factory) stops that
+  /// shard's fold, leaving it partial, and reaches the caller the same way.
   const ParallelPipelineStats& run(Source source);
   const ParallelPipelineStats& run(const Arrival* arrivals, std::size_t count);
   const ParallelPipelineStats& run(const std::vector<Arrival>& arrivals);

@@ -21,22 +21,16 @@ MetricSuite default_suite(std::string_view target, std::string_view test) {
 }
 
 MetricEngine::Entry& MetricEngine::entry(std::string_view target, std::string_view test) {
-  const auto it = index_.find(std::make_pair(std::string{target}, std::string{test}));
-  if (it != index_.end()) return entries_[it->second];
-  Entry e;
-  e.target = std::string{target};
-  e.test = std::string{test};
-  e.suite = factory_(target, test);
-  entries_.push_back(std::move(e));
-  index_.emplace(std::make_pair(entries_.back().target, entries_.back().test),
-                 entries_.size() - 1);
-  return entries_.back();
+  Key key{target, test};
+  const auto it = entries_.lower_bound(key);
+  if (it != entries_.end() && it->first == key) return it->second;
+  return entries_.emplace_hint(it, std::move(key), Entry{factory_(target, test)})->second;
 }
 
 const MetricEngine::Entry* MetricEngine::find(const std::string& target,
                                               const std::string& test) const {
-  const auto it = index_.find(std::make_pair(target, test));
-  return it == index_.end() ? nullptr : &entries_[it->second];
+  const auto it = entries_.find(Key{target, test});
+  return it == entries_.end() ? nullptr : &it->second;
 }
 
 void MetricEngine::observe_measurement(const core::MeasurementEvent& e) {
@@ -70,7 +64,7 @@ void MetricEngine::observe_measurement(const core::MeasurementEvent& e) {
 std::vector<std::pair<std::string, std::string>> MetricEngine::keys() const {
   std::vector<std::pair<std::string, std::string>> out;
   out.reserve(entries_.size());
-  for (const auto& e : entries_) out.emplace_back(e.target, e.test);
+  for (const auto& [key, e] : entries_) out.push_back(key);
   return out;
 }
 
@@ -131,21 +125,14 @@ stats::PairDifferenceResult MetricEngine::compare(const std::string& target,
 }
 
 void MetricEngine::merge(const MetricEngine& other) {
-  for (const Entry& theirs : other.entries_) {
-    const auto it = index_.find(std::make_pair(theirs.target, theirs.test));
-    if (it == index_.end()) {
-      Entry copy;
-      copy.target = theirs.target;
-      copy.test = theirs.test;
-      copy.suite = theirs.suite.snapshot();
-      copy.measurements = theirs.measurements;
-      copy.admissible = theirs.admissible;
-      entries_.push_back(std::move(copy));
-      index_.emplace(std::make_pair(entries_.back().target, entries_.back().test),
-                     entries_.size() - 1);
+  for (const auto& [key, theirs] : other.entries_) {
+    const auto it = entries_.lower_bound(key);
+    if (it == entries_.end() || it->first != key) {
+      entries_.emplace_hint(it, key,
+                            Entry{theirs.suite.snapshot(), theirs.measurements, theirs.admissible});
       continue;
     }
-    Entry& mine = entries_[it->second];
+    Entry& mine = it->second;
     mine.suite.merge(theirs.suite);
     mine.measurements += theirs.measurements;
     mine.admissible += theirs.admissible;
@@ -154,53 +141,48 @@ void MetricEngine::merge(const MetricEngine& other) {
 
 report::Json MetricEngine::to_json() const {
   report::Json j = report::Json::object();
-  for (const auto& e : entries_) {
+  for (const auto& [key, e] : entries_) {
     report::Json entry = report::Json::object();
     entry.set("measurements", e.measurements);
     entry.set("admissible", e.admissible);
     entry.set("metrics", e.suite.to_json());
-    j.set(e.target + "/" + e.test, std::move(entry));
+    j.set(key.first + "/" + key.second, std::move(entry));
   }
   return j;
 }
 
-void MetricEngine::emit_jsonl(report::JsonlWriter& out, EmitOrder order) const {
-  std::vector<const Entry*> emitted;
-  emitted.reserve(entries_.size());
-  if (order == EmitOrder::kCanonical) {
-    // index_ is a map over (target, test) — already the canonical order.
-    for (const auto& [key, slot] : index_) emitted.push_back(&entries_[slot]);
-  } else {
-    for (const auto& e : entries_) emitted.push_back(&e);
-  }
-  for (const Entry* e : emitted) {
-    report::Json record = report::Json::object();
-    record.set("type", "metrics");
-    record.set("target", e->target);
-    record.set("test", e->test);
-    record.set("measurements", e->measurements);
-    record.set("admissible", e->admissible);
-    record.set("metrics", e->suite.to_json());
-    out.write(record);
-  }
+report::Json MetricEngine::record(const Key& key, const Entry& e) {
+  report::Json record = report::Json::object();
+  record.set("type", "metrics");
+  record.set("target", key.first);
+  record.set("test", key.second);
+  record.set("measurements", e.measurements);
+  record.set("admissible", e.admissible);
+  record.set("metrics", e.suite.to_json());
+  return record;
+}
+
+std::vector<report::Json> MetricEngine::records() const {
+  std::vector<report::Json> out;
+  out.reserve(entries_.size());
+  for (const auto& [key, e] : entries_) out.push_back(record(key, e));
+  return out;
+}
+
+void MetricEngine::emit_jsonl(report::JsonlWriter& out) const {
+  for (const auto& [key, e] : entries_) out.write(record(key, e));
 }
 
 void MetricEngine::restore_record(const report::Json& record) {
-  const std::string& target = record.at("target").as_string();
-  const std::string& test = record.at("test").as_string();
-  if (index_.find(std::make_pair(target, test)) != index_.end()) {
-    throw std::invalid_argument{"MetricEngine::restore_record: duplicate key " + target + "/" +
-                                test};
+  Key key{record.at("target").as_string(), record.at("test").as_string()};
+  const auto it = entries_.lower_bound(key);
+  if (it != entries_.end() && it->first == key) {
+    throw std::invalid_argument{"MetricEngine::restore_record: duplicate key " + key.first +
+                                "/" + key.second};
   }
-  Entry e;
-  e.target = target;
-  e.test = test;
-  e.suite = suite_from_json(record.at("metrics"));
-  e.measurements = record.at("measurements").as_u64();
-  e.admissible = record.at("admissible").as_u64();
-  entries_.push_back(std::move(e));
-  index_.emplace(std::make_pair(entries_.back().target, entries_.back().test),
-                 entries_.size() - 1);
+  Entry e{suite_from_json(record.at("metrics")), record.at("measurements").as_u64(),
+          record.at("admissible").as_u64()};
+  entries_.emplace_hint(it, std::move(key), std::move(e));
 }
 
 }  // namespace reorder::metrics

@@ -53,7 +53,8 @@ class MetricEngine {
 
   // ------------------------------------------------------------- shape
   std::size_t key_count() const { return entries_.size(); }
-  /// (target, test) keys in first-seen order.
+  /// (target, test) keys in canonical (lexicographic) order, the one order
+  /// of every read and emission: a pure function of the key set.
   std::vector<std::pair<std::string, std::string>> keys() const;
   /// The suite accumulated for (target, test), or nullptr.
   const MetricSuite* suite(const std::string& target, const std::string& test) const;
@@ -82,20 +83,15 @@ class MetricEngine {
   void merge(const MetricEngine& other);
 
   /// {"<target>/<test>": {"measurements":..,"admissible":..,
-  ///   "metrics": <suite.to_json()>}, ...} in first-seen order.
+  ///   "metrics": <suite.to_json()>}, ...} in canonical key order.
   report::Json to_json() const;
 
-  /// Key emission order. First-seen order is the live-stream convention;
-  /// the canonical order — (target, test) lexicographic — is a pure
-  /// function of the key set, so two engines that accumulated the same
-  /// per-key data through DIFFERENT merge histories (one shard vs many)
-  /// emit byte-identical records.
-  enum class EmitOrder { kFirstSeen, kCanonical };
-
-  /// One JSONL record per key, the `metrics` record type:
+  /// One `metrics` record per key, in canonical key order:
   ///   {"type":"metrics","target":..,"test":..,"measurements":..,
   ///    "admissible":..,"metrics":{...}}
-  void emit_jsonl(report::JsonlWriter& out, EmitOrder order = EmitOrder::kFirstSeen) const;
+  std::vector<report::Json> records() const;
+  /// Streams records() one line at a time, never holding them all.
+  void emit_jsonl(report::JsonlWriter& out) const;
 
   /// Rebuilds one (target, test) entry from an emit_jsonl `metrics`
   /// record (suite restored via metrics::suite_from_json, bypassing the
@@ -105,9 +101,8 @@ class MetricEngine {
   void restore_record(const report::Json& record);
 
  private:
+  using Key = std::pair<std::string, std::string>;  // (target, test)
   struct Entry {
-    std::string target;
-    std::string test;
     MetricSuite suite;
     std::uint64_t measurements{0};
     std::uint64_t admissible{0};
@@ -115,10 +110,10 @@ class MetricEngine {
 
   Entry& entry(std::string_view target, std::string_view test);
   const Entry* find(const std::string& target, const std::string& test) const;
+  static report::Json record(const Key& key, const Entry& e);
 
   SuiteFactory factory_;
-  std::vector<Entry> entries_;  // first-seen order
-  std::map<std::pair<std::string, std::string>, std::size_t, std::less<>> index_;
+  std::map<Key, Entry> entries_;
 };
 
 /// The ResultSink adapter: attach to a SurveyEngine / run_scenario (or

@@ -202,7 +202,11 @@ double Json::as_double() const {
   type_error("a number");
 }
 
-std::int64_t Json::as_int() const { return static_cast<std::int64_t>(as_double()); }
+std::int64_t Json::as_int() const {
+  const double d = as_double();  // the bounds are exact doubles; NaN fails both
+  if (!(d >= -0x1p63 && d < 0x1p63)) type_error("a number in the int64 range");
+  return static_cast<std::int64_t>(d);
+}
 
 Json Json::u64(std::uint64_t v) {
   constexpr std::uint64_t kExactDoubleMax = 1ull << 53;
@@ -212,7 +216,7 @@ Json Json::u64(std::uint64_t v) {
 
 std::uint64_t Json::as_u64() const {
   if (const auto* d = std::get_if<double>(&value_)) {
-    if (*d < 0 || *d != std::floor(*d)) type_error("a non-negative integer");
+    if (!(*d >= 0 && *d < 0x1p64) || *d != std::floor(*d)) type_error("a u64-range integer");
     return static_cast<std::uint64_t>(*d);
   }
   if (const auto* s = std::get_if<std::string>(&value_)) {

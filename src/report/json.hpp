@@ -56,7 +56,8 @@ class Json {
   bool is_array() const { return type() == Type::kArray; }
   bool is_object() const { return type() == Type::kObject; }
 
-  /// Typed accessors; throw std::runtime_error on a type mismatch.
+  /// Typed accessors; throw std::runtime_error on a type mismatch, and
+  /// as_int()/as_u64() also on a non-finite or out-of-range number.
   bool as_bool() const;
   double as_double() const;
   std::int64_t as_int() const;

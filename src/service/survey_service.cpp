@@ -12,7 +12,7 @@ namespace reorder::service {
 
 namespace {
 
-/// The canonical merged-log order: one target runs its tests strictly
+/// The canonical log order: one target runs its tests strictly
 /// sequentially, so (target, test, at) totally orders a survey's
 /// measurements.
 bool canonical_less(const core::Measurement& a, const core::Measurement& b) {
@@ -64,26 +64,20 @@ SurveyService::~SurveyService() {
 // ----------------------------------------------------------- admission
 
 std::size_t SurveyService::admit(core::SurveyTargetConfig target) {
-  std::optional<RestoredEntry> adopt;
-  std::size_t index;
-  {
-    std::lock_guard lock{admission_mu_};
-    index = admit_locked(std::move(target), std::nullopt, adopt);
-  }
-  if (adopt.has_value()) {
-    complete_target(index, std::move(adopt->result), adopt->attempts, false);
-  } else {
-    submit_target(index);
-  }
-  return index;
+  return admit_one(std::move(target), std::nullopt);
 }
 
 std::size_t SurveyService::admit(core::SurveyTargetConfig target, std::size_t global_index) {
+  return admit_one(std::move(target), global_index);
+}
+
+std::size_t SurveyService::admit_one(core::SurveyTargetConfig target,
+                                     std::optional<std::size_t> explicit_index) {
   std::optional<RestoredEntry> adopt;
   std::size_t index;
   {
     std::lock_guard lock{admission_mu_};
-    index = admit_locked(std::move(target), global_index, adopt);
+    index = admit_locked(std::move(target), explicit_index, adopt);
   }
   if (adopt.has_value()) {
     complete_target(index, std::move(adopt->result), adopt->attempts, false);
@@ -147,7 +141,7 @@ std::size_t SurveyService::admit_locked(core::SurveyTargetConfig target,
 
   // Fleet-wide identity collisions reject at admission: results are keyed
   // by name, so a duplicate would silently pool two streams.
-  if (!names_.insert(target.name).second) {
+  if (!names_.emplace(target.name, index).second) {
     throw std::invalid_argument{"SurveyService: duplicate target name '" + target.name + "'"};
   }
   if (!addresses_.insert(target.address.value()).second) {
@@ -201,7 +195,10 @@ void SurveyService::restore(const core::SurveyCheckpoint& checkpoint) {
   std::lock_guard checkpoint_lock{checkpoint_mu_};
   for (const std::size_t index : checkpoint.completed_shards()) {
     RestoredEntry entry{checkpoint.restore_shard(index), checkpoint.attempts(index)};
-    if (!config_.checkpoint_path.empty()) checkpoint_.record_shard(entry.result, entry.attempts);
+    if (!config_.checkpoint_path.empty()) {
+      checkpoint_.record_shard(entry.result, entry.attempts);
+      checkpoint_dirty_ = true;
+    }
     restored_.insert_or_assign(index, std::move(entry));
   }
 }
@@ -305,16 +302,17 @@ void SurveyService::complete_target(std::size_t index, core::ShardRunResult resu
     slot.measurements += measurements;
     slot.participants += result.end.targets;
     slot.max_end = std::max(slot.max_end, result.end.at);
-    if (config_.retain_results) {
-      slot.done.push_back(CompletedTarget{index, std::move(result.log), result.end});
-    }
   }
+  // Sorted once, here, into the order emission walks; the log then lives
+  // only in the target's admission entry.
+  if (config_.retain_results) std::sort(result.log.begin(), result.log.end(), canonical_less);
 
   std::string name;
   {
     std::lock_guard lock{admission_mu_};
     AdmittedTarget& target = targets_.at(index);
     target.state = AdmittedTarget::State::kDone;
+    if (config_.retain_results) target.log = std::move(result.log);
     // Adopted results carry attempts = 0 in the live accounting; the
     // checkpoint keeps the real history recorded above.
     target.attempts = decrement_pending ? attempts : 0;
@@ -420,10 +418,14 @@ void SurveyService::drain() {
   }
   if (!config_.checkpoint_path.empty()) {
     // Throws when the file cannot be written; the checkpoint stays dirty
-    // and a parked plan error stays parked for the next drain().
+    // and a parked plan error stays parked for the next drain(). A service
+    // that admitted and recorded nothing (its restore() refused the file)
+    // leaves the file as it found it.
     std::lock_guard lock{checkpoint_mu_};
-    save_checkpoint_locked();
-    checkpoint_dirty_ = false;
+    if (checkpoint_dirty_ || admitted_.load() != 0) {
+      save_checkpoint_locked();
+      checkpoint_dirty_ = false;
+    }
   }
   std::exception_ptr plan_error;
   {
@@ -479,33 +481,19 @@ std::unique_lock<std::mutex> SurveyService::finalized() {
 
 void SurveyService::finalize_locked() {
   if (!results_dirty_) return;
-  merged_log_.clear();
   merged_ = metrics::MetricEngine{};
   merged_end_ = core::SurveyEvent{};
   failed_indices_.clear();
   failure_messages_.clear();
 
   std::size_t total_measurements = 0;
-  std::size_t retained = 0;
   for (const auto& slot : slots_) {
     std::lock_guard lock{slot->mu};
     merged_.merge(slot->merged);
     merged_end_.targets += slot->participants;
     merged_end_.at = std::max(merged_end_.at, slot->max_end);
     total_measurements += slot->measurements;
-    for (const CompletedTarget& done : slot->done) retained += done.log.size();
   }
-  // The merged log is rebuilt by COPY, not move: the slots stay the
-  // owners so admissions after this drain fold incrementally and the next
-  // finalize starts from the same complete data.
-  merged_log_.reserve(retained);
-  for (const auto& slot : slots_) {
-    std::lock_guard lock{slot->mu};
-    for (const CompletedTarget& done : slot->done) {
-      merged_log_.insert(merged_log_.end(), done.log.begin(), done.log.end());
-    }
-  }
-  std::sort(merged_log_.begin(), merged_log_.end(), canonical_less);
   merged_end_.rounds = config_.rounds;
   merged_end_.measurements = total_measurements;
 
@@ -522,12 +510,18 @@ void SurveyService::finalize_locked() {
   results_dirty_ = false;
 }
 
-const std::vector<core::Measurement>& SurveyService::measurements() {
+std::vector<core::Measurement> SurveyService::measurements() {
   auto lock = finalized();
   if (!config_.retain_results) {
     throw std::logic_error{"SurveyService: measurements() needs retain_results"};
   }
-  return merged_log_;
+  std::vector<core::Measurement> out;
+  out.reserve(merged_end_.measurements);
+  for (const auto& [name, index] : names_) {
+    const std::vector<core::Measurement>& log = targets_.at(index).log;
+    out.insert(out.end(), log.begin(), log.end());
+  }
+  return out;
 }
 
 const metrics::MetricEngine& SurveyService::metrics() {
@@ -548,12 +542,15 @@ void SurveyService::emit_jsonl(report::JsonlWriter& out) {
   report::JsonlResultSink sink{out};
   sink.on_survey_begin(
       core::SurveyEvent{merged_end_.targets, config_.rounds, 0, util::TimePoint::epoch()});
-  for (std::size_t i = 0; i < merged_log_.size(); ++i) {
-    const core::Measurement& m = merged_log_[i];
-    core::publish_result(sink, m.target, m.test, m.at, m.result, i);
+  // Only done targets hold a log, and each is already in (test, at) order.
+  std::size_t i = 0;
+  for (const auto& [name, index] : names_) {
+    for (const core::Measurement& m : targets_.at(index).log) {
+      core::publish_result(sink, m.target, m.test, m.at, m.result, i++);
+    }
   }
   sink.on_survey_end(merged_end_);
-  merged_.emit_jsonl(out, metrics::MetricEngine::EmitOrder::kCanonical);
+  merged_.emit_jsonl(out);
   if (merged_end_.degraded) {
     report::Json manifest = report::Json::object();
     manifest.set("type", "participation");

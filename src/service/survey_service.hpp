@@ -143,9 +143,10 @@ class SurveyService {
   /// instead of re-running the world. Must be called before the first
   /// admission; throws std::invalid_argument when the checkpoint header
   /// disagrees with this service's plan (the per-target marker
-  /// shards == 0, rounds, seed). Record identity is checked at admission.
-  /// With a checkpoint_path, the restored records are kept in this
-  /// service's checkpoint whether or not their targets are admitted.
+  /// shards == 0, rounds, seed), and then records nothing, so stopping
+  /// leaves the checkpoint file as it was. Record identity is checked at
+  /// admission. With a checkpoint_path, the restored records are kept in
+  /// this service's checkpoint whether or not their targets are admitted.
   void restore(const core::SurveyCheckpoint& checkpoint);
 
   // -------------------------------------------------------- live view
@@ -206,9 +207,9 @@ class SurveyService {
   // Callable once drained (throw std::logic_error while targets are in
   // flight). Outputs are canonical: independent of workers, admission
   // order and batch size.
-  /// The merged completion log in canonical (target, test, at) order.
-  /// Needs retain_results.
-  const std::vector<core::Measurement>& measurements();
+  /// A copy of the merged completion log in canonical (target, test, at)
+  /// order. Needs retain_results.
+  std::vector<core::Measurement> measurements();
   /// The merged metric engine.
   const metrics::MetricEngine& metrics();
   /// The merged survey_end marker (participants, fleet-wide virtual end,
@@ -220,7 +221,8 @@ class SurveyService {
   /// survey_end, one metrics record per key in canonical order, plus the
   /// participation manifest when degraded — byte-identical to
   /// merge_fleet_streams over a single-loop run of the same fleet + seed.
-  /// Needs retain_results.
+  /// Walks the targets by name, each log kept sorted: nothing is copied
+  /// or sorted here. Needs retain_results.
   void emit_jsonl(report::JsonlWriter& out);
 
   // ------------------------------------------------ failure accounting
@@ -243,15 +245,11 @@ class SurveyService {
     /// resident service would otherwise hold every retired target's
     /// config forever).
     core::SurveyTargetConfig config;
+    /// Once done: its completion log (the only copy), in (test, at) order.
+    std::vector<core::Measurement> log;
     enum class State { kPending, kDone, kFailed } state{State::kPending};
     int attempts{0};
     std::string error;
-  };
-
-  struct CompletedTarget {
-    std::size_t index{0};
-    std::vector<core::Measurement> log;
-    core::SurveyEvent end{};
   };
 
   /// One per worker: completions land in slot (index % slots), so a
@@ -259,7 +257,6 @@ class SurveyService {
   struct Slot {
     mutable std::mutex mu;
     metrics::MetricEngine merged;
-    std::vector<CompletedTarget> done;
     std::size_t measurements{0};
     std::size_t participants{0};
     util::TimePoint max_end{};
@@ -270,6 +267,8 @@ class SurveyService {
     int attempts{1};
   };
 
+  std::size_t admit_one(core::SurveyTargetConfig target,
+                        std::optional<std::size_t> explicit_index);
   std::size_t admit_locked(core::SurveyTargetConfig target,
                            std::optional<std::size_t> explicit_index,
                            std::optional<RestoredEntry>& adopt);
@@ -298,7 +297,8 @@ class SurveyService {
   mutable std::mutex admission_mu_;
   std::condition_variable done_cv_;
   std::map<std::size_t, AdmittedTarget> targets_;
-  std::set<std::string> names_;
+  /// Name -> global index: rejects duplicates; walked in emission order.
+  std::map<std::string, std::size_t> names_;
   std::set<std::uint32_t> addresses_;
   std::map<std::size_t, RestoredEntry> restored_;
   std::size_t next_index_{0};
@@ -313,7 +313,6 @@ class SurveyService {
 
   // ---- merged results cache (admission_mu_; valid while !results_dirty_)
   bool results_dirty_{true};
-  std::vector<core::Measurement> merged_log_;
   metrics::MetricEngine merged_;
   core::SurveyEvent merged_end_{};
   std::vector<std::size_t> failed_indices_;

@@ -40,7 +40,7 @@ using util::InjectedFault;
 std::string metrics_jsonl(const metrics::MetricEngine& engine) {
   std::ostringstream text;
   report::JsonlWriter writer{text};
-  engine.emit_jsonl(writer, metrics::MetricEngine::EmitOrder::kCanonical);
+  engine.emit_jsonl(writer);
   return text.str();
 }
 
@@ -244,6 +244,32 @@ TEST(Checkpoint, MissingFileLoadsEmpty) {
   EXPECT_FALSE(cp.header().has_value());
   EXPECT_EQ(cp.completed_count(), 0u);
   EXPECT_EQ(cp.torn_records(), 0u);
+}
+
+TEST(Checkpoint, AnUnreadableHeaderRejectsTheFile) {
+  // A corrupt record costs only its target, but the header names the plan
+  // every record belongs to: without it the file cannot be trusted.
+  SurveyCheckpoint cp;
+  cp.set_header({0, 9, kRounds, kSeed});
+  cp.record_shard(full_checkpoint().restore_shard(1));
+  std::string text = cp.serialize();
+  const std::string seed = ",\"seed\":" + std::to_string(kSeed);
+  const std::size_t at = text.find(seed);
+  ASSERT_NE(at, std::string::npos);
+  const std::string path = testing::TempDir() + "reorder_ckpt_headless.jsonl";
+  for (const std::string& header : {std::string{}, std::string{",\"seed\":1e20"}}) {
+    {
+      std::ofstream out{path, std::ios::trunc};
+      out << std::string{text}.replace(at, seed.size(), header);
+    }
+    try {
+      SurveyCheckpoint::load(path);
+      ADD_FAILURE() << "load() accepted the header with '" << header << "' for the seed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(path), std::string::npos) << e.what();
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Checkpoint, RecordFiledUnderAnotherIndexIsTorn) {

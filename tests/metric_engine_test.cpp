@@ -174,6 +174,13 @@ TEST(MetricEngine, JsonlMetricsRecordsParseAndCarryTheSchema) {
 
   const auto records = report::read_jsonl_text(out.str());
   ASSERT_EQ(records.size(), 2u);
+  // One canonical key order: single-connection sorts before syn, which
+  // was seen first. records() builds exactly what emit_jsonl streamed.
+  EXPECT_EQ(records[0].at("test").as_string(), "single-connection");
+  EXPECT_EQ(engine.keys().front().second, "single-connection");
+  const std::vector<report::Json> built = engine.records();
+  ASSERT_EQ(built.size(), records.size());
+  for (std::size_t i = 0; i < built.size(); ++i) EXPECT_EQ(built[i].dump(), records[i].dump());
   for (const auto& record : records) {
     EXPECT_EQ(record.at("type").as_string(), "metrics");
     EXPECT_EQ(record.at("target").as_string(), "host-a");
@@ -189,6 +196,25 @@ TEST(MetricEngine, JsonlMetricsRecordsParseAndCarryTheSchema) {
     EXPECT_NE(suite.find("time_domain"), nullptr);
     EXPECT_NE(suite.find("late_time"), nullptr);
   }
+}
+
+TEST(MetricEngine, RestoreRecordRejectsADuplicateKeyBeforeParsingItsSuite) {
+  util::Rng rng{37};
+  metrics::MetricEngine engine;
+  metrics::EngineSink sink{engine};
+  core::publish_result(sink, "host-a", "syn", util::TimePoint::epoch(),
+                       make_result(rng, 10, 0.2));
+  const report::Json record = engine.records().front();
+
+  metrics::MetricEngine restored;
+  restored.restore_record(record);
+  EXPECT_EQ(restored.records().front().dump(), record.dump());
+  // An unparseable suite would throw std::runtime_error; the duplicate
+  // key is caught first.
+  report::Json duplicate = record;
+  duplicate.set("metrics", "not a suite");
+  EXPECT_THROW(restored.restore_record(duplicate), std::invalid_argument);
+  EXPECT_EQ(restored.key_count(), 1u);
 }
 
 // Sequence metrics plugged in via the suite factory must accumulate from

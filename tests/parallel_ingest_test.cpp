@@ -21,10 +21,11 @@
 //     sub-batches and surfaces conservation (consumed + dropped ==
 //     produced) and per-shard ring counters in the JSONL record; a stalled
 //     kSpin run loses nothing and counts its spins;
-//   * a throwing Source reaches run()'s caller after the consumers are
-//     joined, instead of ending the process.
+//   * a throwing Source, or a throw on a consumer thread, reaches run()'s
+//     caller after the consumers are joined, instead of ending the process.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <set>
 #include <sstream>
@@ -391,6 +392,32 @@ TEST(ParallelIngest, ThrowingSourceReachesTheCallerAfterTheConsumersJoin) {
     }
     EXPECT_EQ(calls, 3u);
   }  // the pipeline is destroyed after the failed run
+}
+
+TEST(ParallelIngest, ConsumerFailureReachesTheCallerAfterTheConsumersJoin) {
+  // The suite factory runs on the consumer threads, once per new flow; a
+  // throw there (a failed allocation, say) must reach run()'s caller, not
+  // end the process. Two-deep rings keep the producer waiting on full
+  // rings, so a failed shard that stopped draining would hang a kSpin run.
+  std::vector<Arrival> arrivals;
+  for (std::uint32_t i = 0; i < 4096; ++i) arrivals.push_back(Arrival{i % 64, i / 64, 0});
+  for (const Backpressure policy : {Backpressure::kSpin, Backpressure::kDrop}) {
+    std::atomic<int> calls{0};
+    ParallelPipelineConfig cfg = base_config(2, 4, policy);
+    cfg.ring_batches = 2;
+    cfg.suite_factory = [&calls] {
+      if (++calls == 6) throw std::runtime_error{"suite allocation failed"};
+      return SequenceEngine::default_suite();
+    };
+    ParallelIngestPipeline pipeline{cfg};
+    try {
+      pipeline.run(arrivals);
+      ADD_FAILURE() << "run() returned normally";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "suite allocation failed");
+    }
+    EXPECT_GE(calls.load(), 6);
+  }
 }
 
 }  // namespace

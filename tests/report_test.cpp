@@ -4,6 +4,9 @@
 // parsed back, reproducing the aggregate rates exactly.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "core/survey_testbed.hpp"
@@ -86,6 +89,21 @@ TEST(Json, TypedAccessorsThrowOnMismatch) {
   EXPECT_THROW(Json{1.0}.as_string(), std::runtime_error);
   EXPECT_THROW(Json{"x"}.as_double(), std::runtime_error);
   EXPECT_THROW(Json{}.at("missing"), std::out_of_range);
+}
+
+TEST(Json, IntegerAccessorsRejectNumbersOutsideTheirRange) {
+  // Checkpoint headers, record indices and reorder-merge inputs reach
+  // these accessors with whatever number the file holds.
+  EXPECT_THROW(Json{1e20}.as_u64(), std::runtime_error);
+  EXPECT_THROW(Json{1e300}.as_int(), std::runtime_error);
+  EXPECT_THROW(Json{-1e300}.as_int(), std::runtime_error);
+  EXPECT_THROW(Json{std::numeric_limits<double>::infinity()}.as_u64(), std::runtime_error);
+  EXPECT_THROW(Json{std::nan("")}.as_int(), std::runtime_error);
+  // In range, as before: as_int truncates, as_u64 takes exact integers.
+  EXPECT_EQ(Json{-2.75}.as_int(), -2);
+  EXPECT_EQ(Json{9007199254740992.0}.as_u64(), 9007199254740992ull);
+  EXPECT_EQ(Json{-9223372036854775808.0}.as_int(), INT64_MIN);
+  EXPECT_EQ(Json::u64(UINT64_MAX).as_u64(), UINT64_MAX);
 }
 
 // ------------------------------------------------------------- Jsonl

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -48,6 +47,17 @@ inline std::vector<core::SurveyTargetConfig> nine_targets() {
   return targets;
 }
 
+/// The same fleet named so that names sort against indices (index i is
+/// host-(8 - i)): canonical order is by name, and only a fleet like this
+/// tells a walk by name from a walk by global index.
+inline std::vector<core::SurveyTargetConfig> renamed_targets() {
+  std::vector<core::SurveyTargetConfig> targets = nine_targets();
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    targets[i].name = "host-" + std::to_string(8 - i);
+  }
+  return targets;
+}
+
 inline constexpr std::uint64_t kSeed = 7;
 inline constexpr int kRounds = 2;
 
@@ -75,12 +85,10 @@ inline std::string canonical_jsonl(service::SurveyService& service) {
 }
 
 /// Every per-key snapshot, serialized: suite JSON plus the engine's
-/// measurement counters, in canonical key order.
+/// measurement counters, in the engine's (canonical) key order.
 inline std::string snapshot_dump(const metrics::MetricEngine& engine) {
-  auto keys = engine.keys();
-  std::sort(keys.begin(), keys.end());
   std::string out;
-  for (const auto& [target, test] : keys) {
+  for (const auto& [target, test] : engine.keys()) {
     out += target + "/" + test + " n=" + std::to_string(engine.measurements(target, test)) +
            " adm=" + std::to_string(engine.admissible_measurements(target, test)) + " " +
            engine.suite(target, test)->to_json().dump() + "\n";
@@ -133,6 +141,12 @@ inline Reference single_loop_reference(std::vector<core::SurveyTargetConfig> fle
 /// The nine-target fleet's reference, computed once per test binary.
 inline const Reference& reference() {
   static const Reference ref = single_loop_reference(nine_targets());
+  return ref;
+}
+
+/// The renamed fleet's reference, computed once per test binary.
+inline const Reference& renamed_reference() {
+  static const Reference ref = single_loop_reference(renamed_targets());
   return ref;
 }
 

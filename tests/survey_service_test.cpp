@@ -47,6 +47,18 @@ TEST(SurveyService, MatchesTheSingleLoopReferenceAcrossWorkerCounts) {
     EXPECT_EQ(service.metrics().admissible_measurements("host-7", "dual-connection"), 0u)
         << "random IPIDs must rule the dual test out";
   }
+  // Names that sort against global indices: emission must walk the
+  // targets by name, not by admission index.
+  const Reference& renamed = renamed_reference();
+  ASSERT_NE(renamed.jsonl, ref.jsonl);
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    SurveyService service{service_config(workers)};
+    service.admit(renamed_targets());
+    service.drain();
+    EXPECT_EQ(canonical_jsonl(service), renamed.jsonl) << "renamed, workers=" << workers;
+    EXPECT_EQ(snapshot_dump(service.metrics()), renamed.snapshots)
+        << "renamed, workers=" << workers;
+  }
 }
 
 TEST(SurveyService, AdmissionOrderIsInvisibleInTheOutput) {
@@ -174,42 +186,47 @@ TEST(SurveyService, SnapshotJsonCarriesTheServiceSchema) {
 
 TEST(SurveyService, CheckpointAdoptionAcrossServiceGenerations) {
   const std::string path = testing::TempDir() + "survey_service_ckpt.jsonl";
-  std::remove(path.c_str());
-  std::vector<core::SurveyTargetConfig> fleet = nine_targets();
+  // The renamed fleet adopts the five targets whose names sort last.
+  const std::vector<std::pair<std::vector<core::SurveyTargetConfig>, const Reference*>> cases{
+      {nine_targets(), &reference()}, {renamed_targets(), &renamed_reference()}};
+  for (const auto& [fleet, ref] : cases) {
+    const std::string label = "first target " + fleet.front().name;
+    std::remove(path.c_str());
 
-  // Generation 1 admits only part of the fleet, drains, and dies.
-  {
-    SurveyServiceConfig cfg = service_config(2);
-    cfg.checkpoint_path = path;
-    SurveyService service{cfg};
-    for (std::size_t i = 0; i < 5; ++i) service.admit(fleet[i], i);
-    service.drain();
-    service.stop();
-  }
-  const core::SurveyCheckpoint recorded = core::SurveyCheckpoint::load(path);
-  EXPECT_EQ(recorded.completed_count(), 5u);
-  ASSERT_TRUE(recorded.header().has_value());
-  EXPECT_EQ(recorded.header()->shards, 0u) << "service checkpoints carry the 0 marker";
-  EXPECT_EQ(recorded.header()->seed, kSeed);
+    // Generation 1 admits only part of the fleet, drains, and dies.
+    {
+      SurveyServiceConfig cfg = service_config(2);
+      cfg.checkpoint_path = path;
+      SurveyService service{cfg};
+      for (std::size_t i = 0; i < 5; ++i) service.admit(fleet[i], i);
+      service.drain();
+      service.stop();
+    }
+    const core::SurveyCheckpoint recorded = core::SurveyCheckpoint::load(path);
+    EXPECT_EQ(recorded.completed_count(), 5u) << label;
+    ASSERT_TRUE(recorded.header().has_value());
+    EXPECT_EQ(recorded.header()->shards, 0u) << "service checkpoints carry the 0 marker";
+    EXPECT_EQ(recorded.header()->seed, kSeed);
 
-  // Generation 2 restores, admits the WHOLE fleet: recorded targets are
-  // adopted (attempts == 0), the rest execute, and the merged output is
-  // byte-identical to an uninterrupted run.
-  {
-    SurveyServiceConfig cfg = service_config(2);
-    cfg.checkpoint_path = path;
-    SurveyService service{cfg};
-    service.restore(core::SurveyCheckpoint::load(path));
-    service.admit(nine_targets());
-    service.drain();
-    EXPECT_EQ(service.attempts(0), 0) << "adopted, not re-run";
-    EXPECT_EQ(service.attempts(8), 1);
-    EXPECT_EQ(canonical_jsonl(service), reference().jsonl);
-    EXPECT_EQ(snapshot_dump(service.metrics()), reference().snapshots);
-    service.stop();
+    // Generation 2 restores, admits the WHOLE fleet: recorded targets are
+    // adopted (attempts == 0), the rest execute, and the merged output is
+    // byte-identical to an uninterrupted run.
+    {
+      SurveyServiceConfig cfg = service_config(2);
+      cfg.checkpoint_path = path;
+      SurveyService service{cfg};
+      service.restore(core::SurveyCheckpoint::load(path));
+      service.admit(fleet);
+      service.drain();
+      EXPECT_EQ(service.attempts(0), 0) << "adopted, not re-run; " << label;
+      EXPECT_EQ(service.attempts(8), 1) << label;
+      EXPECT_EQ(canonical_jsonl(service), ref->jsonl) << label;
+      EXPECT_EQ(snapshot_dump(service.metrics()), ref->snapshots) << label;
+      service.stop();
+    }
+    // The new generation's checkpoint re-recorded the adopted targets too.
+    EXPECT_EQ(core::SurveyCheckpoint::load(path).completed_count(), 9u) << label;
   }
-  // The new generation's checkpoint re-recorded the adopted targets too.
-  EXPECT_EQ(core::SurveyCheckpoint::load(path).completed_count(), 9u);
   std::remove(path.c_str());
 }
 
@@ -229,6 +246,24 @@ TEST(SurveyService, RestoreRejectsAMismatchedOrPerShardCheckpoint) {
   EXPECT_THROW(service.restore(core::SurveyCheckpoint{}), std::logic_error)
       << "restore must precede admission";
   service.drain();
+}
+
+TEST(SurveyService, ARejectedRestoreLeavesTheCheckpointFileAsItWas) {
+  // survey_service --resume with another plan's checkpoint exits once
+  // restore() refuses it; the service's final save must not replace the
+  // refused file with an empty checkpoint of the new plan.
+  const std::string path = testing::TempDir() + "survey_service_refused.ckpt";
+  full_checkpoint().save(path);
+  {
+    SurveyServiceConfig cfg = service_config(1);
+    cfg.seed = kSeed + 1;
+    cfg.checkpoint_path = path;
+    SurveyService service{cfg};
+    EXPECT_THROW(service.restore(core::SurveyCheckpoint::load(path)), std::invalid_argument);
+  }
+  const core::SurveyCheckpoint kept = core::SurveyCheckpoint::load(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(kept.serialize(), full_checkpoint().serialize());
 }
 
 TEST(SurveyService, RecordsOfAnotherFleetAreRejectedAtAdmission) {
