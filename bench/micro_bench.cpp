@@ -361,10 +361,11 @@ BENCHMARK(BM_ServiceAdmitDrain)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// The live view's cost: snapshot() folds every populated accumulator
-// slot through MetricEngine::merge under per-slot locks. Priced on a
-// quiescent populated service so the number is the pure fold — mid-run
-// it additionally contends with completing workers, never blocks them.
+// The live view's cost: snapshot() reads the counters, the running totals
+// and the merged engine's key count in one short admission-lock hold, so
+// it does not grow with the fleet. Priced on a quiescent populated
+// service; mid-run it additionally contends with completing workers for
+// that lock.
 void BM_LiveSnapshot(benchmark::State& state) {
   service::SurveyServiceConfig cfg;
   cfg.seed = 11;

@@ -4,12 +4,14 @@
 // ADMITS work continuously into a service::SurveyService: targets stream
 // in (a synthetic population, or specs read from a file / stdin), a
 // work-stealing pool executes each one as its own simulation world, and
-// live fleet-wide snapshots (merged metrics + scheduler counters) print
-// mid-run without pausing anything. Identity is pinned per global
-// admission index, so the canonical JSONL this daemon writes after drain
-// is byte-identical to survey_fleet's live stream over the same
-// population canonicalized by reorder-merge — admit order, batch size,
-// worker count and steal schedule all invisible in the output.
+// live fleet-wide snapshots (completion counters, measurement and metric
+// key totals, scheduler counters) print mid-run without pausing anything,
+// each one consistent cut at a cost independent of the fleet's size.
+// Identity is pinned per global admission index, so the canonical JSONL
+// this daemon writes after drain is byte-identical to survey_fleet's live
+// stream over the same population canonicalized by reorder-merge — admit
+// order, batch size, worker count and steal schedule all invisible in the
+// output.
 //
 // SIGTERM/SIGINT stop admission and drain gracefully: in-flight targets
 // finish, the checkpoint (when enabled) is durably saved, the summary
@@ -122,7 +124,7 @@ int main(int argc, char** argv) {
   std::string checkpoint_path;
 
   util::Flags flags{"survey_service", "resident survey service: continuous admission, "
-                    "work-stealing execution, live merged snapshots"};
+                    "work-stealing execution, live consistent snapshots"};
   flags.add_i64("targets", &targets, "synthetic population size (ignored with --admit)");
   flags.add_i64("rounds", &rounds, "measurement cycles per target");
   flags.add_i64("samples", &samples, "samples per measurement (paper: 15)");
@@ -195,7 +197,8 @@ int main(int argc, char** argv) {
     if (snapshot_every > 0 && n % static_cast<std::uint64_t>(snapshot_every) == 0 &&
         service_ptr != nullptr) {
       // A live mid-run snapshot, taken from a worker thread while its
-      // siblings keep completing — the lock-light fold in action.
+      // siblings keep completing: counters and totals read in one short
+      // lock hold, whatever the fleet's size.
       std::printf("%s\n", service_ptr->snapshot().to_json().dump().c_str());
     }
   };
@@ -204,8 +207,9 @@ int main(int argc, char** argv) {
   service_ptr = &service;
 
   if (resume) {
-    // An unreadable header or another plan's checkpoint rejects the
-    // resume; the service recorded nothing, so the file is left as it was.
+    // An unreadable header, another plan's checkpoint or a record that
+    // does not decode rejects the resume; the service recorded nothing,
+    // so the file is left as it was.
     try {
       const core::SurveyCheckpoint cp = core::SurveyCheckpoint::load(checkpoint_path);
       std::printf("resuming: %zu targets recorded in %s (%zu torn records dropped)\n",

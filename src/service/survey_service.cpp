@@ -26,27 +26,25 @@ class EndCapture final : public core::ResultSink {
 };
 
 /// A checkpoint record is adoptable only by the target it measured. One
-/// whose measurements name another target came from a different fleet,
-/// or was filed under another index.
+/// whose measurements or metrics name another target came from a
+/// different fleet, or was filed under another index.
 void require_recorded_target(const core::ShardRunResult& recorded, const std::string& name,
                              std::size_t index) {
-  for (const core::Measurement& m : recorded.log) {
-    if (m.target != name) {
+  const auto require = [&](const std::string& target) {
+    if (target != name) {
       throw std::invalid_argument{"SurveyService: checkpoint record " + std::to_string(index) +
-                                  " measured '" + m.target + "', not the admitted '" + name +
+                                  " measured '" + target + "', not the admitted '" + name +
                                   "'"};
     }
-  }
+  };
+  for (const core::Measurement& m : recorded.log) require(m.target);
+  for (const auto& [target, test] : recorded.metrics.keys()) require(target);
 }
 
 }  // namespace
 
 SurveyService::SurveyService(SurveyServiceConfig config) : config_{std::move(config)} {
   pool_ = std::make_unique<util::WorkStealingPool>(config_.workers);
-  slots_.reserve(pool_->size());
-  for (std::size_t i = 0; i < pool_->size(); ++i) {
-    slots_.push_back(std::make_unique<Slot>());
-  }
   if (!config_.checkpoint_path.empty()) {
     checkpoint_thread_ = std::thread{[this] { checkpoint_loop(); }};
   }
@@ -156,7 +154,6 @@ std::size_t SurveyService::admit_locked(core::SurveyTargetConfig target,
   admitted.config = std::move(target);
   targets_.emplace(index, std::move(admitted));
   admitted_.fetch_add(1);
-  results_dirty_ = true;
 
   if (restored != restored_.end()) {
     adopt = std::move(restored->second);
@@ -169,7 +166,7 @@ std::size_t SurveyService::admit_locked(core::SurveyTargetConfig target,
 
 void SurveyService::submit_target(std::size_t index) {
   // The future is deliberately dropped: completion flows through the
-  // slot/accounting path, and every exception class is caught inside
+  // fold/accounting path, and every exception class is caught inside
   // run_target (plan errors are parked for drain() to rethrow).
   pool_->submit([this, index] { run_target(index); });
 }
@@ -188,13 +185,25 @@ void SurveyService::restore(const core::SurveyCheckpoint& checkpoint) {
           "SurveyService::restore: checkpoint header does not match this service plan"};
     }
   }
+  // Decode everything before keeping anything: a record that does not
+  // decode refuses the whole restore with nothing recorded, so the
+  // refused file is never rewritten without the records after it.
+  std::vector<std::pair<std::size_t, RestoredEntry>> decoded;
+  for (const std::size_t index : checkpoint.completed_shards()) {
+    try {
+      decoded.emplace_back(
+          index, RestoredEntry{checkpoint.restore_shard(index), checkpoint.attempts(index)});
+    } catch (const std::exception& e) {
+      throw std::invalid_argument{"SurveyService::restore: checkpoint record " +
+                                  std::to_string(index) + " does not decode: " + e.what()};
+    }
+  }
   // Until its target is adopted, a restored record is still this survey's
   // durable progress: it is carried into this service's checkpoint, so no
   // save (after a rejected admission, or a stop mid-admission) drops it.
   // Adoption re-records it in place.
   std::lock_guard checkpoint_lock{checkpoint_mu_};
-  for (const std::size_t index : checkpoint.completed_shards()) {
-    RestoredEntry entry{checkpoint.restore_shard(index), checkpoint.attempts(index)};
+  for (auto& [index, entry] : decoded) {
     if (!config_.checkpoint_path.empty()) {
       checkpoint_.record_shard(entry.result, entry.attempts);
       checkpoint_dirty_ = true;
@@ -295,14 +304,6 @@ void SurveyService::complete_target(std::size_t index, core::ShardRunResult resu
 
   const std::size_t measurements = result.log.size();
   const util::TimePoint virtual_end = result.end.at;
-  Slot& slot = *slots_[index % slots_.size()];
-  {
-    std::lock_guard lock{slot.mu};
-    slot.merged.merge(result.metrics);
-    slot.measurements += measurements;
-    slot.participants += result.end.targets;
-    slot.max_end = std::max(slot.max_end, result.end.at);
-  }
   // Sorted once, here, into the order emission walks; the log then lives
   // only in the target's admission entry.
   if (config_.retain_results) std::sort(result.log.begin(), result.log.end(), canonical_less);
@@ -310,6 +311,13 @@ void SurveyService::complete_target(std::size_t index, core::ShardRunResult resu
   std::string name;
   {
     std::lock_guard lock{admission_mu_};
+    // Folded once, in the same hold that marks the target done, so every
+    // reader sees the totals and the counters agree. Target names are
+    // unique: the merge only adds this target's keys.
+    merged_.merge(result.metrics);
+    measurements_ += measurements;
+    participants_ += result.end.targets;
+    virtual_end_ = std::max(virtual_end_, virtual_end);
     AdmittedTarget& target = targets_.at(index);
     target.state = AdmittedTarget::State::kDone;
     if (config_.retain_results) target.log = std::move(result.log);
@@ -318,7 +326,6 @@ void SurveyService::complete_target(std::size_t index, core::ShardRunResult resu
     target.attempts = decrement_pending ? attempts : 0;
     target.config = core::SurveyTargetConfig{};  // retire the world description
     name = target.name;
-    results_dirty_ = true;
     completed_.fetch_add(1);
   }
 
@@ -349,7 +356,6 @@ void SurveyService::fail_target(std::size_t index, int attempts, std::string err
   target.attempts = attempts;
   target.error = std::move(error);
   target.config = core::SurveyTargetConfig{};
-  results_dirty_ = true;
   if (plan_error && !plan_error_) {
     plan_error_ = std::make_exception_ptr(std::invalid_argument{target.error});
   }
@@ -370,25 +376,29 @@ std::size_t SurveyService::in_flight() const {
 
 SurveyService::Snapshot SurveyService::snapshot() const {
   Snapshot snap;
-  snap.completed = completed_.load();
-  snap.failed = failed_.load();
-  snap.admitted = admitted_.load();  // after the retired counters; see in_flight()
-  snap.in_flight = snap.admitted - std::min(snap.admitted, snap.completed + snap.failed);
-  snap.degraded = snap.failed > 0;
-  snap.workers = pool_ ? pool_->size() : final_workers_;
-  // Fold one slot at a time: a worker completing into slot K waits only
-  // while K is copied; every other slot stays writable throughout.
-  for (const auto& slot : slots_) {
-    std::lock_guard lock{slot->mu};
-    snap.metrics.merge(slot->merged);
-    snap.measurements += slot->measurements;
-    snap.virtual_end = std::max(snap.virtual_end, slot->max_end);
+  util::WorkStealingPool::Stats stats;
+  {
+    std::lock_guard lock{admission_mu_};
+    snap.admitted = admitted_.load();
+    snap.completed = completed_.load();
+    snap.failed = failed_.load();
+    snap.measurements = measurements_;
+    snap.virtual_end = virtual_end_;
+    snap.metric_keys = merged_.key_count();
+    snap.workers = pool_ ? pool_->size() : final_workers_;
+    stats = pool_ ? pool_->stats() : final_stats_;
   }
-  const util::WorkStealingPool::Stats stats = pool_ ? pool_->stats() : final_stats_;
+  snap.in_flight = snap.admitted - snap.completed - snap.failed;
+  snap.degraded = snap.failed > 0;
   snap.jobs_executed = stats.executed;
   snap.steals = stats.stolen;
   snap.steal_attempts = stats.steal_attempts;
   return snap;
+}
+
+util::WorkStealingPool::Stats SurveyService::scheduler_stats() const {
+  std::lock_guard lock{admission_mu_};
+  return pool_ ? pool_->stats() : final_stats_;
 }
 
 report::Json SurveyService::Snapshot::to_json() const {
@@ -404,7 +414,7 @@ report::Json SurveyService::Snapshot::to_json() const {
   j.set("jobs_executed", report::Json::u64(jobs_executed));
   j.set("steals", report::Json::u64(steals));
   j.set("steal_attempts", report::Json::u64(steal_attempts));
-  j.set("metric_keys", report::Json::u64(metrics.key_count()));
+  j.set("metric_keys", report::Json::u64(metric_keys));
   j.set("degraded", degraded);
   return j;
 }
@@ -459,8 +469,11 @@ void SurveyService::stop() {
   if (pool_) {
     // Join BEFORE caching stats: a worker bumps its executed counter
     // after the job returns, and drain() unblocks inside the job, so
-    // stats read pre-join can lag by the in-flight increment.
+    // stats read pre-join can lag by the in-flight increment. The join
+    // runs outside the lock (a worker may be waiting on it); the retired
+    // pool is published under it, for snapshot() and scheduler_stats().
     pool_->shutdown();
+    std::lock_guard lock{admission_mu_};
     final_workers_ = pool_->size();
     final_stats_ = pool_->stats();
     pool_.reset();
@@ -470,53 +483,38 @@ void SurveyService::stop() {
 
 // ------------------------------------------------------ merged results
 
-std::unique_lock<std::mutex> SurveyService::finalized() {
+std::unique_lock<std::mutex> SurveyService::quiescent() {
   std::unique_lock lock{admission_mu_};
   if (pending_ != 0) {
     throw std::logic_error{"SurveyService: results are available once drained"};
   }
-  finalize_locked();
   return lock;
 }
 
-void SurveyService::finalize_locked() {
-  if (!results_dirty_) return;
-  merged_ = metrics::MetricEngine{};
-  merged_end_ = core::SurveyEvent{};
-  failed_indices_.clear();
-  failure_messages_.clear();
-
-  std::size_t total_measurements = 0;
-  for (const auto& slot : slots_) {
-    std::lock_guard lock{slot->mu};
-    merged_.merge(slot->merged);
-    merged_end_.targets += slot->participants;
-    merged_end_.at = std::max(merged_end_.at, slot->max_end);
-    total_measurements += slot->measurements;
-  }
-  merged_end_.rounds = config_.rounds;
-  merged_end_.measurements = total_measurements;
-
+core::SurveyEvent SurveyService::survey_end_locked() const {
+  core::SurveyEvent end;
+  end.targets = participants_;
+  end.rounds = config_.rounds;
+  end.measurements = measurements_;
+  end.at = virtual_end_;
   // Failure accounting in global-index order (failed_shards counts
   // failed targets).
   for (const auto& [index, target] : targets_) {
     if (target.state != AdmittedTarget::State::kFailed) continue;
-    merged_end_.degraded = true;
-    ++merged_end_.failed_shards;
-    merged_end_.failed_targets.push_back(target.name);
-    failed_indices_.push_back(index);
-    failure_messages_.push_back(target.error);
+    end.degraded = true;
+    ++end.failed_shards;
+    end.failed_targets.push_back(target.name);
   }
-  results_dirty_ = false;
+  return end;
 }
 
 std::vector<core::Measurement> SurveyService::measurements() {
-  auto lock = finalized();
+  auto lock = quiescent();
   if (!config_.retain_results) {
     throw std::logic_error{"SurveyService: measurements() needs retain_results"};
   }
   std::vector<core::Measurement> out;
-  out.reserve(merged_end_.measurements);
+  out.reserve(measurements_);
   for (const auto& [name, index] : names_) {
     const std::vector<core::Measurement>& log = targets_.at(index).log;
     out.insert(out.end(), log.begin(), log.end());
@@ -525,23 +523,24 @@ std::vector<core::Measurement> SurveyService::measurements() {
 }
 
 const metrics::MetricEngine& SurveyService::metrics() {
-  auto lock = finalized();
+  auto lock = quiescent();
   return merged_;
 }
 
-const core::SurveyEvent& SurveyService::survey_end() {
-  auto lock = finalized();
-  return merged_end_;
+core::SurveyEvent SurveyService::survey_end() {
+  auto lock = quiescent();
+  return survey_end_locked();
 }
 
 void SurveyService::emit_jsonl(report::JsonlWriter& out) {
-  auto lock = finalized();
+  auto lock = quiescent();
   if (!config_.retain_results) {
     throw std::logic_error{"SurveyService: emit_jsonl() needs retain_results"};
   }
+  const core::SurveyEvent end = survey_end_locked();
   report::JsonlResultSink sink{out};
   sink.on_survey_begin(
-      core::SurveyEvent{merged_end_.targets, config_.rounds, 0, util::TimePoint::epoch()});
+      core::SurveyEvent{end.targets, config_.rounds, 0, util::TimePoint::epoch()});
   // Only done targets hold a log, and each is already in (test, at) order.
   std::size_t i = 0;
   for (const auto& [name, index] : names_) {
@@ -549,9 +548,9 @@ void SurveyService::emit_jsonl(report::JsonlWriter& out) {
       core::publish_result(sink, m.target, m.test, m.at, m.result, i++);
     }
   }
-  sink.on_survey_end(merged_end_);
+  sink.on_survey_end(end);
   merged_.emit_jsonl(out);
-  if (merged_end_.degraded) {
+  if (end.degraded) {
     report::Json manifest = report::Json::object();
     manifest.set("type", "participation");
     report::Json targets = report::Json::array();
@@ -569,18 +568,26 @@ void SurveyService::emit_jsonl(report::JsonlWriter& out) {
 // ------------------------------------------------- failure accounting
 
 bool SurveyService::degraded() {
-  auto lock = finalized();
-  return merged_end_.degraded;
+  auto lock = quiescent();
+  return failed_.load() > 0;
 }
 
-const std::vector<std::size_t>& SurveyService::failed_target_indices() {
-  auto lock = finalized();
-  return failed_indices_;
+std::vector<std::size_t> SurveyService::failed_target_indices() {
+  auto lock = quiescent();
+  std::vector<std::size_t> out;
+  for (const auto& [index, target] : targets_) {
+    if (target.state == AdmittedTarget::State::kFailed) out.push_back(index);
+  }
+  return out;
 }
 
-const std::vector<std::string>& SurveyService::failure_messages() {
-  auto lock = finalized();
-  return failure_messages_;
+std::vector<std::string> SurveyService::failure_messages() {
+  auto lock = quiescent();
+  std::vector<std::string> out;
+  for (const auto& [index, target] : targets_) {
+    if (target.state == AdmittedTarget::State::kFailed) out.push_back(target.error);
+  }
+  return out;
 }
 
 int SurveyService::attempts(std::size_t index) const {
@@ -589,7 +596,7 @@ int SurveyService::attempts(std::size_t index) const {
 }
 
 std::vector<std::pair<std::string, bool>> SurveyService::participation() {
-  auto lock = finalized();
+  auto lock = quiescent();
   std::vector<std::pair<std::string, bool>> out;
   out.reserve(targets_.size());
   for (const auto& [index, target] : targets_) {

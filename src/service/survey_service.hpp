@@ -19,14 +19,16 @@
 // wildly uneven targets keep every core busy. Steal counters surface in
 // snapshots.
 //
-// Live view: snapshot() folds the per-worker MetricEngine accumulators
-// through the metrics merge() contract into a fleet-wide engine MID-RUN,
-// without stopping admission — the per-slot locks are held only while
-// one slot's accumulator is copied. drain() waits for quiescence;
-// stop() additionally retires the workers. After drain, emit_jsonl()
-// produces the canonical JSONL stream: measurements in (target, test, at)
-// order, indices renumbered — the stream merge_fleet_streams makes of any
-// run over the same fleet.
+// Live view: each completed target folds once, as it completes, into one
+// fleet-wide MetricEngine and three running totals, under the same short
+// admission lock that marks it done. snapshot() reads the counters, the
+// totals and the engine's key count under that lock — one consistent
+// cut, at a cost independent of fleet size, taken MID-RUN without
+// stopping admission. drain() waits for quiescence; stop() additionally
+// retires the workers. After drain, metrics() is the merged engine and
+// emit_jsonl() produces the canonical JSONL stream: measurements in
+// (target, test, at) order, indices renumbered — the stream
+// merge_fleet_streams makes of any run over the same fleet.
 //
 // Fault tolerance: every completed target is recorded into a
 // core::SurveyCheckpoint (one record per target, saved atomically by a
@@ -141,12 +143,15 @@ class SurveyService {
   /// Adopts a prior run's completed targets from a checkpoint: when a
   /// matching global index is admitted, its recorded result is folded in
   /// instead of re-running the world. Must be called before the first
-  /// admission; throws std::invalid_argument when the checkpoint header
+  /// admission. Every record, with its attempts, is decoded before any is
+  /// kept. Throws std::invalid_argument when the checkpoint header
   /// disagrees with this service's plan (the per-target marker
-  /// shards == 0, rounds, seed), and then records nothing, so stopping
-  /// leaves the checkpoint file as it was. Record identity is checked at
-  /// admission. With a checkpoint_path, the restored records are kept in
-  /// this service's checkpoint whether or not their targets are admitted.
+  /// shards == 0, rounds, seed) or a record does not decode (the message
+  /// names its index and the cause); either way it records nothing, so
+  /// stopping leaves the checkpoint file as it was. Record identity (the
+  /// target its measurements and metrics name) is checked at admission.
+  /// With a checkpoint_path, the restored records are kept in this
+  /// service's checkpoint whether or not their targets are admitted.
   void restore(const core::SurveyCheckpoint& checkpoint);
 
   // -------------------------------------------------------- live view
@@ -157,10 +162,11 @@ class SurveyService {
   std::size_t in_flight() const;
 
   /// A live fleet-wide view taken MID-RUN without stopping admission:
-  /// per-worker accumulator slots are folded one at a time through the
-  /// metrics merge() contract (each slot's lock held only while that
-  /// slot is copied), so workers are never globally stalled. Counters
-  /// are per-slot-consistent, not a global barrier.
+  /// counters, running totals and the merged engine's key count, read
+  /// under one short hold of the admission lock. Every completion folds
+  /// under that lock too, so the view is one consistent cut: measurements
+  /// and metric_keys count exactly the `completed` targets. Merged
+  /// metrics are read through metrics() once drained.
   struct Snapshot {
     std::size_t admitted{0};
     std::size_t completed{0};
@@ -174,22 +180,18 @@ class SurveyService {
     std::uint64_t jobs_executed{0};
     std::uint64_t steals{0};
     std::uint64_t steal_attempts{0};
+    /// (target, test) keys in the merged metric engine.
+    std::size_t metric_keys{0};
     bool degraded{false};
-    /// The merged metric engine (deep copy; snapshot-owned).
-    metrics::MetricEngine metrics;
 
-    /// The {"type":"service_snapshot",...} record (counters only — the
-    /// merged metrics stay queryable on the snapshot object; emit them
-    /// separately via metrics.emit_jsonl when wanted).
+    /// The {"type":"service_snapshot",...} record.
     report::Json to_json() const;
   };
   Snapshot snapshot() const;
 
-  /// Scheduler counters alone (no metric fold — always cheap). After
-  /// stop() this returns the final counters the retired pool reported.
-  util::WorkStealingPool::Stats scheduler_stats() const {
-    return pool_ ? pool_->stats() : final_stats_;
-  }
+  /// Scheduler counters alone. After stop() this returns the final
+  /// counters the retired pool reported. Safe to call across stop().
+  util::WorkStealingPool::Stats scheduler_stats() const;
 
   // ---------------------------------------------------------- shutdown
   /// Blocks until every target admitted so far completed or failed, then
@@ -210,11 +212,12 @@ class SurveyService {
   /// A copy of the merged completion log in canonical (target, test, at)
   /// order. Needs retain_results.
   std::vector<core::Measurement> measurements();
-  /// The merged metric engine.
+  /// The merged metric engine. This is the live engine every completion
+  /// folds into, not a copy: read it before admitting more targets.
   const metrics::MetricEngine& metrics();
   /// The merged survey_end marker (participants, fleet-wide virtual end,
   /// degraded accounting).
-  const core::SurveyEvent& survey_end();
+  core::SurveyEvent survey_end();
 
   /// The canonical merged JSONL stream: survey_begin, every measurement's
   /// samples + measurement records with canonically renumbered indices,
@@ -228,10 +231,10 @@ class SurveyService {
   // ------------------------------------------------ failure accounting
   bool degraded();
   /// Global indices of targets that exhausted every attempt, ascending.
-  const std::vector<std::size_t>& failed_target_indices();
+  std::vector<std::size_t> failed_target_indices();
   /// Last-attempt failure message per failed target (parallel to
   /// failed_target_indices()).
-  const std::vector<std::string>& failure_messages();
+  std::vector<std::string> failure_messages();
   /// Attempts consumed by target `index` (0 = adopted from checkpoint).
   int attempts(std::size_t index) const;
   /// Every admitted target in global-index order with whether its
@@ -252,16 +255,6 @@ class SurveyService {
     std::string error;
   };
 
-  /// One per worker: completions land in slot (index % slots), so a
-  /// snapshot never locks more than one worker's accumulator at a time.
-  struct Slot {
-    mutable std::mutex mu;
-    metrics::MetricEngine merged;
-    std::size_t measurements{0};
-    std::size_t participants{0};
-    util::TimePoint max_end{};
-  };
-
   struct RestoredEntry {
     core::ShardRunResult result;
     int attempts{1};
@@ -278,22 +271,21 @@ class SurveyService {
   void complete_target(std::size_t index, core::ShardRunResult result, int attempts,
                        bool decrement_pending);
   void fail_target(std::size_t index, int attempts, std::string error, bool plan_error);
-  /// Rebuilds the merged results cache; caller holds admission_mu_ and
-  /// has verified pending_ == 0.
-  void finalize_locked();
-  /// Locks, requires quiescence, finalizes.
-  std::unique_lock<std::mutex> finalized();
+  /// Locks admission_mu_ and requires quiescence (pending_ == 0).
+  std::unique_lock<std::mutex> quiescent();
+  /// The survey_end marker from the running totals and the failed
+  /// targets; caller holds admission_mu_.
+  core::SurveyEvent survey_end_locked() const;
   void checkpoint_loop();
   void save_checkpoint_locked();
 
   SurveyServiceConfig config_;
-  std::unique_ptr<util::WorkStealingPool> pool_;
-  /// Scheduler identity/counters preserved across stop() (pool retired).
-  std::size_t final_workers_{0};
-  util::WorkStealingPool::Stats final_stats_{};
-  std::vector<std::unique_ptr<Slot>> slots_;
 
   // ---- admission state (admission_mu_)
+  /// The pool, then (once stop() retired it) its identity and counters.
+  std::unique_ptr<util::WorkStealingPool> pool_;
+  std::size_t final_workers_{0};
+  util::WorkStealingPool::Stats final_stats_{};
   mutable std::mutex admission_mu_;
   std::condition_variable done_cv_;
   std::map<std::size_t, AdmittedTarget> targets_;
@@ -305,18 +297,17 @@ class SurveyService {
   std::size_t pending_{0};
   bool stopped_{false};
   std::exception_ptr plan_error_;
+  /// Every completed target folded once: its metrics, and running totals
+  /// of its measurements, participants and final virtual instant.
+  metrics::MetricEngine merged_;
+  std::size_t measurements_{0};
+  std::size_t participants_{0};
+  util::TimePoint virtual_end_{};
 
-  // ---- lock-free counters for the live view
+  // ---- counters: written under admission_mu_, also read lock-free
   std::atomic<std::size_t> admitted_{0};
   std::atomic<std::size_t> completed_{0};
   std::atomic<std::size_t> failed_{0};
-
-  // ---- merged results cache (admission_mu_; valid while !results_dirty_)
-  bool results_dirty_{true};
-  metrics::MetricEngine merged_;
-  core::SurveyEvent merged_end_{};
-  std::vector<std::size_t> failed_indices_;
-  std::vector<std::string> failure_messages_;
 
   // ---- checkpoint state (checkpoint_mu_)
   std::mutex checkpoint_mu_;

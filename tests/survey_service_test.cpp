@@ -10,9 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <future>
+#include <iterator>
 #include <numeric>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -129,17 +133,17 @@ TEST(SurveyService, LiveSnapshotsMidRunDoNotPerturbTheOutput) {
   SurveyService service{service_config(2)};
   std::atomic<bool> running{true};
   std::atomic<std::size_t> snapshots_taken{0};
-  // A reader hammering the live view concurrently with execution: the
-  // fold must neither tear (counts are per-slot-consistent) nor perturb
-  // a single output byte.
+  // A reader hammering the live view concurrently with execution: every
+  // snapshot must be one consistent cut, and no read may perturb a single
+  // output byte.
   std::thread reader{[&] {
     while (running.load()) {
       const SurveyService::Snapshot snap = service.snapshot();
       EXPECT_LE(snap.completed, snap.admitted);
-      // Bound against the full fleet, not snap.admitted: the slot fold
-      // happens after the counter reads, so completions that land in
-      // between may show up in measurements first.
-      EXPECT_LE(snap.measurements, 9u * 2u * kRounds);
+      // Every fixture target runs two tests for kRounds rounds, and a
+      // completion's totals fold in the same hold that counts it.
+      EXPECT_EQ(snap.measurements, 2u * kRounds * snap.completed);
+      EXPECT_EQ(snap.metric_keys, 2u * snap.completed);
       snapshots_taken.fetch_add(1);
     }
   }};
@@ -159,7 +163,7 @@ TEST(SurveyService, LiveSnapshotsMidRunDoNotPerturbTheOutput) {
   EXPECT_EQ(final_snap.in_flight, 0u);
   EXPECT_EQ(final_snap.measurements, reference().end.measurements);
   EXPECT_EQ(final_snap.virtual_end, reference().end.at);
-  EXPECT_EQ(snapshot_dump(final_snap.metrics), reference().snapshots);
+  EXPECT_EQ(snapshot_dump(service.metrics()), reference().snapshots);
 }
 
 TEST(SurveyService, SnapshotJsonCarriesTheServiceSchema) {
@@ -289,6 +293,59 @@ TEST(SurveyService, RecordsOfAnotherFleetAreRejectedAtAdmission) {
   service.drain();
   EXPECT_EQ(service.attempts(1), 0);
   EXPECT_EQ(canonical_jsonl(service), reference().jsonl);
+
+  // A record whose log names host-1 but whose metrics are host-4's,
+  // re-recorded so its checksum holds, is not host-1's result either.
+  core::SurveyCheckpoint forged = full_checkpoint();
+  core::ShardRunResult mixed = forged.restore_shard(1);
+  mixed.metrics = forged.restore_shard(4).metrics;
+  forged.record_shard(mixed, forged.attempts(1));
+  SurveyService misfiled{service_config(2)};
+  misfiled.restore(forged);
+  EXPECT_THROW(misfiled.admit(nine_targets()[1], 1), std::invalid_argument);
+  misfiled.drain();
+}
+
+TEST(SurveyService, AnUndecodableRecordRejectsTheRestoreAndLeavesTheFile) {
+  // Record 4 loses its body's `end` but keeps a valid checksum, so load()
+  // keeps it. restore() must refuse the whole checkpoint before keeping
+  // any record: the refused service's final save would otherwise rewrite
+  // the file without record 4 and every record after it.
+  std::string forged;
+  std::istringstream lines{full_checkpoint().serialize()};
+  for (std::string line; std::getline(lines, line);) {
+    report::Json record = *report::Json::parse(line);
+    if (record.at("type").as_string() == "shard_done" && record.at("shard").as_u64() == 4) {
+      report::Json body = report::Json::object();
+      for (const auto& [key, value] : record.at("body").members()) {
+        if (key != "end") body.set(key, value);
+      }
+      char crc[17];
+      std::snprintf(crc, sizeof crc, "%016llx",
+                    static_cast<unsigned long long>(util::fnv1a64(body.dump())));
+      record = report::Json::object();
+      record.set("type", "shard_done");
+      record.set("shard", report::Json::u64(4));
+      record.set("crc", std::string{crc});
+      record.set("body", std::move(body));
+      line = record.dump();
+    }
+    forged += line + "\n";
+  }
+  const std::string path = testing::TempDir() + "survey_service_undecodable.ckpt";
+  std::ofstream{path, std::ios::binary} << forged;
+  const core::SurveyCheckpoint loaded = core::SurveyCheckpoint::load(path);
+  EXPECT_EQ(loaded.completed_count(), 9u) << "the forged record passes its checksum";
+  {
+    SurveyServiceConfig cfg = service_config(1);
+    cfg.checkpoint_path = path;
+    SurveyService service{cfg};
+    EXPECT_THROW(service.restore(loaded), std::invalid_argument);
+  }
+  std::ifstream in{path, std::ios::binary};
+  const std::string kept{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+  std::remove(path.c_str());
+  EXPECT_EQ(kept, forged);
 }
 
 TEST(SurveyService, SavesKeepRestoredRecordsThatWereNotAdopted) {
@@ -555,6 +612,31 @@ TEST(SurveyService, StopRetiresTheServiceButKeepsResultsReadable) {
   const SurveyService::Snapshot snap = service.snapshot();
   EXPECT_EQ(snap.completed, 9u);
   EXPECT_EQ(snap.workers, 2u) << "scheduler identity preserved across stop";
+  EXPECT_EQ(service.scheduler_stats().executed, 9u);
+}
+
+TEST(SurveyService, SnapshotsPolledAcrossStopAreRaceFree) {
+  // stop() retires the pool while a reader polls the live view. Each poll
+  // must see either the running pool or the retired one's final
+  // counters, never a pool being torn down (TSAN checks the handover).
+  SurveyService service{service_config(2)};
+  service.admit(nine_targets());
+  std::atomic<bool> running{true};
+  std::atomic<std::size_t> polls{0};
+  std::thread poller{[&] {
+    while (running.load()) {
+      EXPECT_EQ(service.snapshot().workers, 2u);
+      EXPECT_EQ(service.scheduler_stats().executed_by_worker.size(), 2u);
+      polls.fetch_add(1);
+    }
+  }};
+  // The polls span the whole stop() call: one before it, two after it.
+  while (polls.load() < 1) std::this_thread::yield();
+  service.stop();
+  const std::size_t at_stop = polls.load();
+  while (polls.load() < at_stop + 2) std::this_thread::yield();
+  running.store(false);
+  poller.join();
   EXPECT_EQ(service.scheduler_stats().executed, 9u);
 }
 

@@ -24,7 +24,10 @@ the broken assertion, when an artifact does not hold to its schema:
   service_snapshot <log> --targets N
       Every JSON line of a survey_service run's stdout is a complete
       `service_snapshot` record: at least four, one taken mid-run, and the
-      last accounts for all N targets with no failure.
+      last accounts for all N targets with no failure. Every record is one
+      consistent cut: survey_service gives every target the same tests and
+      rounds, so each counts `measurements` and `metric_keys` at the last
+      record's per-target rate.
 """
 
 import argparse
@@ -187,7 +190,13 @@ def check_service_snapshot(args):
     require(final["completed"] == args.targets and final["failed"] == 0,
             f"{args.log}: final snapshot does not account for {args.targets} targets: {final}")
     require(not final["degraded"], f"{args.log}: final snapshot degraded: {final}")
-    print(f"{len(snaps)} snapshots, {len(mid)} mid-run; final: {final}")
+    # Cross-multiplied, so the per-target rates need no division.
+    for s in snaps:
+        for field in ("measurements", "metric_keys"):
+            require(s[field] * final["completed"] == final[field] * s["completed"],
+                    f"{args.log}: {field} {s[field]} at {s['completed']} completed is not "
+                    f"the final rate of {final[field]} per {final['completed']} targets: {s}")
+    print(f"{len(snaps)} snapshots, {len(mid)} mid-run, each one consistent cut; final: {final}")
 
 
 def main():
