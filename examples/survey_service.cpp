@@ -30,6 +30,8 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -160,6 +162,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "survey_service: --lean drops the logs --jsonl needs\n");
     return 1;
   }
+  // Opened before any target runs, so an unwritable --jsonl fails now
+  // rather than after the whole survey. Left uncommitted, it removes its
+  // tmp file on every exit path.
+  std::optional<report::AtomicJsonlFile> jsonl;
+  if (!jsonl_path.empty()) {
+    try {
+      jsonl.emplace(jsonl_path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "survey_service: %s\n", e.what());
+      return 1;
+    }
+  }
 
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
@@ -185,13 +199,17 @@ int main(int argc, char** argv) {
 
   report::NarratingSink narrator{report::NarrationPolicy::from_flag(
       narrate_every, population.size(), 2 * population.size())};
+  std::mutex narrator_mu;  // the callback runs on every worker
   std::atomic<std::uint64_t> completions{0};
   service::SurveyService* service_ptr = nullptr;
   cfg.on_target_complete = [&](const service::TargetDone& done) {
-    if (narrator.tick()) {
-      std::printf("  done #%-8zu %-12.*s %zu measurements by t=%.1fs%s\n", done.index,
-                  static_cast<int>(done.name.size()), done.name.data(), done.measurements,
-                  done.virtual_end.seconds_f(), done.attempts == 0 ? "  (adopted)" : "");
+    {
+      std::lock_guard lock{narrator_mu};
+      if (narrator.tick()) {
+        std::printf("  done #%-8zu %-12.*s %zu measurements by t=%.1fs%s\n", done.index,
+                    static_cast<int>(done.name.size()), done.name.data(), done.measurements,
+                    done.virtual_end.seconds_f(), done.attempts == 0 ? "  (adopted)" : "");
+      }
     }
     const std::uint64_t n = completions.fetch_add(1, std::memory_order_relaxed) + 1;
     if (snapshot_every > 0 && n % static_cast<std::uint64_t>(snapshot_every) == 0 &&
@@ -279,13 +297,17 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(sched.stolen),
               static_cast<unsigned long long>(sched.steal_attempts));
 
-  if (!jsonl_path.empty()) {
+  if (jsonl) {
     // Canonical merged emission, written crash-safely.
-    report::AtomicJsonlFile file{jsonl_path};
-    service.emit_jsonl(file.writer());
-    const std::size_t lines = file.writer().lines_written();
-    file.commit();
-    std::printf("streamed %zu JSONL records to %s\n", lines, jsonl_path.c_str());
+    try {
+      service.emit_jsonl(jsonl->writer());
+      jsonl->commit();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "survey_service: %s\n", e.what());
+      return 1;
+    }
+    std::printf("streamed %zu JSONL records to %s\n", jsonl->writer().lines_written(),
+                jsonl_path.c_str());
   }
   service.stop();
   return 0;

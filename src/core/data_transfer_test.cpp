@@ -137,6 +137,10 @@ struct DataTransferTest::Run : std::enable_shared_from_this<DataTransferTest::Ru
       auto cb = std::move(self->done);
       self->done = nullptr;
       if (cb) cb(std::move(self->result));
+      // The connection's on_packet holds this Run: drop the connection in
+      // an event of its own, since completion can run inside its packet
+      // handler, which still reads on_packet when it returns.
+      self->env().schedule(util::Duration{}, [self] { self->conn.reset(); });
     };
     if (conn && conn->established()) {
       const std::uint32_t req_len = static_cast<std::uint32_t>(options.request.size());

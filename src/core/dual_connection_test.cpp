@@ -275,6 +275,12 @@ struct DualConnectionTest::Run : std::enable_shared_from_this<DualConnectionTest
     auto cb = std::move(done);
     done = nullptr;
     if (cb) cb(std::move(result));
+    // Each connection's on_packet holds this Run: drop the connections in
+    // an event of their own, since completion can run inside a packet
+    // handler, which still reads on_packet when it returns.
+    env().schedule(util::Duration{}, [self = shared_from_this()] {
+      for (auto& c : self->conns) c.reset();
+    });
   }
 };
 

@@ -307,6 +307,10 @@ struct SingleConnectionTest::Run : std::enable_shared_from_this<SingleConnection
       auto cb = std::move(self->done);
       self->done = nullptr;
       if (cb) cb(std::move(self->result));
+      // The connection's on_packet holds this Run: drop the connection in
+      // an event of its own, since completion can run inside its packet
+      // handler, which still reads on_packet when it returns.
+      self->env().schedule(util::Duration{}, [self] { self->conn.reset(); });
     };
     if (graceful && conn && conn->established()) {
       // Politely close at the byte the remote expects next.

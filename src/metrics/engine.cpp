@@ -173,6 +173,13 @@ void MetricEngine::emit_jsonl(report::JsonlWriter& out) const {
   for (const auto& [key, e] : entries_) out.write(record(key, e));
 }
 
+void MetricEngine::append_records(std::string_view target, report::JsonlLines& out) const {
+  for (auto it = entries_.lower_bound(Key{target, ""});
+       it != entries_.end() && it->first.first == target; ++it) {
+    out.append(record(it->first, it->second));
+  }
+}
+
 void MetricEngine::restore_record(const report::Json& record) {
   Key key{record.at("target").as_string(), record.at("test").as_string()};
   const auto it = entries_.lower_bound(key);

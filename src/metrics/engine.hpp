@@ -92,6 +92,10 @@ class MetricEngine {
   std::vector<report::Json> records() const;
   /// Streams records() one line at a time, never holding them all.
   void emit_jsonl(report::JsonlWriter& out) const;
+  /// Appends the records of `target`'s keys, in test order: records() in
+  /// chunks, for callers that render targets in canonical order on
+  /// several threads (concurrent const calls are safe).
+  void append_records(std::string_view target, report::JsonlLines& out) const;
 
   /// Rebuilds one (target, test) entry from an emit_jsonl `metrics`
   /// record (suite restored via metrics::suite_from_json, bypassing the

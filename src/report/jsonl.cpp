@@ -12,16 +12,28 @@
 
 namespace reorder::report {
 
+void JsonlLines::append(const Json& value) {
+  text += value.dump();
+  text += '\n';
+  ++count;
+}
+
 void JsonlWriter::write(const Json& value) {
+  JsonlLines line;
+  line.append(value);
+  write_lines(line);
+}
+
+void JsonlWriter::write_lines(const JsonlLines& lines) {
   if (faults_ != nullptr) {
     faults_->maybe_throw(fault_site_, util::FaultInjector::Mode::kSinkWriteFailure);
   }
-  out_ << value.dump() << '\n';
+  out_.write(lines.text.data(), static_cast<std::streamsize>(lines.text.size()));
   if (!out_) {
     throw std::runtime_error{"JsonlWriter: stream write failed after " +
                              std::to_string(lines_) + " lines"};
   }
-  ++lines_;
+  lines_ += lines.count;
 }
 
 void JsonlWriter::set_fault_injector(util::FaultInjector* faults, std::string site) {

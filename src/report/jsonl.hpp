@@ -16,17 +16,30 @@ class FaultInjector;
 
 namespace reorder::report {
 
+/// JSONL lines rendered away from their writer (on a worker thread, say)
+/// for JsonlWriter::write_lines to write in one piece.
+struct JsonlLines {
+  std::string text;
+  std::size_t count{0};
+
+  /// Appends `value` as one line.
+  void append(const Json& value);
+};
+
 /// Writes one value per line to a caller-owned stream. Stream failure is
-/// an error, not a silent truncation: write() checks the stream after
-/// every line and throws std::runtime_error when it went bad.
+/// an error, not a silent truncation: every write checks the stream
+/// afterwards and throws std::runtime_error when it went bad.
 class JsonlWriter {
  public:
   explicit JsonlWriter(std::ostream& out) : out_{out} {}
 
   void write(const Json& value);
+  /// Writes lines rendered elsewhere, counting each one; write() is the
+  /// one-line case.
+  void write_lines(const JsonlLines& lines);
   std::size_t lines_written() const { return lines_; }
 
-  /// Arms the emit path's fault point: every write() first probes `site`
+  /// Arms the emit path's fault point: every write first probes `site`
   /// for a kSinkWriteFailure plan (not owned; pass nullptr to disarm).
   /// How the failure-policy tests make "the sink write failed" happen on
   /// demand, deterministically.

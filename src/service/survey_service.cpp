@@ -1,6 +1,8 @@
 #include "service/survey_service.hpp"
 
 #include <algorithm>
+#include <future>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -24,6 +26,62 @@ class EndCapture final : public core::ResultSink {
   void on_survey_end(const core::SurveyEvent& e) override { end = e; }
   core::SurveyEvent end{};
 };
+
+/// Renders sample and measurement events into lines, as JsonlResultSink
+/// writes them.
+class LinesSink final : public core::ResultSink {
+ public:
+  explicit LinesSink(report::JsonlLines& out) : out_{out} {}
+
+  void on_sample(const core::SampleEvent& e) override { out_.append(report::to_json(e)); }
+  void on_measurement(const core::MeasurementEvent& e) override {
+    out_.append(report::to_json(e));
+  }
+
+ private:
+  report::JsonlLines& out_;
+};
+
+using RenderChunk = std::function<void(std::size_t chunk, report::JsonlLines& out)>;
+
+/// Renders chunks [0, chunks) on `pool`, or inline on the caller when there
+/// is none, and writes them to `out` strictly in chunk order. At most
+/// kEmitWindowPerWorker chunks per worker render ahead of the writer, and
+/// each buffer is freed once written.
+void write_in_order(util::WorkStealingPool* pool, std::size_t chunks, const RenderChunk& render,
+                    report::JsonlWriter& out) {
+  struct Slot {
+    report::JsonlLines lines;
+    std::future<void> rendered;
+  };
+  const std::size_t window =
+      pool != nullptr ? SurveyService::kEmitWindowPerWorker * pool->size() : 1;
+  std::vector<Slot> slots(std::min(window, chunks));
+  const auto start = [&](std::size_t chunk) {
+    Slot& slot = slots[chunk % window];
+    if (pool == nullptr) {
+      render(chunk, slot.lines);
+    } else {
+      slot.rendered = pool->submit([&render, &slot, chunk] { render(chunk, slot.lines); });
+    }
+  };
+  try {
+    for (std::size_t chunk = 0; chunk < slots.size(); ++chunk) start(chunk);
+    for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+      Slot& slot = slots[chunk % window];
+      if (slot.rendered.valid()) slot.rendered.get();  // rethrows the job's exception
+      out.write_lines(slot.lines);
+      slot.lines = report::JsonlLines{};
+      if (chunk + window < chunks) start(chunk + window);
+    }
+  } catch (...) {
+    // Jobs still in flight render into `slots`: wait them out first.
+    for (Slot& slot : slots) {
+      if (slot.rendered.valid()) slot.rendered.wait();
+    }
+    throw;
+  }
+}
 
 /// A checkpoint record is adoptable only by the target it measured. One
 /// whose measurements or metrics name another target came from a
@@ -538,18 +596,49 @@ void SurveyService::emit_jsonl(report::JsonlWriter& out) {
     throw std::logic_error{"SurveyService: emit_jsonl() needs retain_results"};
   }
   const core::SurveyEvent end = survey_end_locked();
-  report::JsonlResultSink sink{out};
-  sink.on_survey_begin(
-      core::SurveyEvent{end.targets, config_.rounds, 0, util::TimePoint::epoch()});
-  // Only done targets hold a log, and each is already in (test, at) order.
-  std::size_t i = 0;
+  out.write(report::survey_event_json(
+      "survey_begin", core::SurveyEvent{end.targets, config_.rounds, 0, util::TimePoint::epoch()}));
+  // The canonical walk: done targets by name, each log already in (test,
+  // at) order, cut into chunks that know their first measurement's index.
+  std::vector<const AdmittedTarget*> walk;
+  std::vector<std::size_t> first_measurement;
+  std::size_t measurements = 0;
   for (const auto& [name, index] : names_) {
-    for (const core::Measurement& m : targets_.at(index).log) {
-      core::publish_result(sink, m.target, m.test, m.at, m.result, i++);
-    }
+    const AdmittedTarget& target = targets_.at(index);
+    if (target.state != AdmittedTarget::State::kDone) continue;
+    if (walk.size() % kEmitChunkTargets == 0) first_measurement.push_back(measurements);
+    walk.push_back(&target);
+    measurements += target.log.size();
   }
-  sink.on_survey_end(end);
-  merged_.emit_jsonl(out);
+  const auto chunk_targets = [&](std::size_t chunk) {
+    const std::size_t begin = chunk * kEmitChunkTargets;
+    return std::span{walk}.subspan(begin, std::min(kEmitChunkTargets, walk.size() - begin));
+  };
+  util::WorkStealingPool* pool = pool_.get();
+  const std::size_t chunks = first_measurement.size();
+  write_in_order(
+      pool, chunks,
+      [&](std::size_t chunk, report::JsonlLines& lines) {
+        LinesSink sink{lines};
+        std::size_t i = first_measurement[chunk];
+        for (const AdmittedTarget* target : chunk_targets(chunk)) {
+          for (const core::Measurement& m : target->log) {
+            core::publish_result(sink, m.target, m.test, m.at, m.result, i++);
+          }
+        }
+      },
+      out);
+  out.write(report::survey_event_json("survey_end", end));
+  // Every metric key names a done target (one world per target, restored
+  // records checked at admission), so the same walk is canonical key order.
+  write_in_order(
+      pool, chunks,
+      [&](std::size_t chunk, report::JsonlLines& lines) {
+        for (const AdmittedTarget* target : chunk_targets(chunk)) {
+          merged_.append_records(target->name, lines);
+        }
+      },
+      out);
   if (end.degraded) {
     report::Json manifest = report::Json::object();
     manifest.set("type", "participation");

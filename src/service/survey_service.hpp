@@ -30,6 +30,14 @@
 // (target, test, at) order, indices renumbered — the stream
 // merge_fleet_streams makes of any run over the same fleet.
 //
+// Emission renders on the same pool. A serial walk over the done targets
+// by name fixes each measurement's canonical index and cuts the walk into
+// chunks of kEmitChunkTargets targets; workers render each chunk's lines
+// into a buffer of its own, a bounded window ahead of the calling thread,
+// which writes the buffers strictly in chunk order. The metrics records
+// follow the same way. After stop() the same rendering runs inline on the
+// caller. The bytes are those of one thread walking the fleet.
+//
 // Fault tolerance: every completed target is recorded into a
 // core::SurveyCheckpoint (one record per target, saved atomically by a
 // background thread every checkpoint_interval), restore() adopts a prior
@@ -176,7 +184,9 @@ class SurveyService {
     /// Max final virtual instant over completed targets.
     util::TimePoint virtual_end{};
     std::size_t workers{0};
-    /// Scheduler counters (see WorkStealingPool::Stats).
+    /// Scheduler counters (see WorkStealingPool::Stats). Jobs count every
+    /// target attempt run on the pool plus the render jobs of each
+    /// emit_jsonl() called before stop().
     std::uint64_t jobs_executed{0};
     std::uint64_t steals{0};
     std::uint64_t steal_attempts{0};
@@ -189,7 +199,8 @@ class SurveyService {
   };
   Snapshot snapshot() const;
 
-  /// Scheduler counters alone. After stop() this returns the final
+  /// Scheduler counters alone, emission's render jobs included (see
+  /// Snapshot::jobs_executed). After stop() this returns the final
   /// counters the retired pool reported. Safe to call across stop().
   util::WorkStealingPool::Stats scheduler_stats() const;
 
@@ -225,8 +236,15 @@ class SurveyService {
   /// participation manifest when degraded — byte-identical to
   /// merge_fleet_streams over a single-loop run of the same fleet + seed.
   /// Walks the targets by name, each log kept sorted: nothing is copied
-  /// or sorted here. Needs retain_results.
+  /// or sorted here. Renders in chunks as the header describes, holding
+  /// at most kEmitWindowPerWorker chunks per worker at once. A write or
+  /// render that throws reaches the caller once every render job it
+  /// submitted has finished. Needs retain_results.
   void emit_jsonl(report::JsonlWriter& out);
+  /// Targets per emission chunk.
+  static constexpr std::size_t kEmitChunkTargets = 16;
+  /// Chunks per worker that may render ahead of emission's writer.
+  static constexpr std::size_t kEmitWindowPerWorker = 2;
 
   // ------------------------------------------------ failure accounting
   bool degraded();

@@ -166,6 +166,7 @@ TEST(DataTransferDeep, ConnectionFullyClosed) {
   ASSERT_TRUE(result.admissible);
   bed.loop().run();
   EXPECT_EQ(bed.remote().active_connections(), 0u);
+  EXPECT_EQ(bed.probe().registered_flows(), 0u) << "a completed run releases its connection";
 }
 
 }  // namespace

@@ -188,6 +188,7 @@ TEST(DualConnDeep, BothRemoteConnectionsClosedAfterRun) {
   ASSERT_TRUE(result.admissible);
   bed.loop().run();
   EXPECT_EQ(bed.remote().active_connections(), 0u);
+  EXPECT_EQ(bed.probe().registered_flows(), 0u) << "a completed run releases its connections";
 }
 
 }  // namespace

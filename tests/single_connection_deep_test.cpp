@@ -230,6 +230,7 @@ TEST(SingleConnDeep, RemoteConnectionIsClosedAfterRun) {
   ASSERT_TRUE(result.admissible);
   bed.loop().run();
   EXPECT_EQ(bed.remote().active_connections(), 0u) << "polite close must tear down the remote";
+  EXPECT_EQ(bed.probe().registered_flows(), 0u) << "a completed run releases its connection";
 }
 
 }  // namespace

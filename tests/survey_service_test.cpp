@@ -29,6 +29,49 @@ namespace {
 
 using namespace survey_fixture;
 
+/// A fleet spanning more emission chunks than the render window holds at
+/// four workers, built from the nine-target mix and named so that names
+/// sort against indices: index i is host-(n - 1 - i). Every fifth target
+/// runs only the SYN test, so chunks differ in their measurement counts.
+std::vector<core::SurveyTargetConfig> many_targets() {
+  const std::size_t n =
+      SurveyService::kEmitChunkTargets * (SurveyService::kEmitWindowPerWorker * 4 + 2);
+  const std::vector<core::SurveyTargetConfig> mix = nine_targets();
+  std::vector<core::SurveyTargetConfig> targets;
+  for (std::size_t i = 0; i < n; ++i) {
+    targets.push_back(mix[i % mix.size()]);
+    targets.back().name = "host-" + std::to_string(n - 1 - i);
+    if (i % 5 == 0) targets.back().tests = {core::TestSpec{"syn"}};
+  }
+  return targets;
+}
+
+const Reference& many_reference() {
+  static const Reference ref = single_loop_reference(many_targets());
+  return ref;
+}
+
+/// A stream buffer that takes `budget` bytes, then fails every write.
+class FailingBuf final : public std::streambuf {
+ public:
+  explicit FailingBuf(std::size_t budget) : budget_{budget} {}
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    const std::streamsize taken = std::min(n, static_cast<std::streamsize>(budget_));
+    budget_ -= static_cast<std::size_t>(taken);
+    return taken;
+  }
+  int_type overflow(int_type c) override {
+    if (budget_ == 0) return traits_type::eof();
+    --budget_;
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  std::size_t budget_;
+};
+
 TEST(SurveyService, MatchesTheSingleLoopReferenceAcrossWorkerCounts) {
   const Reference& ref = reference();
   ASSERT_FALSE(ref.jsonl.empty());
@@ -613,6 +656,89 @@ TEST(SurveyService, StopRetiresTheServiceButKeepsResultsReadable) {
   EXPECT_EQ(snap.completed, 9u);
   EXPECT_EQ(snap.workers, 2u) << "scheduler identity preserved across stop";
   EXPECT_EQ(service.scheduler_stats().executed, 9u);
+}
+
+TEST(SurveyService, ChunkedEmissionMatchesTheReferenceOnThePoolAndAfterStop) {
+  const Reference& ref = many_reference();
+  const std::size_t targets = many_targets().size();
+  const std::size_t chunks = targets / SurveyService::kEmitChunkTargets;
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    SurveyService service{service_config(workers)};
+    service.admit(many_targets());
+    service.drain();
+    EXPECT_EQ(canonical_jsonl(service), ref.jsonl) << "workers=" << workers;
+    service.stop();
+    // One job per target, then one per chunk for each record family; an
+    // emission after stop() renders inline and runs no job.
+    EXPECT_EQ(service.scheduler_stats().executed, targets + 2 * chunks) << "workers=" << workers;
+    EXPECT_EQ(canonical_jsonl(service), ref.jsonl) << "inline after stop, workers=" << workers;
+    EXPECT_EQ(service.scheduler_stats().executed, targets + 2 * chunks) << "workers=" << workers;
+  }
+}
+
+TEST(SurveyService, AStreamFailingMidEmissionThrowsAndTheNextEmissionIsWhole) {
+  const Reference& ref = many_reference();
+  SurveyService service{service_config(4)};
+  service.admit(many_targets());
+  service.drain();
+  // The stream fails mid-way through the measurement records, then just
+  // inside the metrics records, with render jobs in flight both times.
+  for (const std::size_t budget :
+       {ref.jsonl.size() / 2, ref.jsonl.find("{\"type\":\"metrics\"") + 1}) {
+    FailingBuf buf{budget};
+    std::ostream broken{&buf};
+    report::JsonlWriter writer{broken};
+    EXPECT_THROW(service.emit_jsonl(writer), std::runtime_error) << "budget=" << budget;
+    EXPECT_EQ(canonical_jsonl(service), ref.jsonl) << "budget=" << budget;
+  }
+}
+
+TEST(SurveyService, ADegradedRunNumbersAndOrdersItsRecordsAcrossChunks) {
+  const std::vector<core::SurveyTargetConfig> fleet = many_targets();
+  const std::size_t failed = fleet.size() / 2;
+  const std::string failed_name = fleet[failed].name;
+  // The failed target sits in neither the first nor the last chunk.
+  std::vector<std::string> names;
+  for (const auto& target : fleet) names.push_back(target.name);
+  std::sort(names.begin(), names.end());
+  const auto rank = static_cast<std::size_t>(
+      std::find(names.begin(), names.end(), failed_name) - names.begin());
+  ASSERT_GE(rank, SurveyService::kEmitChunkTargets);
+  ASSERT_LT(rank, fleet.size() - SurveyService::kEmitChunkTargets);
+
+  util::FaultInjector faults{17};
+  faults.arm({"shard/" + std::to_string(failed) + "/run", util::FaultInjector::Mode::kThrow, 1.0,
+              0, true});
+  SurveyServiceConfig cfg = service_config(4);
+  cfg.engine.faults = &faults;
+  cfg.retry.max_attempts = 1;
+  SurveyService service{cfg};
+  service.admit(fleet);
+  service.drain();
+  ASSERT_TRUE(service.degraded());
+
+  std::size_t next = 0;
+  std::vector<std::pair<std::string, std::string>> metric_keys;
+  for (const report::Json& record : report::read_jsonl_text(canonical_jsonl(service))) {
+    const std::string& type = record.at("type").as_string();
+    if (type != "sample" && type != "measurement" && type != "metrics") continue;
+    EXPECT_NE(record.at("target").as_string(), failed_name) << type;
+    if (type == "metrics") {
+      metric_keys.emplace_back(record.at("target").as_string(), record.at("test").as_string());
+    } else {
+      // A sample carries the index of the measurement record that follows.
+      EXPECT_EQ(record.at("measurement").as_u64(), next) << type;
+      if (type == "measurement") ++next;
+    }
+  }
+  std::size_t expected = 0;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    if (i != failed) expected += fleet[i].tests.size() * kRounds;
+  }
+  EXPECT_EQ(next, expected);
+  EXPECT_EQ(next, service.survey_end().measurements);
+  EXPECT_TRUE(std::is_sorted(metric_keys.begin(), metric_keys.end()));
+  EXPECT_EQ(metric_keys.size(), service.snapshot().metric_keys);
 }
 
 TEST(SurveyService, SnapshotsPolledAcrossStopAreRaceFree) {
