@@ -26,8 +26,8 @@
 #include "report/sinks.hpp"
 #include "report/table.hpp"
 #include "stats/ecdf.hpp"
+#include "synthetic_population.hpp"
 #include "util/flags.hpp"
-#include "util/random.hpp"
 
 namespace {
 
@@ -64,22 +64,13 @@ int main(int argc, char** argv) {
   }
 
   // Draw a host population: some clean paths, some reordering ones.
-  util::Rng population{static_cast<std::uint64_t>(seed)};
-  std::vector<double> true_fwd(static_cast<std::size_t>(targets), 0.0);
   core::SurveyTestbedConfig cfg;
   cfg.seed = static_cast<std::uint64_t>(seed);
-  for (std::int64_t i = 0; i < targets; ++i) {
-    core::SurveyTargetConfig target;
-    target.name = "host-" + std::to_string(i);
-    if (population.bernoulli(reordering_fraction)) {
-      true_fwd[static_cast<std::size_t>(i)] = std::min(0.35, population.exponential(0.08));
-      target.forward.swap_probability = true_fwd[static_cast<std::size_t>(i)];
-      target.reverse.swap_probability =
-          true_fwd[static_cast<std::size_t>(i)] * population.uniform(0.1, 0.6);
-    }
-    target.remote.behavior.immediate_ack_on_hole_fill = true;
-    target.tests = {core::TestSpec{"single-connection"}, core::TestSpec{"syn"}};
-    core::pin_global_identity(target, static_cast<std::size_t>(i), cfg.seed);
+  std::vector<double> true_fwd;
+  for (core::SurveyTargetConfig& target :
+       examples::synthetic_population(targets, cfg.seed, reordering_fraction)) {
+    true_fwd.push_back(target.forward.swap_probability);
+    core::pin_global_identity(target, cfg.targets.size(), cfg.seed);
     cfg.targets.push_back(std::move(target));
   }
   core::TestRunConfig run;

@@ -40,8 +40,8 @@
 #include "core/survey_testbed.hpp"
 #include "report/sinks.hpp"
 #include "service/survey_service.hpp"
+#include "synthetic_population.hpp"
 #include "util/flags.hpp"
-#include "util/random.hpp"
 
 namespace {
 
@@ -50,29 +50,6 @@ using namespace reorder;
 std::atomic<bool> g_stop{false};
 
 void on_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
-
-/// The same synthetic host population survey_fleet draws — kept
-/// generation-identical so CI can byte-compare this daemon's canonical
-/// JSONL against survey_fleet's single-loop run over the same seed.
-std::vector<core::SurveyTargetConfig> synthesize(std::int64_t targets, std::uint64_t seed,
-                                                 double reordering_fraction) {
-  util::Rng population{seed};
-  std::vector<core::SurveyTargetConfig> out;
-  out.reserve(static_cast<std::size_t>(targets));
-  for (std::int64_t i = 0; i < targets; ++i) {
-    core::SurveyTargetConfig target;
-    target.name = "host-" + std::to_string(i);
-    if (population.bernoulli(reordering_fraction)) {
-      const double fwd = std::min(0.35, population.exponential(0.08));
-      target.forward.swap_probability = fwd;
-      target.reverse.swap_probability = fwd * population.uniform(0.1, 0.6);
-    }
-    target.remote.behavior.immediate_ack_on_hole_fill = true;
-    target.tests = {core::TestSpec{"single-connection"}, core::TestSpec{"syn"}};
-    out.push_back(std::move(target));
-  }
-  return out;
-}
 
 /// Target specs from a file (or stdin via "-"), one per line:
 ///   <name> [forward_swap [reverse_swap]]
@@ -181,7 +158,8 @@ int main(int argc, char** argv) {
   std::vector<core::SurveyTargetConfig> population;
   try {
     population = admit_path.empty()
-                     ? synthesize(targets, static_cast<std::uint64_t>(seed), reordering_fraction)
+                     ? examples::synthetic_population(targets, static_cast<std::uint64_t>(seed),
+                                                      reordering_fraction)
                      : read_specs(admit_path);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());

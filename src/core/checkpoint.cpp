@@ -17,11 +17,32 @@ namespace {
 /// construction order, which the codec fixes, so the checksum is stable
 /// across processes — and fnv1a64 is already this repo's on-disk hash
 /// (the fault-injector site hash documents the constants).
-std::string body_crc(const report::Json& body) {
-  const std::uint64_t h = util::fnv1a64(body.dump());
+std::string body_crc(std::string_view body) {
+  const std::uint64_t h = util::fnv1a64(body);
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
   return std::string{buf};
+}
+
+/// The record line for the body rendered as `body`: the bytes dump()
+/// gives {"type":"shard_done","shard":..,"crc":..,"body":..}, newline
+/// included, built around the body text instead of a copy of its tree,
+/// in a buffer of exactly its size.
+report::JsonlLines shard_done_line(std::size_t shard, std::string_view body) {
+  const std::string head = R"({"type":"shard_done","shard":)" + report::Json::u64(shard).dump() +
+                           R"(,"crc":")" + body_crc(body) + R"(","body":)";
+  std::string line;
+  line.reserve(head.size() + body.size() + 2);
+  line.append(head).append(body).append("}\n");
+  return report::JsonlLines{std::move(line), 1};
+}
+
+/// Parses a stored record line. Only render() and load() store lines,
+/// both rendered by dump(), so a failure here is a defect, not input.
+report::Json parse_line(const report::JsonlLines& line) {
+  std::optional<report::Json> parsed = report::Json::parse(line.text);
+  if (!parsed) throw std::logic_error{"SurveyCheckpoint: a stored record line does not parse"};
+  return std::move(*parsed);
 }
 
 report::Json sample_to_json(const SampleResult& s) {
@@ -127,7 +148,7 @@ std::vector<std::size_t> SurveyCheckpoint::completed_shards() const {
   return out;
 }
 
-void SurveyCheckpoint::record_shard(const ShardRunResult& result, int attempts) {
+SurveyCheckpoint::Record SurveyCheckpoint::render(const ShardRunResult& result, int attempts) {
   report::Json body = report::Json::object();
   body.set("shard", report::Json::u64(result.shard));
   body.set("attempts", attempts);
@@ -141,13 +162,24 @@ void SurveyCheckpoint::record_shard(const ShardRunResult& result, int attempts) 
   report::Json records = report::Json::array();
   for (report::Json& rec : result.metrics.records()) records.push(std::move(rec));
   body.set("metrics", std::move(records));
-  shards_[result.shard] = ShardRecord{std::move(body)};
+  return Record{result.shard, shard_done_line(result.shard, body.dump())};
 }
 
-ShardRunResult SurveyCheckpoint::restore_shard(std::size_t shard) const {
-  const report::Json& body = shards_.at(shard).body;
+void SurveyCheckpoint::record(Record record) {
+  const std::size_t shard = record.shard_;
+  shards_.insert_or_assign(shard, std::move(record));
+}
+
+void SurveyCheckpoint::record_shard(const ShardRunResult& result, int attempts) {
+  record(render(result, attempts));
+}
+
+ShardRunResult SurveyCheckpoint::Record::decode() const {
+  const report::Json line = parse_line(line_);
+  const report::Json& body = line.at("body");
   ShardRunResult out;
   out.shard = static_cast<std::size_t>(body.at("shard").as_u64());
+  body.at("attempts").as_int();  // not part of the results, but part of a well-formed record
   out.end = end_from_json(body.at("end"));
   out.log.reserve(body.at("log").size());
   for (const report::Json& m : body.at("log").items()) {
@@ -159,8 +191,13 @@ ShardRunResult SurveyCheckpoint::restore_shard(std::size_t shard) const {
   return out;
 }
 
+ShardRunResult SurveyCheckpoint::restore_shard(std::size_t shard) const {
+  return shards_.at(shard).decode();
+}
+
 int SurveyCheckpoint::attempts(std::size_t shard) const {
-  return static_cast<int>(shards_.at(shard).body.at("attempts").as_int());
+  const report::Json line = parse_line(shards_.at(shard).line_);
+  return static_cast<int>(line.at("body").at("attempts").as_int());
 }
 
 void SurveyCheckpoint::write_lines(report::JsonlWriter& writer) const {
@@ -171,16 +208,11 @@ void SurveyCheckpoint::write_lines(report::JsonlWriter& writer) const {
     h.set("targets", report::Json::u64(header_->targets));
     h.set("rounds", header_->rounds);
     h.set("seed", report::Json::u64(header_->seed));
+    h.set("samples", header_->samples);
+    h.set("sample_payloads", header_->sample_payloads);
     writer.write(h);
   }
-  for (const auto& [shard, record] : shards_) {
-    report::Json line = report::Json::object();
-    line.set("type", "shard_done");
-    line.set("shard", report::Json::u64(shard));
-    line.set("crc", body_crc(record.body));
-    line.set("body", record.body);
-    writer.write(line);
-  }
+  for (const auto& [shard, record] : shards_) writer.write_lines(record.line_);
 }
 
 std::string SurveyCheckpoint::serialize() const {
@@ -215,6 +247,8 @@ SurveyCheckpoint SurveyCheckpoint::load(const std::string& path) {
         h.targets = static_cast<std::size_t>(line.at("targets").as_u64());
         h.rounds = static_cast<int>(line.at("rounds").as_int());
         h.seed = line.at("seed").as_u64();
+        h.samples = static_cast<int>(line.at("samples").as_int());
+        h.sample_payloads = line.at("sample_payloads").as_bool();
         cp.header_ = h;
       } catch (const std::exception& e) {
         throw std::runtime_error{"SurveyCheckpoint::load: " + path +
@@ -229,8 +263,9 @@ SurveyCheckpoint SurveyCheckpoint::load(const std::string& path) {
     const report::Json* crc = line.find("crc");
     const report::Json* body = line.find("body");
     const std::optional<std::size_t> index = record_index(line);
+    const std::string body_text = body != nullptr ? body->dump() : std::string{};
     if (crc == nullptr || body == nullptr || !crc->is_string() ||
-        crc->as_string() != body_crc(*body) || !index || *index != record_index(*body)) {
+        crc->as_string() != body_crc(body_text) || !index || *index != record_index(*body)) {
       // A record that parsed but fails its checksum, lost fields, or
       // files its body under another index (the checksum covers only
       // the body) is corruption, not a schema: drop it and let that
@@ -238,7 +273,7 @@ SurveyCheckpoint SurveyCheckpoint::load(const std::string& path) {
       ++cp.torn_;
       continue;
     }
-    cp.shards_[*index] = ShardRecord{*body};
+    cp.shards_.insert_or_assign(*index, Record{*index, shard_done_line(*index, body_text)});
   }
   return cp;
 }

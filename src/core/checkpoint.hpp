@@ -4,12 +4,20 @@
 // world, pinned to its global fleet index, so a survey interrupted at ANY
 // point resumes by re-running exactly the targets whose results were not
 // yet durably recorded. A SurveyCheckpoint is that durable record: one
-// JSONL file holding a header (header.shards == 0 marks this per-target
-// convention) plus one record per completed target, keyed by its global
-// index — the target's full-fidelity completion log (every sample
-// payload, uids included) and its serialized metric snapshots (restored
-// through the metrics from_json contract, so the resumed merge is
-// bit-identical to an uninterrupted run's).
+// JSONL file holding a header plus one record per completed target, keyed
+// by its global index — the target's full-fidelity completion log (every
+// sample payload, uids included, unless the service is lean) and its
+// serialized metric snapshots (restored through the metrics from_json
+// contract, so the resumed merge is bit-identical to an uninterrupted
+// run's). The header carries the plan the records were measured under:
+// rounds, seed, samples per measurement and whether the records carry
+// sample payloads, plus header.shards == 0, the per-target convention.
+//
+// A record is held in one form only: its final `shard_done` line. The
+// line is rendered once — by render(), on whatever thread finished the
+// target, or by load() re-dumping the line it accepted (for a file this
+// code wrote, the same bytes) — and every later save() writes it as it
+// is. Decoding a record back into results parses its line once.
 //
 // Durability discipline:
 //   * every save() writes the whole file to `<path>.tmp` and renames it
@@ -27,6 +35,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/survey_engine.hpp"
@@ -79,9 +88,10 @@ Measurement measurement_from_json(const report::Json& j);
 
 class SurveyCheckpoint {
  public:
-  /// Identity of the run a checkpoint belongs to. SurveyService::restore
-  /// refuses a checkpoint whose header disagrees with its plan — restored
-  /// results are only valid for the exact same plan.
+  /// Identity of the run a checkpoint belongs to: the plan its records
+  /// were measured under. SurveyService::restore refuses a checkpoint
+  /// whose header disagrees with its plan — restored results are only
+  /// valid for the exact same plan.
   struct Header {
     /// Record granularity marker: 0 = one record per target, the only
     /// convention restore() accepts (non-zero was the per-shard format).
@@ -89,6 +99,11 @@ class SurveyCheckpoint {
     std::size_t targets{0};
     int rounds{0};
     std::uint64_t seed{0};
+    /// Samples per measurement (the plan's run.samples).
+    int samples{0};
+    /// Whether every record carries its per-sample payloads: false for
+    /// a lean service's file, whatever records it carried in.
+    bool sample_payloads{false};
   };
 
   SurveyCheckpoint() = default;
@@ -96,32 +111,57 @@ class SurveyCheckpoint {
   void set_header(const Header& h) { header_ = h; }
   const std::optional<Header>& header() const { return header_; }
 
+  /// One completed target's record: its `shard_done` line, rendered
+  /// once. Only render() and load() make one.
+  class Record {
+   public:
+    /// Rebuilds the results the line records (log via the measurement
+    /// codec, metrics via the from_json restore contract), parsing the
+    /// line once. Throws when any field of the record's body does not
+    /// decode, its `attempts` included.
+    ShardRunResult decode() const;
+
+   private:
+    friend class SurveyCheckpoint;
+    Record(std::size_t shard, report::JsonlLines line) : shard_{shard}, line_{std::move(line)} {}
+
+    std::size_t shard_;
+    report::JsonlLines line_;  ///< the line as save() writes it, newline included
+  };
+
+  /// Renders one completed target's record. `attempts` is the retry
+  /// accounting that produced the result — bookkeeping for the
+  /// degraded-mode report, not identity. Touches no checkpoint, so any
+  /// thread may render while another saves.
+  static Record render(const ShardRunResult& result, int attempts = 1);
+  /// Stores `record` at its index, replacing any prior record there.
+  void record(Record record);
+  /// record(render(result, attempts)).
+  void record_shard(const ShardRunResult& result, int attempts = 1);
+
   bool has_shard(std::size_t shard) const { return shards_.count(shard) != 0; }
   std::size_t completed_count() const { return shards_.size(); }
   /// Recorded indices (global target indices), ascending.
   std::vector<std::size_t> completed_shards() const;
+  /// The records by index, ascending.
+  const std::map<std::size_t, Record>& records() const { return shards_; }
 
-  /// Records one completed target's results at index `result.shard`
-  /// (replacing any prior record there). `attempts` is the retry
-  /// accounting that produced the result — bookkeeping for the
-  /// degraded-mode report, not identity.
-  void record_shard(const ShardRunResult& result, int attempts = 1);
-  /// Rebuilds the results recorded at `shard` (log via the measurement
-  /// codec, metrics via the from_json restore contract). Throws
+  /// The results recorded at `shard` (Record::decode). Throws
   /// std::out_of_range when nothing is recorded there.
   ShardRunResult restore_shard(std::size_t shard) const;
+  /// The attempts recorded at `shard`, read by parsing its line.
   int attempts(std::size_t shard) const;
 
-  /// Serializes to JSONL text (header line first, then one shard_done
-  /// record per index in ascending order, each carrying its body
-  /// checksum).
+  /// Serializes to JSONL text (header line first, then each record's
+  /// shard_done line, as rendered, in ascending index order).
   std::string serialize() const;
   /// Atomically (tmp + rename) writes serialize() to `path`.
   void save(const std::string& path) const;
 
   /// Parses checkpoint JSONL, dropping torn lines, checksum-failed
   /// records and records whose line `shard` differs from their body's
-  /// (all counted in torn_records()). A missing file loads as an empty
+  /// (all counted in torn_records()). Each accepted record is held as
+  /// its re-dumped line. A missing file loads as an empty
   /// checkpoint — resume from nothing is a plain run. A corrupt record
   /// costs only its target, but the header names the plan every record
   /// belongs to: a header with a missing field or a bad value rejects the
@@ -132,16 +172,12 @@ class SurveyCheckpoint {
   std::size_t torn_records() const { return torn_; }
 
  private:
-  struct ShardRecord {
-    report::Json body;  ///< {"shard":..,"attempts":..,"end":..,"log":[..],"metrics":[..]}
-  };
-
-  /// The one rendering of the file, line by line, that serialize() and
-  /// save() share.
+  /// The file, line by line, that serialize() and save() share: the
+  /// header rendered fresh, then every record's stored line.
   void write_lines(report::JsonlWriter& writer) const;
 
   std::optional<Header> header_;
-  std::map<std::size_t, ShardRecord> shards_;
+  std::map<std::size_t, Record> shards_;
   std::size_t torn_{0};
 };
 

@@ -159,8 +159,8 @@ struct DualConnectionTest::Run : std::enable_shared_from_this<DualConnectionTest
 
     auto first = conns[0]->build_data_rel(1, kProbeByte);
     auto second = conns[1]->build_data_rel(1, kProbeByte);
-    first.uid = tcpip::next_packet_uid();
-    second.uid = tcpip::next_packet_uid();
+    first.uid = env().next_packet_uid();
+    second.uid = env().next_packet_uid();
     sample.fwd_uid_first = first.uid;
     sample.fwd_uid_second = second.uid;
     conns[0]->send_raw(std::move(first));

@@ -168,8 +168,8 @@ struct SingleConnectionTest::Run : std::enable_shared_from_this<SingleConnection
                                         : conn->build_data_rel(base, low);
     auto second = options.reversed_order ? conn->build_data_rel(base, low)
                                          : conn->build_data_rel(base + 2, high);
-    first.uid = tcpip::next_packet_uid();
-    second.uid = tcpip::next_packet_uid();
+    first.uid = env().next_packet_uid();
+    second.uid = env().next_packet_uid();
     sample.fwd_uid_first = first.uid;
     sample.fwd_uid_second = second.uid;
     conn->send_raw(std::move(first));

@@ -91,8 +91,8 @@ struct SynTest::Run : std::enable_shared_from_this<SynTest::Run> {
     const probe::PacketFactory factory{f->addr};
     auto syn1 = factory.syn(f->iss1, options.advertised_mss, options.advertised_window);
     auto syn2 = factory.syn(f->iss2, options.advertised_mss, options.advertised_window);
-    syn1.uid = tcpip::next_packet_uid();
-    syn2.uid = tcpip::next_packet_uid();
+    syn1.uid = env().next_packet_uid();
+    syn2.uid = env().next_packet_uid();
     f->sample.fwd_uid_first = syn1.uid;
     f->sample.fwd_uid_second = syn2.uid;
     host.send(std::move(syn1));

@@ -60,7 +60,7 @@ class SimRawSocket final : public RawSocket {
   void send(tcpip::Packet pkt) override {
     // Callers may pre-assign a uid (measurement code records the uids of
     // its sample packets for ground-truth validation).
-    if (pkt.uid == 0) pkt.uid = tcpip::next_packet_uid();
+    if (pkt.uid == 0) pkt.uid = env_.next_packet_uid();
     pkt.first_sent = env_.now();
     ++sent_;
     if (transmit_) transmit_(std::move(pkt));

@@ -129,14 +129,14 @@ std::size_t SurveyService::admit(core::SurveyTargetConfig target, std::size_t gl
 
 std::size_t SurveyService::admit_one(core::SurveyTargetConfig target,
                                      std::optional<std::size_t> explicit_index) {
-  std::optional<RestoredEntry> adopt;
+  std::optional<core::ShardRunResult> adopt;
   std::size_t index;
   {
     std::lock_guard lock{admission_mu_};
     index = admit_locked(std::move(target), explicit_index, adopt);
   }
   if (adopt.has_value()) {
-    complete_target(index, std::move(adopt->result), adopt->attempts, false);
+    complete_target(index, std::move(*adopt), 0);
   } else {
     submit_target(index);
   }
@@ -146,13 +146,13 @@ std::size_t SurveyService::admit_one(core::SurveyTargetConfig target,
 std::vector<std::size_t> SurveyService::admit(std::vector<core::SurveyTargetConfig> batch) {
   std::vector<std::size_t> indices;
   indices.reserve(batch.size());
-  std::vector<std::pair<std::size_t, RestoredEntry>> adopted;
+  std::vector<std::pair<std::size_t, core::ShardRunResult>> adopted;
   std::vector<std::size_t> fresh;
   std::exception_ptr rejected;
   {
     std::lock_guard lock{admission_mu_};
     for (auto& target : batch) {
-      std::optional<RestoredEntry> adopt;
+      std::optional<core::ShardRunResult> adopt;
       std::size_t index = 0;
       try {
         index = admit_locked(std::move(target), std::nullopt, adopt);
@@ -170,9 +170,7 @@ std::vector<std::size_t> SurveyService::admit(std::vector<core::SurveyTargetConf
   }
   // Targets admitted before a rejection are pending: they must run, or
   // drain() would wait on them forever.
-  for (auto& [index, entry] : adopted) {
-    complete_target(index, std::move(entry.result), entry.attempts, false);
-  }
+  for (auto& [index, result] : adopted) complete_target(index, std::move(result), 0);
   for (const std::size_t index : fresh) submit_target(index);
   if (rejected) std::rethrow_exception(rejected);
   return indices;
@@ -180,7 +178,7 @@ std::vector<std::size_t> SurveyService::admit(std::vector<core::SurveyTargetConf
 
 std::size_t SurveyService::admit_locked(core::SurveyTargetConfig target,
                                         std::optional<std::size_t> explicit_index,
-                                        std::optional<RestoredEntry>& adopt) {
+                                        std::optional<core::ShardRunResult>& adopt) {
   if (stopped_) {
     throw std::logic_error{"SurveyService: admit after stop()"};
   }
@@ -192,7 +190,7 @@ std::size_t SurveyService::admit_locked(core::SurveyTargetConfig target,
   core::pin_global_identity(target, index, config_.seed);
   const auto restored = restored_.find(index);
   if (restored != restored_.end()) {
-    require_recorded_target(restored->second.result, target.name, index);
+    require_recorded_target(restored->second, target.name, index);
   }
 
   // Fleet-wide identity collisions reject at admission: results are keyed
@@ -237,37 +235,39 @@ void SurveyService::restore(const core::SurveyCheckpoint& checkpoint) {
   if (checkpoint.header().has_value()) {
     const core::SurveyCheckpoint::Header& h = *checkpoint.header();
     // shards == 0 marks per-target records; anything else is the retired
-    // per-shard format, whose records do not map onto target indices.
-    if (h.shards != 0 || h.rounds != config_.rounds || h.seed != config_.seed) {
+    // per-shard format, whose records do not map onto target indices. A
+    // service that retains results needs every record's sample payloads;
+    // a lean one adopts either kind.
+    if (h.shards != 0 || h.rounds != config_.rounds || h.seed != config_.seed ||
+        h.samples != config_.run.samples || (config_.retain_results && !h.sample_payloads)) {
       throw std::invalid_argument{
           "SurveyService::restore: checkpoint header does not match this service plan"};
     }
   }
   // Decode everything before keeping anything: a record that does not
   // decode refuses the whole restore with nothing recorded, so the
-  // refused file is never rewritten without the records after it.
-  std::vector<std::pair<std::size_t, RestoredEntry>> decoded;
-  for (const std::size_t index : checkpoint.completed_shards()) {
+  // refused file is never rewritten without the records after it. Each
+  // record's line is parsed here once.
+  std::vector<std::pair<std::size_t, core::ShardRunResult>> decoded;
+  for (const auto& [index, record] : checkpoint.records()) {
     try {
-      decoded.emplace_back(
-          index, RestoredEntry{checkpoint.restore_shard(index), checkpoint.attempts(index)});
+      decoded.emplace_back(index, record.decode());
     } catch (const std::exception& e) {
       throw std::invalid_argument{"SurveyService::restore: checkpoint record " +
                                   std::to_string(index) + " does not decode: " + e.what()};
     }
   }
-  // Until its target is adopted, a restored record is still this survey's
-  // durable progress: it is carried into this service's checkpoint, so no
-  // save (after a rejected admission, or a stop mid-admission) drops it.
-  // Adoption re-records it in place.
+  // A restored record is this survey's durable progress: its line is
+  // carried as it is into this service's checkpoint, so no save (after a
+  // rejected admission, or a stop mid-admission) drops it. Adoption
+  // leaves it there — the line already holds the target's results and
+  // its real attempts.
   std::lock_guard checkpoint_lock{checkpoint_mu_};
-  for (auto& [index, entry] : decoded) {
-    if (!config_.checkpoint_path.empty()) {
-      checkpoint_.record_shard(entry.result, entry.attempts);
-      checkpoint_dirty_ = true;
-    }
-    restored_.insert_or_assign(index, std::move(entry));
+  if (!config_.checkpoint_path.empty() && !decoded.empty()) {
+    for (const auto& [index, record] : checkpoint.records()) checkpoint_.record(record);
+    checkpoint_dirty_ = true;
   }
+  for (auto& [index, result] : decoded) restored_.insert_or_assign(index, std::move(result));
 }
 
 // ----------------------------------------------------------- execution
@@ -326,7 +326,7 @@ void SurveyService::run_target(std::size_t index) {
       if (faults != nullptr) {
         faults->maybe_throw(abort_site, util::FaultInjector::Mode::kShardAbort);
       }
-      complete_target(index, std::move(result), attempt, true);
+      complete_target(index, std::move(result), attempt);
       return;
     } catch (const util::InjectedFault& fault) {
       transient = fault.transient();
@@ -350,13 +350,17 @@ void SurveyService::run_target(std::size_t index) {
   }
 }
 
-void SurveyService::complete_target(std::size_t index, core::ShardRunResult result, int attempts,
-                                    bool decrement_pending) {
+void SurveyService::complete_target(std::size_t index, core::ShardRunResult result,
+                                    int attempts) {
+  const bool adopted = attempts == 0;
   // Durability point first: the checkpoint record exists before the
-  // result feeds any live view.
-  if (!config_.checkpoint_path.empty()) {
+  // result feeds any live view. The record is rendered here, on the
+  // worker that ran the target, so the lock guards only its insertion.
+  // An adopted target's record was carried in by restore().
+  if (!adopted && !config_.checkpoint_path.empty()) {
+    core::SurveyCheckpoint::Record record = core::SurveyCheckpoint::render(result, attempts);
     std::lock_guard lock{checkpoint_mu_};
-    checkpoint_.record_shard(result, attempts);
+    checkpoint_.record(std::move(record));
     checkpoint_dirty_ = true;
   }
 
@@ -380,8 +384,8 @@ void SurveyService::complete_target(std::size_t index, core::ShardRunResult resu
     target.state = AdmittedTarget::State::kDone;
     if (config_.retain_results) target.log = std::move(result.log);
     // Adopted results carry attempts = 0 in the live accounting; the
-    // checkpoint keeps the real history recorded above.
-    target.attempts = decrement_pending ? attempts : 0;
+    // checkpoint keeps the real history.
+    target.attempts = attempts;
     target.config = core::SurveyTargetConfig{};  // retire the world description
     name = target.name;
     completed_.fetch_add(1);
@@ -393,14 +397,15 @@ void SurveyService::complete_target(std::size_t index, core::ShardRunResult resu
     done.name = name;
     done.measurements = measurements;
     done.virtual_end = virtual_end;
-    done.attempts = decrement_pending ? attempts : 0;
+    done.attempts = attempts;
     config_.on_target_complete(done);
   }
 
   // The target counts as drained only now — state folded, counters
   // published, callback finished — so drain() returning means every
-  // completion side effect has fully landed.
-  if (decrement_pending) {
+  // completion side effect has fully landed. An adopted target was never
+  // pending.
+  if (!adopted) {
     std::lock_guard lock{admission_mu_};
     if (--pending_ == 0) done_cv_.notify_all();
   }
@@ -716,11 +721,14 @@ void SurveyService::checkpoint_loop() {
 
 void SurveyService::save_checkpoint_locked() {
   // Header written fresh every save: `targets` tracks admissions (or the
-  // records held, when restored ones are not all re-admitted yet), and
-  // shards == 0 marks the per-target (service) record granularity.
+  // records held, when restored ones are not all re-admitted yet),
+  // shards == 0 marks the per-target (service) record granularity, and
+  // the plan fields name what the records were measured under. A lean
+  // service's file may hold carried records with payloads next to its
+  // own without, so it never claims them.
   checkpoint_.set_header(core::SurveyCheckpoint::Header{
       0, std::max(admitted_.load(), checkpoint_.completed_count()), config_.rounds,
-      config_.seed});
+      config_.seed, config_.run.samples, config_.retain_results});
   checkpoint_.save(config_.checkpoint_path);
 }
 

@@ -39,9 +39,12 @@
 // caller. The bytes are those of one thread walking the fleet.
 //
 // Fault tolerance: every completed target is recorded into a
-// core::SurveyCheckpoint (one record per target, saved atomically by a
-// background thread every checkpoint_interval), restore() adopts a prior
-// run's completed targets so only the missing ones re-run, and
+// core::SurveyCheckpoint — one record per target, its line rendered once
+// on the worker that ran it, before the short checkpoint lock that files
+// it — and a background thread rewrites the file atomically every
+// checkpoint_interval, writing the stored lines as they are. restore()
+// adopts a prior run's completed targets so only the missing ones re-run,
+// carrying their lines into this run's checkpoint unrendered; and
 // core::ShardRetryPolicy retries transient per-target failures with
 // backoff — exhaustion degrades the survey (full-fleet accounting)
 // instead of aborting it.
@@ -103,10 +106,13 @@ struct SurveyServiceConfig {
   core::ShardRetryPolicy retry{};
   /// When non-empty, completed targets are durably recorded here: a
   /// core::SurveyCheckpoint file (one record per target keyed by its
-  /// global index, header.shards == 0), rewritten atomically by
-  /// a background thread whenever completions accumulated. A failed
-  /// background save is retried at the next interval; drain() makes the
-  /// last save and throws if it fails.
+  /// global index, header.shards == 0; the header also names the plan:
+  /// rounds, seed, run.samples and whether records carry sample
+  /// payloads, i.e. retain_results), rewritten atomically by a background
+  /// thread whenever completions accumulated. Each record is rendered
+  /// once, on the worker that completed its target; a save writes the
+  /// stored lines. A failed background save is retried at the next
+  /// interval; drain() makes the last save and throws if it fails.
   std::string checkpoint_path{};
   /// Background checkpoint cadence (wall clock).
   std::chrono::milliseconds checkpoint_interval{200};
@@ -151,15 +157,18 @@ class SurveyService {
   /// Adopts a prior run's completed targets from a checkpoint: when a
   /// matching global index is admitted, its recorded result is folded in
   /// instead of re-running the world. Must be called before the first
-  /// admission. Every record, with its attempts, is decoded before any is
-  /// kept. Throws std::invalid_argument when the checkpoint header
-  /// disagrees with this service's plan (the per-target marker
-  /// shards == 0, rounds, seed) or a record does not decode (the message
-  /// names its index and the cause); either way it records nothing, so
-  /// stopping leaves the checkpoint file as it was. Record identity (the
-  /// target its measurements and metrics name) is checked at admission.
-  /// With a checkpoint_path, the restored records are kept in this
-  /// service's checkpoint whether or not their targets are admitted.
+  /// admission; a second call adds to the first. Every record is decoded
+  /// (its line parsed once) before any is kept. Throws
+  /// std::invalid_argument when the checkpoint header disagrees with this
+  /// service's plan (the per-target marker shards == 0, rounds, seed,
+  /// run.samples, or records without sample payloads when this service
+  /// retains results; a lean service adopts either kind) or a record does
+  /// not decode (the message names its index and the cause); either way
+  /// it records nothing, so stopping leaves the checkpoint file as it
+  /// was. Record identity (the target its measurements and metrics name)
+  /// is checked at admission. With a checkpoint_path, the restored
+  /// records' lines are carried as they are into this service's
+  /// checkpoint, whether or not their targets are admitted.
   void restore(const core::SurveyCheckpoint& checkpoint);
 
   // -------------------------------------------------------- live view
@@ -273,21 +282,17 @@ class SurveyService {
     std::string error;
   };
 
-  struct RestoredEntry {
-    core::ShardRunResult result;
-    int attempts{1};
-  };
-
   std::size_t admit_one(core::SurveyTargetConfig target,
                         std::optional<std::size_t> explicit_index);
   std::size_t admit_locked(core::SurveyTargetConfig target,
                            std::optional<std::size_t> explicit_index,
-                           std::optional<RestoredEntry>& adopt);
+                           std::optional<core::ShardRunResult>& adopt);
   void submit_target(std::size_t index);
   void run_target(std::size_t index);
   core::ShardRunResult run_world(std::size_t index, const core::SurveyTargetConfig& cfg) const;
-  void complete_target(std::size_t index, core::ShardRunResult result, int attempts,
-                       bool decrement_pending);
+  /// Records (unless adopted), folds and publishes one completed target.
+  /// `attempts` == 0 marks a result adopted from a restored checkpoint.
+  void complete_target(std::size_t index, core::ShardRunResult result, int attempts);
   void fail_target(std::size_t index, int attempts, std::string error, bool plan_error);
   /// Locks admission_mu_ and requires quiescence (pending_ == 0).
   std::unique_lock<std::mutex> quiescent();
@@ -310,7 +315,8 @@ class SurveyService {
   /// Name -> global index: rejects duplicates; walked in emission order.
   std::map<std::string, std::size_t> names_;
   std::set<std::uint32_t> addresses_;
-  std::map<std::size_t, RestoredEntry> restored_;
+  /// Restored results awaiting the admission of their index.
+  std::map<std::size_t, core::ShardRunResult> restored_;
   std::size_t next_index_{0};
   std::size_t pending_{0};
   bool stopped_{false};

@@ -36,6 +36,15 @@ class Environment {
 
   /// Cancels a previously scheduled callback; no-op if already run.
   virtual void cancel(std::uint64_t token) = 0;
+
+  /// Allocates a packet uid, unique within this environment's world and
+  /// never zero. Uids tie sample packets to trace captures (ground
+  /// truth), so they number the world's own packets only: the same world
+  /// draws the same uids whatever thread runs it and whatever ran before.
+  std::uint64_t next_packet_uid() { return ++packet_uids_; }
+
+ private:
+  std::uint64_t packet_uids_{0};
 };
 
 }  // namespace reorder::tcpip

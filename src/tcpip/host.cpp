@@ -84,7 +84,7 @@ void Host::handle_icmp(const Packet& pkt) {
   // Echo semantics: the payload is reflected (into a recycled buffer).
   reply.payload = util::BufferPool::global().acquire(pkt.payload.size());
   reply.payload.assign(pkt.payload.begin(), pkt.payload.end());
-  reply.uid = next_packet_uid();
+  reply.uid = env_.next_packet_uid();
   reply.first_sent = env_.now();
   ++counters_.echo_replies;
   ++counters_.packets_out;
@@ -155,7 +155,7 @@ void Host::send_segment(const ConnKey& key, TcpHeader header, std::vector<std::u
   pkt.ip.dont_fragment = config_.ipid_policy == IpidPolicy::kConstantZero;
   pkt.tcp = header;
   pkt.payload = std::move(payload);
-  pkt.uid = next_packet_uid();
+  pkt.uid = env_.next_packet_uid();
   pkt.first_sent = env_.now();
   ++counters_.packets_out;
   if (transmit_) transmit_(std::move(pkt));
@@ -179,7 +179,7 @@ void Host::send_rst_for(const Packet& pkt) {
     rst.tcp.seq = 0;
     rst.tcp.ack = pkt.tcp.seq + pkt.seq_len();
   }
-  rst.uid = next_packet_uid();
+  rst.uid = env_.next_packet_uid();
   rst.first_sent = env_.now();
   ++counters_.packets_out;
   if (transmit_) transmit_(std::move(rst));

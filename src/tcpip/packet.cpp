@@ -68,9 +68,4 @@ std::string Packet::describe() const {
   return buf;
 }
 
-std::uint64_t next_packet_uid() {
-  thread_local std::uint64_t counter = 0;
-  return ++counter;
-}
-
 }  // namespace reorder::tcpip

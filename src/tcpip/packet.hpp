@@ -71,10 +71,6 @@ struct Packet::FromWire {
   bool checksums_ok{false};
 };
 
-/// Allocates process-unique packet uids. Single-threaded simulators call
-/// this from one thread; ids only feed tracing, never behaviour.
-std::uint64_t next_packet_uid();
-
 /// Returns a dead packet's payload buffer to util::BufferPool::global().
 /// Terminal sinks (host ingress, probe delivery) call this so the payload
 /// capacity cycles back to the senders instead of hitting the allocator.

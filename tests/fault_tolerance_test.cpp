@@ -209,7 +209,10 @@ TEST(Checkpoint, SerializeLoadRoundTripsAndChecksumGuardsEveryRecord) {
 
   const std::string path = "/tmp/reorder_ckpt_roundtrip.jsonl";
   cp.save(path);
+  const std::string saved = file_bytes(path);
   const SurveyCheckpoint loaded = SurveyCheckpoint::load(path);
+  loaded.save(path);
+  const std::string resaved = file_bytes(path);
   std::remove(path.c_str());
 
   ASSERT_TRUE(loaded.header().has_value());
@@ -220,8 +223,10 @@ TEST(Checkpoint, SerializeLoadRoundTripsAndChecksumGuardsEveryRecord) {
   EXPECT_FALSE(loaded.has_shard(1));
   EXPECT_EQ(loaded.attempts(0), 2);
   EXPECT_EQ(loaded.torn_records(), 0u);
-  // The reload serializes back to the identical bytes.
+  // The reload serializes back to the identical bytes, and re-saves to
+  // the file it was loaded from.
   EXPECT_EQ(loaded.serialize(), cp.serialize());
+  EXPECT_EQ(resaved, saved);
 
   // Flip one byte inside a record's body: its checksum must disown it
   // (the target re-runs) while the intact record survives.
@@ -308,7 +313,7 @@ TEST(KillAndResume, ResumeAfterAnyPrefixIsByteIdentical) {
     // first k per-target records (a world is pure, so these are the
     // bytes a killed run's checkpoint would hold). Resume from there.
     SurveyCheckpoint cp;
-    cp.set_header({0, 9, kRounds, kSeed});
+    cp.set_header(*full.header());
     for (std::size_t i = 0; i < k; ++i) cp.record_shard(full.restore_shard(i), full.attempts(i));
     cp.save(path);
 
@@ -331,7 +336,7 @@ TEST(KillAndResume, TornCheckpointRecordsAreDetectedAndTheirTargetsReRun) {
   // (the file ends mid-line, as a killed writer leaves it).
   const SurveyCheckpoint& full = full_checkpoint();
   SurveyCheckpoint cp;
-  cp.set_header({0, 9, kRounds, kSeed});
+  cp.set_header(*full.header());
   cp.record_shard(full.restore_shard(0));
   cp.record_shard(full.restore_shard(1));
   std::string text = cp.serialize();

@@ -48,7 +48,7 @@ struct Harness {
     pkt.tcp.window = 65535;
     pkt.tcp.mss = flags & kSyn ? std::optional<std::uint16_t>{100} : std::nullopt;
     pkt.payload = std::move(payload);
-    pkt.uid = next_packet_uid();
+    pkt.uid = loop.next_packet_uid();
     return pkt;
   }
 

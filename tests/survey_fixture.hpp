@@ -12,6 +12,8 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -82,6 +84,12 @@ inline std::string canonical_jsonl(service::SurveyService& service) {
   report::JsonlWriter writer{text};
   service.emit_jsonl(writer);
   return text.str();
+}
+
+/// A file's bytes.
+inline std::string file_bytes(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  return std::string{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
 }
 
 /// Every per-key snapshot, serialized: suite JSON plus the engine's

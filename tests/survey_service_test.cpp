@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
-#include <iterator>
 #include <numeric>
 #include <random>
 #include <sstream>
@@ -46,6 +45,14 @@ std::vector<core::SurveyTargetConfig> many_targets() {
   return targets;
 }
 
+/// Every measurement through the checkpoint's full-fidelity codec, sample
+/// uids included: equal texts are equal logs, field for field.
+std::string full_fidelity(const std::vector<core::Measurement>& log) {
+  std::string out;
+  for (const core::Measurement& m : log) out += core::measurement_to_json(m).dump() + "\n";
+  return out;
+}
+
 const Reference& many_reference() {
   static const Reference ref = single_loop_reference(many_targets());
   return ref;
@@ -76,6 +83,7 @@ TEST(SurveyService, MatchesTheSingleLoopReferenceAcrossWorkerCounts) {
   const Reference& ref = reference();
   ASSERT_FALSE(ref.jsonl.empty());
   ASSERT_EQ(ref.end.measurements, 9u * 2u * kRounds);
+  std::string one_worker_log;
   for (const std::size_t workers : {1u, 2u, 4u}) {
     SurveyService service{service_config(workers)};
     const std::vector<std::size_t> indices = service.admit(nine_targets());
@@ -93,6 +101,12 @@ TEST(SurveyService, MatchesTheSingleLoopReferenceAcrossWorkerCounts) {
     EXPECT_GT(service.metrics().aggregate("host-2", "single-connection", true).reordered, 0u);
     EXPECT_EQ(service.metrics().admissible_measurements("host-7", "dual-connection"), 0u)
         << "random IPIDs must rule the dual test out";
+    // The log itself, every field including the sample packets' uids
+    // (which the JSONL schema drops), is independent of workers too: each
+    // world numbers its own packets.
+    const std::string log = full_fidelity(service.measurements());
+    if (workers == 1) one_worker_log = log;
+    EXPECT_EQ(log, one_worker_log) << "workers=" << workers;
   }
   // Names that sort against global indices: emission must walk the
   // targets by name, not by admission index.
@@ -271,24 +285,53 @@ TEST(SurveyService, CheckpointAdoptionAcrossServiceGenerations) {
       EXPECT_EQ(snapshot_dump(service.metrics()), ref->snapshots) << label;
       service.stop();
     }
-    // The new generation's checkpoint re-recorded the adopted targets too.
+    // The new generation's checkpoint carried the adopted targets' lines
+    // too: five carried and four rendered on its workers make the bytes
+    // of one uninterrupted run's checkpoint.
     EXPECT_EQ(core::SurveyCheckpoint::load(path).completed_count(), 9u) << label;
+    if (ref == &reference()) {
+      EXPECT_EQ(file_bytes(path), full_checkpoint().serialize()) << label;
+    }
   }
   std::remove(path.c_str());
 }
 
 TEST(SurveyService, RestoreRejectsAMismatchedOrPerShardCheckpoint) {
-  core::SurveyCheckpoint wrong_seed;
-  wrong_seed.set_header(core::SurveyCheckpoint::Header{0, 9, kRounds, kSeed + 1});
-  core::SurveyCheckpoint wrong_rounds;
-  wrong_rounds.set_header(core::SurveyCheckpoint::Header{0, 9, kRounds + 1, kSeed});
-  core::SurveyCheckpoint per_shard;
-  per_shard.set_header(core::SurveyCheckpoint::Header{3, 9, kRounds, kSeed});
+  // Each header differs from this plan's in one field.
+  const core::SurveyCheckpoint::Header plan = *full_checkpoint().header();
+  const auto differing = [&plan](auto change) {
+    core::SurveyCheckpoint::Header header = plan;
+    change(header);
+    core::SurveyCheckpoint cp;
+    cp.set_header(header);
+    return cp;
+  };
+  using Header = core::SurveyCheckpoint::Header;
+  const core::SurveyCheckpoint wrong_seed = differing([](Header& h) { h.seed = kSeed + 1; });
+  const core::SurveyCheckpoint wrong_rounds = differing([](Header& h) { h.rounds = kRounds + 1; });
+  const core::SurveyCheckpoint per_shard = differing([](Header& h) { h.shards = 3; });
+  const core::SurveyCheckpoint wrong_samples = differing([](Header& h) { h.samples += 1; });
+  const core::SurveyCheckpoint lean = differing([](Header& h) { h.sample_payloads = false; });
 
   SurveyService service{service_config(1)};
   EXPECT_THROW(service.restore(wrong_seed), std::invalid_argument);
   EXPECT_THROW(service.restore(wrong_rounds), std::invalid_argument);
   EXPECT_THROW(service.restore(per_shard), std::invalid_argument);
+  EXPECT_THROW(service.restore(wrong_samples), std::invalid_argument);
+  EXPECT_THROW(service.restore(lean), std::invalid_argument)
+      << "records without sample payloads cannot feed a service that emits them";
+
+  // A lean service needs no payloads, so it adopts a retaining run's
+  // records: every target, to the same metrics.
+  SurveyServiceConfig lean_cfg = service_config(2);
+  lean_cfg.retain_results = false;
+  SurveyService lean_service{lean_cfg};
+  lean_service.restore(full_checkpoint());
+  lean_service.admit(nine_targets());
+  lean_service.drain();
+  for (std::size_t i = 0; i < 9; ++i) EXPECT_EQ(lean_service.attempts(i), 0) << "target " << i;
+  EXPECT_EQ(snapshot_dump(lean_service.metrics()), reference().snapshots);
+
   service.admit(nine_targets()[0], 0);
   EXPECT_THROW(service.restore(core::SurveyCheckpoint{}), std::logic_error)
       << "restore must precede admission";
@@ -301,16 +344,21 @@ TEST(SurveyService, ARejectedRestoreLeavesTheCheckpointFileAsItWas) {
   // refused file with an empty checkpoint of the new plan.
   const std::string path = testing::TempDir() + "survey_service_refused.ckpt";
   full_checkpoint().save(path);
-  {
-    SurveyServiceConfig cfg = service_config(1);
-    cfg.seed = kSeed + 1;
+  SurveyServiceConfig other_seed = service_config(1);
+  other_seed.seed = kSeed + 1;
+  SurveyServiceConfig other_samples = service_config(1);
+  other_samples.run.samples += 1;
+  for (SurveyServiceConfig cfg : {other_seed, other_samples}) {
     cfg.checkpoint_path = path;
-    SurveyService service{cfg};
-    EXPECT_THROW(service.restore(core::SurveyCheckpoint::load(path)), std::invalid_argument);
+    {
+      SurveyService service{cfg};
+      EXPECT_THROW(service.restore(core::SurveyCheckpoint::load(path)), std::invalid_argument);
+    }
+    const core::SurveyCheckpoint kept = core::SurveyCheckpoint::load(path);
+    EXPECT_EQ(kept.serialize(), full_checkpoint().serialize())
+        << "seed " << cfg.seed << ", samples " << cfg.run.samples;
   }
-  const core::SurveyCheckpoint kept = core::SurveyCheckpoint::load(path);
   std::remove(path.c_str());
-  EXPECT_EQ(kept.serialize(), full_checkpoint().serialize());
 }
 
 TEST(SurveyService, RecordsOfAnotherFleetAreRejectedAtAdmission) {
@@ -385,8 +433,7 @@ TEST(SurveyService, AnUndecodableRecordRejectsTheRestoreAndLeavesTheFile) {
     SurveyService service{cfg};
     EXPECT_THROW(service.restore(loaded), std::invalid_argument);
   }
-  std::ifstream in{path, std::ios::binary};
-  const std::string kept{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+  const std::string kept = file_bytes(path);
   std::remove(path.c_str());
   EXPECT_EQ(kept, forged);
 }
@@ -423,9 +470,25 @@ TEST(SurveyService, SavesKeepRestoredRecordsThatWereNotAdopted) {
     service.stop();
   }
   kept = core::SurveyCheckpoint::load(path);
-  std::remove(path.c_str());
   EXPECT_EQ(kept.torn_records(), 0u);
   EXPECT_EQ(kept.serialize(), full_checkpoint().serialize());
+
+  // A second restore adds to the first: targets 0..4 from one checkpoint
+  // and 5..8 from another are all kept.
+  core::SurveyCheckpoint first;
+  core::SurveyCheckpoint second;
+  for (std::size_t i = 0; i < 9; ++i) {
+    (i < 5 ? first : second).record_shard(full_checkpoint().restore_shard(i));
+  }
+  {
+    SurveyService service{cfg};
+    service.restore(first);
+    service.restore(second);
+    service.stop();
+  }
+  const std::string both = file_bytes(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(both, full_checkpoint().serialize());
 }
 
 TEST(SurveyService, AWorldTornDownMidRunLeavesNothingBehind) {

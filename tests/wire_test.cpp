@@ -2,6 +2,7 @@
 // round-trips, checksum verification.
 #include <gtest/gtest.h>
 
+#include "netsim/event_loop.hpp"
 #include "tcpip/ipv4.hpp"
 #include "tcpip/packet.hpp"
 #include "tcpip/seq.hpp"
@@ -247,9 +248,15 @@ TEST(PacketApi, DescribeMentionsEndpoints) {
 }
 
 TEST(PacketApi, UidsAreUnique) {
-  const auto a = next_packet_uid();
-  const auto b = next_packet_uid();
+  sim::EventLoop world;
+  const auto a = world.next_packet_uid();
+  const auto b = world.next_packet_uid();
+  EXPECT_NE(a, 0u);
   EXPECT_NE(a, b);
+  // A world's uids are its own: another world numbers from the start,
+  // whatever ran before it on this thread.
+  sim::EventLoop other;
+  EXPECT_EQ(other.next_packet_uid(), a);
 }
 
 }  // namespace
