@@ -11,7 +11,11 @@ DataTransferTest::DataTransferTest(probe::ProbeHost& host, tcpip::Ipv4Address ta
                                    std::uint16_t port, DataTransferOptions options)
     : host_{host}, target_{target}, port_{port}, options_{options} {}
 
-struct DataTransferTest::Run : std::enable_shared_from_this<DataTransferTest::Run> {
+DataTransferTest::~DataTransferTest() = default;
+
+/// Per-run state machine, owned by its test. Its callbacks capture it
+/// without owning it; ending it cancels what it still has pending.
+struct DataTransferTest::Run {
   probe::ProbeHost& host;
   DataTransferOptions options;
   TestRunConfig config;
@@ -38,14 +42,16 @@ struct DataTransferTest::Run : std::enable_shared_from_this<DataTransferTest::Ru
       std::function<void(TestRunResult)> d)
       : host{h}, options{o}, config{c}, done{std::move(d)} {}
 
+  ~Run() { env().cancel(stall_token); }
+
   tcpip::Environment& env() { return host.env(); }
 
   void bump_stall_timer() {
     if (stall_token != 0) env().cancel(stall_token);
     const std::uint64_t gen = ++stall_generation;
-    stall_token = env().schedule(options.stall_timeout, [self = shared_from_this(), gen] {
-      if (gen != self->stall_generation) return;
-      self->finish("transfer stalled");
+    stall_token = env().schedule(options.stall_timeout, [this, gen] {
+      if (gen != stall_generation) return;
+      finish("transfer stalled");
     });
   }
 
@@ -55,19 +61,17 @@ struct DataTransferTest::Run : std::enable_shared_from_this<DataTransferTest::Ru
     conn_opts.advertised_window = options.window;
     conn = std::make_unique<probe::ProbeConnection>(host, host.make_flow(target, port),
                                                     conn_opts);
-    conn->on_packet = [self = shared_from_this()](const tcpip::Packet& pkt) {
-      self->on_packet(pkt);
-    };
+    conn->on_packet = [this](const tcpip::Packet& pkt) { on_packet(pkt); };
     bump_stall_timer();
-    conn->connect([self = shared_from_this()](bool ok) {
+    conn->connect([this](bool ok) {
       if (!ok) {
-        self->result.admissible = false;
-        self->finish("connect failed");
+        result.admissible = false;
+        finish("connect failed");
         return;
       }
-      const auto& req = self->options.request;
-      self->conn->send_data_rel(
-          0, std::span{reinterpret_cast<const std::uint8_t*>(req.data()), req.size()});
+      const auto& req = options.request;
+      conn->send_data_rel(0,
+                          std::span{reinterpret_cast<const std::uint8_t*>(req.data()), req.size()});
     });
   }
 
@@ -133,28 +137,30 @@ struct DataTransferTest::Run : std::enable_shared_from_this<DataTransferTest::Ru
     // suggest otherwise.
     result.forward = ReorderEstimate{};
 
-    auto complete = [self = shared_from_this()] {
-      auto cb = std::move(self->done);
-      self->done = nullptr;
-      if (cb) cb(std::move(self->result));
-      // The connection's on_packet holds this Run: drop the connection in
-      // an event of its own, since completion can run inside its packet
-      // handler, which still reads on_packet when it returns.
-      self->env().schedule(util::Duration{}, [self] { self->conn.reset(); });
-    };
     if (conn && conn->established()) {
       const std::uint32_t req_len = static_cast<std::uint32_t>(options.request.size());
-      conn->close(req_len, complete);
+      conn->close(req_len, [this] { complete(); });
     } else {
       complete();
     }
   }
+
+  /// Shuts the connection where it is (a transfer that stalled in its
+  /// handshake stops retransmitting SYNs), then reports. Completion can
+  /// run inside the connection's own packet handler, so the connection
+  /// object lives on with this run.
+  void complete() {
+    if (conn) conn->shut();
+    auto cb = std::move(done);
+    done = nullptr;
+    if (cb) cb(std::move(result));
+  }
 };
 
 void DataTransferTest::run(const TestRunConfig& config, std::function<void(TestRunResult)> done) {
-  auto run = std::make_shared<Run>(host_, options_, config, std::move(done));
-  run->result.test_name = name();
-  run->start(target_, port_);
+  run_ = std::make_unique<Run>(host_, options_, config, std::move(done));
+  run_->result.test_name = name();
+  run_->start(target_, port_);
 }
 
 }  // namespace reorder::core

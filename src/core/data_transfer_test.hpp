@@ -37,6 +37,7 @@ class DataTransferTest final : public ReorderTest {
  public:
   DataTransferTest(probe::ProbeHost& host, tcpip::Ipv4Address target, std::uint16_t port,
                    DataTransferOptions options = {});
+  ~DataTransferTest() override;
 
   std::string name() const override { return "data-transfer"; }
 
@@ -52,6 +53,7 @@ class DataTransferTest final : public ReorderTest {
   tcpip::Ipv4Address target_;
   std::uint16_t port_;
   DataTransferOptions options_;
+  std::unique_ptr<Run> run_;
 };
 
 }  // namespace reorder::core

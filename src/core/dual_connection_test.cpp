@@ -1,6 +1,7 @@
 #include "core/dual_connection_test.hpp"
 
 #include <array>
+#include <deque>
 
 #include "tcpip/seq.hpp"
 
@@ -18,7 +19,11 @@ DualConnectionTest::DualConnectionTest(probe::ProbeHost& host, tcpip::Ipv4Addres
                                        std::uint16_t port, DualConnectionOptions options)
     : host_{host}, target_{target}, port_{port}, options_{options} {}
 
-struct DualConnectionTest::Run : std::enable_shared_from_this<DualConnectionTest::Run> {
+DualConnectionTest::~DualConnectionTest() = default;
+
+/// Per-run state machine, owned by its test. Its callbacks capture it
+/// without owning it; ending it cancels what it still has pending.
+struct DualConnectionTest::Run {
   enum class Phase { kConnect, kValidate, kSettle, kMeasure, kClosing, kDone };
 
   probe::ProbeHost& host;
@@ -30,6 +35,7 @@ struct DualConnectionTest::Run : std::enable_shared_from_this<DualConnectionTest
   std::array<std::unique_ptr<probe::ProbeConnection>, 2> conns;
   int connected{0};
   bool connect_failed{false};
+  int closes_pending{2};
 
   TestRunResult result;
   Phase phase{Phase::kConnect};
@@ -51,19 +57,27 @@ struct DualConnectionTest::Run : std::enable_shared_from_this<DualConnectionTest
 
   std::uint64_t timer_token{0};
   std::uint64_t timer_generation{0};
+  /// Second packets waiting out inter_packet_gap, oldest first (every one
+  /// waits the same gap, so they fire in the order they were scheduled).
+  std::deque<std::uint64_t> gap_tokens;
 
   Run(probe::ProbeHost& h, DualConnectionOptions o, TestRunConfig c,
       std::function<void(TestRunResult)> d)
       : host{h}, options{o}, config{c}, done{std::move(d)} {}
+
+  ~Run() {
+    env().cancel(timer_token);
+    for (const std::uint64_t token : gap_tokens) env().cancel(token);
+  }
 
   tcpip::Environment& env() { return host.env(); }
 
   void arm_timer(util::Duration delay, std::function<void()> fn) {
     cancel_timer();
     const std::uint64_t gen = ++timer_generation;
-    timer_token = env().schedule(delay, [self = shared_from_this(), fn = std::move(fn), gen] {
-      if (gen != self->timer_generation) return;
-      self->timer_token = 0;
+    timer_token = env().schedule(delay, [this, fn = std::move(fn), gen] {
+      if (gen != timer_generation) return;
+      timer_token = 0;
       fn();
     });
   }
@@ -79,10 +93,8 @@ struct DualConnectionTest::Run : std::enable_shared_from_this<DualConnectionTest
       opts.iss += static_cast<std::uint32_t>(i) * 50'000;  // keep spaces distinct
       conns[i] = std::make_unique<probe::ProbeConnection>(host, host.make_flow(target, port),
                                                           opts);
-      conns[i]->on_packet = [self = shared_from_this(), i](const tcpip::Packet& pkt) {
-        self->on_packet(i, pkt);
-      };
-      conns[i]->connect([self = shared_from_this()](bool ok) { self->on_connected(ok); });
+      conns[i]->on_packet = [this, i](const tcpip::Packet& pkt) { on_packet(i, pkt); };
+      conns[i]->connect([this](bool ok) { on_connected(ok); });
     }
   }
 
@@ -167,11 +179,12 @@ struct DualConnectionTest::Run : std::enable_shared_from_this<DualConnectionTest
     if (config.inter_packet_gap.is_zero()) {
       conns[1]->send_raw(std::move(second));
     } else {
-      env().schedule(config.inter_packet_gap,
-                     [self = shared_from_this(), pkt = std::move(second)]() mutable {
-                       if (self->phase != Phase::kMeasure) return;
-                       self->conns[1]->send_raw(std::move(pkt));
-                     });
+      gap_tokens.push_back(
+          env().schedule(config.inter_packet_gap, [this, pkt = std::move(second)]() mutable {
+            gap_tokens.pop_front();
+            if (phase != Phase::kMeasure) return;
+            conns[1]->send_raw(std::move(pkt));
+          }));
     }
     arm_timer(config.sample_timeout, [this] { classify(); });
   }
@@ -259,36 +272,35 @@ struct DualConnectionTest::Run : std::enable_shared_from_this<DualConnectionTest
     // can close cleanly, then FIN both connections.
     phase = Phase::kClosing;
     for (auto& c : conns) c->send_data_rel(0, kProbeByte);
-    auto remaining = std::make_shared<int>(2);
-    arm_timer(util::Duration::millis(50), [this, remaining] {
+    arm_timer(util::Duration::millis(50), [this] {
       for (auto& c : conns) {
-        c->close(2, [self = shared_from_this(), remaining] {
-          if (--*remaining == 0) self->complete();
+        c->close(2, [this] {
+          if (--closes_pending == 0) complete();
         });
       }
     });
   }
 
+  /// Shuts both connections where they are, then reports. Completion can
+  /// run inside a connection's own packet handler, so the connection
+  /// objects live on with this run.
   void complete() {
     phase = Phase::kDone;
     cancel_timer();
+    for (auto& c : conns) {
+      if (c) c->shut();
+    }
     auto cb = std::move(done);
     done = nullptr;
     if (cb) cb(std::move(result));
-    // Each connection's on_packet holds this Run: drop the connections in
-    // an event of their own, since completion can run inside a packet
-    // handler, which still reads on_packet when it returns.
-    env().schedule(util::Duration{}, [self = shared_from_this()] {
-      for (auto& c : self->conns) c.reset();
-    });
   }
 };
 
 void DualConnectionTest::run(const TestRunConfig& config, std::function<void(TestRunResult)> done) {
-  auto run = std::make_shared<Run>(host_, options_, config, std::move(done));
-  run->result.test_name = name();
-  run->on_validation = [this](const IpidAnalysis& a) { last_validation_ = a; };
-  run->start(target_, port_);
+  run_ = std::make_unique<Run>(host_, options_, config, std::move(done));
+  run_->result.test_name = name();
+  run_->on_validation = [this](const IpidAnalysis& a) { last_validation_ = a; };
+  run_->start(target_, port_);
 }
 
 }  // namespace reorder::core

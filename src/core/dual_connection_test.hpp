@@ -34,6 +34,7 @@ class DualConnectionTest final : public ReorderTest {
  public:
   DualConnectionTest(probe::ProbeHost& host, tcpip::Ipv4Address target, std::uint16_t port,
                      DualConnectionOptions options = {});
+  ~DualConnectionTest() override;
 
   std::string name() const override { return "dual-connection"; }
   void run(const TestRunConfig& config, std::function<void(TestRunResult)> done) override;
@@ -48,6 +49,7 @@ class DualConnectionTest final : public ReorderTest {
   std::uint16_t port_;
   DualConnectionOptions options_;
   IpidAnalysis last_validation_;
+  std::unique_ptr<Run> run_;
 };
 
 }  // namespace reorder::core

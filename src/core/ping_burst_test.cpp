@@ -6,7 +6,10 @@
 
 namespace reorder::core {
 
-struct PingBurstTest::Run : std::enable_shared_from_this<PingBurstTest::Run> {
+/// Per-run state machine, owned by its prober. Its callbacks capture it
+/// without owning it; ending it cancels its timer and drops the ICMP
+/// handler it installed.
+struct PingBurstTest::Run {
   probe::ProbeHost& host;
   tcpip::Ipv4Address target;
   PingBurstOptions options;
@@ -19,26 +22,31 @@ struct PingBurstTest::Run : std::enable_shared_from_this<PingBurstTest::Run> {
   std::uint16_t seq_base{0};
   std::vector<std::uint16_t> arrival;  // reply sequences in arrival order
   bool burst_open{false};
+  bool finished{false};
   std::uint64_t timer_token{0};
   std::uint64_t timer_generation{0};
 
   Run(probe::ProbeHost& h, tcpip::Ipv4Address t, PingBurstOptions o)
       : host{h}, target{t}, options{o} {}
 
+  ~Run() {
+    env().cancel(timer_token);
+    if (!finished) host.icmp_handler = nullptr;
+  }
+
   tcpip::Environment& env() { return host.env(); }
 
   void arm_timer(util::Duration delay, std::function<void()> fn) {
+    env().cancel(timer_token);  // at most one timer pending, for ~Run to cancel
     const std::uint64_t gen = ++timer_generation;
-    timer_token = env().schedule(delay, [self = shared_from_this(), fn = std::move(fn), gen] {
-      if (gen != self->timer_generation) return;
+    timer_token = env().schedule(delay, [this, fn = std::move(fn), gen] {
+      if (gen != timer_generation) return;
       fn();
     });
   }
 
   void start() {
-    host.icmp_handler = [self = shared_from_this()](const tcpip::Packet& pkt) {
-      self->on_reply(pkt);
-    };
+    host.icmp_handler = [this](const tcpip::Packet& pkt) { on_reply(pkt); };
     next_burst();
   }
 
@@ -100,6 +108,7 @@ struct PingBurstTest::Run : std::enable_shared_from_this<PingBurstTest::Run> {
   }
 
   void finish() {
+    finished = true;
     host.icmp_handler = nullptr;
     auto cb = std::move(done);
     done = nullptr;
@@ -115,7 +124,7 @@ PingBurstTest::~PingBurstTest() = default;
 
 void PingBurstTest::run(int bursts, util::Duration burst_spacing,
                         std::function<void(PingBurstResult)> done) {
-  active_ = std::make_shared<Run>(host_, target_, options_);
+  active_ = std::make_unique<Run>(host_, target_, options_);
   active_->bursts_requested = bursts;
   active_->spacing = burst_spacing;
   active_->done = std::move(done);

@@ -62,6 +62,8 @@ class PingBurstTest {
   PingBurstTest& operator=(const PingBurstTest&) = delete;
 
   /// Sends `bursts` bursts spaced by `burst_spacing`; `done` fires once.
+  /// Same ownership as ReorderTest::run: starting a run ends the previous
+  /// one, destroying the prober ends its run, and neither fires `done`.
   void run(int bursts, util::Duration burst_spacing, std::function<void(PingBurstResult)> done);
 
  private:
@@ -69,7 +71,7 @@ class PingBurstTest {
   probe::ProbeHost& host_;
   tcpip::Ipv4Address target_;
   PingBurstOptions options_;
-  std::shared_ptr<Run> active_;
+  std::unique_ptr<Run> active_;
 };
 
 }  // namespace reorder::core

@@ -1,6 +1,7 @@
 #include "core/single_connection_test.hpp"
 
 #include <array>
+#include <deque>
 
 #include "tcpip/seq.hpp"
 #include "util/logging.hpp"
@@ -18,12 +19,15 @@ SingleConnectionTest::SingleConnectionTest(probe::ProbeHost& host, tcpip::Ipv4Ad
                                            std::uint16_t port, SingleConnectionOptions options)
     : host_{host}, target_{target}, port_{port}, options_{options} {}
 
+SingleConnectionTest::~SingleConnectionTest() = default;
+
 std::string SingleConnectionTest::name() const {
   return options_.reversed_order ? "single-connection" : "single-connection-inorder";
 }
 
-/// Per-run state machine; kept alive by shared_ptr captures until done.
-struct SingleConnectionTest::Run : std::enable_shared_from_this<SingleConnectionTest::Run> {
+/// Per-run state machine, owned by its test. Its callbacks capture it
+/// without owning it; ending it cancels what it still has pending.
+struct SingleConnectionTest::Run {
   enum class Phase { kConnect, kResync, kResyncSettle, kPrep, kPrepSettle, kMeasure, kDone };
 
   probe::ProbeHost& host;
@@ -49,18 +53,25 @@ struct SingleConnectionTest::Run : std::enable_shared_from_this<SingleConnection
   std::uint64_t timer_token{0};
   std::uint64_t timer_generation{0};
   int aux_attempts{0};
+  /// Second packets waiting out inter_packet_gap, oldest first (every one
+  /// waits the same gap, so they fire in the order they were scheduled).
+  std::deque<std::uint64_t> gap_tokens;
 
   Run(probe::ProbeHost& h, SingleConnectionOptions o, TestRunConfig c,
       std::function<void(TestRunResult)> d)
       : host{h}, options{o}, config{c}, done{std::move(d)} {}
 
+  ~Run() {
+    env().cancel(timer_token);
+    for (const std::uint64_t token : gap_tokens) env().cancel(token);
+  }
+
   tcpip::Environment& env() { return host.env(); }
 
   void arm_timer(util::Duration delay, std::function<void(std::uint64_t)> fn) {
+    env().cancel(timer_token);  // at most one timer pending, for ~Run to cancel
     const std::uint64_t gen = ++timer_generation;
-    timer_token = env().schedule(delay, [self = shared_from_this(), fn = std::move(fn), gen] {
-      fn(gen);
-    });
+    timer_token = env().schedule(delay, [this, fn = std::move(fn), gen] { fn(gen); });
   }
   void cancel_timer() {
     if (timer_token != 0) env().cancel(timer_token);
@@ -71,17 +82,15 @@ struct SingleConnectionTest::Run : std::enable_shared_from_this<SingleConnection
   void start(tcpip::Ipv4Address target, std::uint16_t port) {
     conn = std::make_unique<probe::ProbeConnection>(host, host.make_flow(target, port),
                                                     options.connection);
-    conn->on_packet = [self = shared_from_this()](const tcpip::Packet& pkt) {
-      self->on_packet(pkt);
-    };
-    conn->connect([self = shared_from_this()](bool ok) {
+    conn->on_packet = [this](const tcpip::Packet& pkt) { on_packet(pkt); };
+    conn->connect([this](bool ok) {
       if (!ok) {
-        self->result.admissible = false;
-        self->result.note = "connect failed";
-        self->finish(/*graceful=*/false);
+        result.admissible = false;
+        result.note = "connect failed";
+        finish(/*graceful=*/false);
         return;
       }
-      self->next_sample();
+      next_sample();
     });
   }
 
@@ -176,11 +185,12 @@ struct SingleConnectionTest::Run : std::enable_shared_from_this<SingleConnection
     if (config.inter_packet_gap.is_zero()) {
       conn->send_raw(std::move(second));
     } else {
-      env().schedule(config.inter_packet_gap,
-                     [self = shared_from_this(), pkt = std::move(second)]() mutable {
-                       if (self->phase != Phase::kMeasure) return;
-                       self->conn->send_raw(std::move(pkt));
-                     });
+      gap_tokens.push_back(
+          env().schedule(config.inter_packet_gap, [this, pkt = std::move(second)]() mutable {
+            gap_tokens.pop_front();
+            if (phase != Phase::kMeasure) return;
+            conn->send_raw(std::move(pkt));
+          }));
     }
     arm_timer(config.sample_timeout, [this](std::uint64_t gen) {
       if (gen != timer_generation || phase != Phase::kMeasure) return;
@@ -303,30 +313,31 @@ struct SingleConnectionTest::Run : std::enable_shared_from_this<SingleConnection
     phase = Phase::kDone;
     cancel_timer();
     result.aggregate();
-    auto complete = [self = shared_from_this()] {
-      auto cb = std::move(self->done);
-      self->done = nullptr;
-      if (cb) cb(std::move(self->result));
-      // The connection's on_packet holds this Run: drop the connection in
-      // an event of its own, since completion can run inside its packet
-      // handler, which still reads on_packet when it returns.
-      self->env().schedule(util::Duration{}, [self] { self->conn.reset(); });
-    };
     if (graceful && conn && conn->established()) {
       // Politely close at the byte the remote expects next.
-      conn->close(base, complete);
+      conn->close(base, [this] { complete(); });
     } else {
       if (conn) conn->abort();
       complete();
     }
   }
+
+  /// Shuts the connection where it is, then reports. Completion can run
+  /// inside the connection's own packet handler, so the connection object
+  /// lives on with this run.
+  void complete() {
+    if (conn) conn->shut();
+    auto cb = std::move(done);
+    done = nullptr;
+    if (cb) cb(std::move(result));
+  }
 };
 
 void SingleConnectionTest::run(const TestRunConfig& config,
                                std::function<void(TestRunResult)> done) {
-  auto run = std::make_shared<Run>(host_, options_, config, std::move(done));
-  run->result.test_name = name();
-  run->start(target_, port_);
+  run_ = std::make_unique<Run>(host_, options_, config, std::move(done));
+  run_->result.test_name = name();
+  run_->start(target_, port_);
 }
 
 }  // namespace reorder::core

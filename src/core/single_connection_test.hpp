@@ -46,6 +46,7 @@ class SingleConnectionTest final : public ReorderTest {
  public:
   SingleConnectionTest(probe::ProbeHost& host, tcpip::Ipv4Address target, std::uint16_t port,
                        SingleConnectionOptions options = {});
+  ~SingleConnectionTest() override;
 
   std::string name() const override;
   void run(const TestRunConfig& config, std::function<void(TestRunResult)> done) override;
@@ -56,6 +57,7 @@ class SingleConnectionTest final : public ReorderTest {
   tcpip::Ipv4Address target_;
   std::uint16_t port_;
   SingleConnectionOptions options_;
+  std::unique_ptr<Run> run_;
 };
 
 }  // namespace reorder::core

@@ -44,11 +44,12 @@ class SurveyEngine {
   struct Options {
     /// Give-up deadline per measurement; a test that has not completed by
     /// then is recorded as inadmissible and the cycle moves on. The
-    /// abandoned run is not cancelled (ReorderTest has no abort): it
-    /// winds down on its own sample timeouts and its late completion is
-    /// dropped, but until then its residual probe traffic shares the
-    /// target's path. Keep the deadline comfortably above the slowest
-    /// test's worst case rather than using it as a pacing knob.
+    /// abandoned run keeps running, and its late completion is dropped,
+    /// until its test starts its next run or the engine is destroyed;
+    /// either ends the run and frees everything it holds. Until then its
+    /// residual probe traffic shares the target's path. Keep the deadline
+    /// comfortably above the slowest test's worst case rather than using
+    /// it as a pacing knob.
     util::Duration measurement_deadline{util::Duration::seconds(600)};
     /// Keep each Measurement's per-sample payload in the completion log.
     /// Off by default (it is a long survey's dominant data, and the

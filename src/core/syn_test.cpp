@@ -1,5 +1,7 @@
 #include "core/syn_test.hpp"
 
+#include <deque>
+
 #include "probe/packet_factory.hpp"
 #include "tcpip/seq.hpp"
 
@@ -9,7 +11,14 @@ SynTest::SynTest(probe::ProbeHost& host, tcpip::Ipv4Address target, std::uint16_
                  SynTestOptions options)
     : host_{host}, target_{target}, port_{port}, options_{options} {}
 
-struct SynTest::Run : std::enable_shared_from_this<SynTest::Run> {
+SynTest::~SynTest() = default;
+
+/// Per-run state machine, owned by its test. Its callbacks capture it
+/// without owning it; ending it cancels what it still has pending and
+/// drops its current sample's flow. A classified sample's polite close
+/// holds only the host, so it runs to close_linger whatever becomes of
+/// the run.
+struct SynTest::Run {
   probe::ProbeHost& host;
   tcpip::Ipv4Address target;
   std::uint16_t port;
@@ -21,7 +30,7 @@ struct SynTest::Run : std::enable_shared_from_this<SynTest::Run> {
   int sample_index{0};
   bool finished{false};
 
-  // Per-sample flow state.
+  // The current sample's flow.
   struct Flow {
     probe::FlowAddr addr;
     std::uint32_t iss1{0};
@@ -35,27 +44,35 @@ struct SynTest::Run : std::enable_shared_from_this<SynTest::Run> {
       util::TimePoint at;
     };
     std::vector<Reply> replies;
-    bool classified{false};
-    bool closing{false};
-    std::uint32_t fin_seq{0};
   };
-  std::shared_ptr<Flow> flow;
+  Flow flow;
+  /// The flow routes to this run: registered and not yet classified.
+  bool flow_open{false};
 
   std::uint64_t timer_token{0};
   std::uint64_t timer_generation{0};
+  /// Second SYNs waiting out inter_packet_gap, oldest first (every one
+  /// waits the same gap, so they fire in the order they were scheduled).
+  std::deque<std::uint64_t> gap_tokens;
 
   Run(probe::ProbeHost& h, tcpip::Ipv4Address t, std::uint16_t p, SynTestOptions o,
       TestRunConfig c, std::function<void(TestRunResult)> d)
       : host{h}, target{t}, port{p}, options{o}, config{c}, done{std::move(d)} {}
+
+  ~Run() {
+    env().cancel(timer_token);
+    for (const std::uint64_t token : gap_tokens) env().cancel(token);
+    if (flow_open) host.unregister_flow(flow.addr);
+  }
 
   tcpip::Environment& env() { return host.env(); }
 
   void arm_timer(util::Duration delay, std::function<void()> fn) {
     cancel_timer();
     const std::uint64_t gen = ++timer_generation;
-    timer_token = env().schedule(delay, [self = shared_from_this(), fn = std::move(fn), gen] {
-      if (gen != self->timer_generation) return;
-      self->timer_token = 0;
+    timer_token = env().schedule(delay, [this, fn = std::move(fn), gen] {
+      if (gen != timer_generation) return;
+      timer_token = 0;
       fn();
     });
   }
@@ -75,50 +92,43 @@ struct SynTest::Run : std::enable_shared_from_this<SynTest::Run> {
   }
 
   void begin_sample() {
-    auto f = std::make_shared<Flow>();
-    f->addr = host.make_flow(target, port);
+    flow = Flow{};
+    flow.addr = host.make_flow(target, port);
     // Jitter the ISS per sample so remote stale state can never collide.
-    f->iss1 = options.iss + static_cast<std::uint32_t>(sample_index) * 131'072;
-    f->iss2 = f->iss1 + options.syn_offset;
-    f->sample.started = env().now();
-    f->sample.gap = config.inter_packet_gap;
-    flow = f;
+    flow.iss1 = options.iss + static_cast<std::uint32_t>(sample_index) * 131'072;
+    flow.iss2 = flow.iss1 + options.syn_offset;
+    flow.sample.started = env().now();
+    flow.sample.gap = config.inter_packet_gap;
 
-    host.register_flow(f->addr, [self = shared_from_this(), f](const tcpip::Packet& pkt) {
-      self->on_packet(*f, pkt);
-    });
+    host.register_flow(flow.addr, [this](const tcpip::Packet& pkt) { on_packet(pkt); });
+    flow_open = true;
 
-    const probe::PacketFactory factory{f->addr};
-    auto syn1 = factory.syn(f->iss1, options.advertised_mss, options.advertised_window);
-    auto syn2 = factory.syn(f->iss2, options.advertised_mss, options.advertised_window);
+    const probe::PacketFactory factory{flow.addr};
+    auto syn1 = factory.syn(flow.iss1, options.advertised_mss, options.advertised_window);
+    auto syn2 = factory.syn(flow.iss2, options.advertised_mss, options.advertised_window);
     syn1.uid = env().next_packet_uid();
     syn2.uid = env().next_packet_uid();
-    f->sample.fwd_uid_first = syn1.uid;
-    f->sample.fwd_uid_second = syn2.uid;
+    flow.sample.fwd_uid_first = syn1.uid;
+    flow.sample.fwd_uid_second = syn2.uid;
     host.send(std::move(syn1));
     if (config.inter_packet_gap.is_zero()) {
       host.send(std::move(syn2));
     } else {
-      env().schedule(config.inter_packet_gap,
-                     [self = shared_from_this(), f, pkt = std::move(syn2)]() mutable {
-                       if (self->flow != f || f->classified) return;
-                       self->host.send(std::move(pkt));
-                     });
+      // Classifying a sample advances sample_index, so a second SYN whose
+      // sample is already classified stays unsent.
+      gap_tokens.push_back(env().schedule(
+          config.inter_packet_gap, [this, sample = sample_index, pkt = std::move(syn2)]() mutable {
+            gap_tokens.pop_front();
+            if (sample_index != sample) return;
+            host.send(std::move(pkt));
+          }));
     }
-    arm_timer(config.sample_timeout, [this, f] { classify(*f); });
+    arm_timer(config.sample_timeout, [this] { classify(); });
   }
 
-  void on_packet(Flow& f, const tcpip::Packet& pkt) {
-    if (f.closing) {
-      // Polite-close traffic: acknowledge the remote's FIN.
-      if (pkt.tcp.is_fin()) {
-        const probe::PacketFactory factory{f.addr};
-        const std::uint32_t fin_at = pkt.tcp.seq + static_cast<std::uint32_t>(pkt.payload.size());
-        host.send(factory.ack(f.fin_seq + 1, fin_at + 1, options.advertised_window));
-      }
-      return;
-    }
-    if (f.classified) return;
+  void on_packet(const tcpip::Packet& pkt) {
+    if (!flow_open) return;
+    Flow& f = flow;
 
     Flow::Reply r;
     r.uid = pkt.uid;
@@ -138,12 +148,13 @@ struct SynTest::Run : std::enable_shared_from_this<SynTest::Run> {
     const bool have_synack =
         f.replies.size() >= 1 &&
         (f.replies[0].is_synack || (f.replies.size() >= 2 && f.replies[1].is_synack));
-    if (f.replies.size() >= 2 && have_synack) classify(f);
+    if (f.replies.size() >= 2 && have_synack) classify();
   }
 
-  void classify(Flow& f) {
-    if (f.classified) return;
-    f.classified = true;
+  void classify() {
+    if (!flow_open) return;
+    flow_open = false;
+    Flow& f = flow;
     cancel_timer();
     f.sample.completed = env().now();
 
@@ -207,30 +218,35 @@ struct SynTest::Run : std::enable_shared_from_this<SynTest::Run> {
     f.sample.reverse = rev;
     result.samples.push_back(f.sample);
 
-    polite_close(f, synack);
+    polite_close(f.addr, synack);
     ++sample_index;
     arm_timer(config.sample_spacing, [this] { next_sample(); });
   }
 
   /// Completes the three-way handshake with whichever ISS the remote
-  /// accepted, then FINs. The remote's discard service closes in turn; its
-  /// FIN is acknowledged by the flow handler above. After `close_linger`
-  /// the flow is torn down regardless.
-  void polite_close(Flow& f, const Flow::Reply* synack) {
+  /// accepted, then FINs. The remote's discard service closes in turn; the
+  /// flow's new handler acknowledges its FIN. After `close_linger` the
+  /// flow is torn down regardless. The close holds the host, the flow
+  /// address, its FIN's sequence number and the window, never the run.
+  void polite_close(const probe::FlowAddr& addr, const Flow::Reply* synack) {
     if (synack == nullptr) {
-      host.unregister_flow(f.addr);
+      host.unregister_flow(addr);
       return;
     }
-    f.closing = true;
     const std::uint32_t our_next = synack->ack;  // iss + 1 of the surviving SYN
     const std::uint32_t remote_next = synack->seq + 1;
-    const probe::PacketFactory factory{f.addr};
+    const probe::PacketFactory factory{addr};
     host.send(factory.ack(our_next, remote_next, options.advertised_window));
     host.send(factory.fin(our_next, remote_next, options.advertised_window));
-    f.fin_seq = our_next;
-    auto addr = f.addr;
-    env().schedule(options.close_linger,
-                   [self = shared_from_this(), addr] { self->host.unregister_flow(addr); });
+    probe::ProbeHost* const h = &host;
+    host.register_flow(addr, [h, addr, our_next, window = options.advertised_window](
+                                 const tcpip::Packet& pkt) {
+      if (!pkt.tcp.is_fin()) return;
+      const probe::PacketFactory reply{addr};
+      const std::uint32_t fin_at = pkt.tcp.seq + static_cast<std::uint32_t>(pkt.payload.size());
+      h->send(reply.ack(our_next + 1, fin_at + 1, window));
+    });
+    env().schedule(options.close_linger, [h, addr] { h->unregister_flow(addr); });
   }
 
   void finish() {
@@ -245,9 +261,9 @@ struct SynTest::Run : std::enable_shared_from_this<SynTest::Run> {
 };
 
 void SynTest::run(const TestRunConfig& config, std::function<void(TestRunResult)> done) {
-  auto run = std::make_shared<Run>(host_, target_, port_, options_, config, std::move(done));
-  run->result.test_name = name();
-  run->next_sample();
+  run_ = std::make_unique<Run>(host_, target_, port_, options_, config, std::move(done));
+  run_->result.test_name = name();
+  run_->next_sample();
 }
 
 }  // namespace reorder::core

@@ -45,6 +45,7 @@ class SynTest final : public ReorderTest {
  public:
   SynTest(probe::ProbeHost& host, tcpip::Ipv4Address target, std::uint16_t port,
           SynTestOptions options = {});
+  ~SynTest() override;
 
   std::string name() const override { return "syn"; }
   void run(const TestRunConfig& config, std::function<void(TestRunResult)> done) override;
@@ -55,6 +56,7 @@ class SynTest final : public ReorderTest {
   tcpip::Ipv4Address target_;
   std::uint16_t port_;
   SynTestOptions options_;
+  std::unique_ptr<Run> run_;
 };
 
 }  // namespace reorder::core

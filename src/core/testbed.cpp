@@ -63,10 +63,12 @@ Testbed::Testbed(TestbedConfig config) : config_{std::move(config)}, loop_{confi
 TestRunResult Testbed::run_sync(ReorderTest& test, const TestRunConfig& config,
                                 std::int64_t deadline_s) {
   // The completion slot is shared with the callback, not a stack reference:
-  // a run abandoned at the deadline has no abort path, so its completion
-  // can fire during a LATER run_sync on the same loop — it must land in
-  // this orphaned (heap) slot and be discarded, not scribble over a dead
-  // stack frame.
+  // a run abandoned at the deadline keeps running until its test starts
+  // another run or is destroyed, and a test outside the registry may
+  // complete on its own schedule whatever happens, so a completion can
+  // fire during a LATER run_sync on the same loop — it must land in this
+  // orphaned (heap) slot and be discarded, not scribble over a dead stack
+  // frame.
   auto out = std::make_shared<std::optional<TestRunResult>>();
   test.run(config, [out](TestRunResult r) {
     if (!out->has_value()) *out = std::move(r);

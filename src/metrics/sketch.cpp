@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace reorder::metrics {
 
@@ -92,8 +95,16 @@ void TailSketch::from_json(const report::Json& j) {
   restored.sum_ = j.at("sum").as_u64();
   restored.max_ = j.at("max").as_u64();
   restored.min_ = restored.count_ == 0 ? 0 : j.at("min").as_u64();
+  // No value maps past the largest value's bucket, so an index beyond it
+  // is corrupt input, not a bucket to allocate.
+  const std::uint64_t max_index = bucket_index(std::numeric_limits<std::uint64_t>::max());
   for (const auto& pair : j.at("buckets").items()) {
-    const auto index = static_cast<std::size_t>(pair.at(0).as_u64());
+    const std::uint64_t raw_index = pair.at(0).as_u64();
+    if (raw_index > max_index) {
+      throw std::runtime_error{"TailSketch::from_json: bucket index " + std::to_string(raw_index) +
+                               " is out of range"};
+    }
+    const auto index = static_cast<std::size_t>(raw_index);
     if (index >= restored.buckets_.size()) restored.buckets_.resize(index + 1, 0);
     restored.buckets_[index] = pair.at(1).as_u64();
   }

@@ -46,7 +46,8 @@ class TailSketch {
   report::Json to_json() const;
 
   /// Restores the sketch from a to_json() rendering, replacing any
-  /// current state. Throws on schema mismatch.
+  /// current state. Throws on schema mismatch, and std::runtime_error on
+  /// a bucket index past the largest value's bucket.
   void from_json(const report::Json& j);
 
  private:

@@ -10,9 +10,13 @@ ProbeConnection::ProbeConnection(ProbeHost& host, FlowAddr addr, ProbeConnection
   host_.register_flow(addr_, [this](const tcpip::Packet& pkt) { handle(pkt); });
 }
 
-ProbeConnection::~ProbeConnection() {
+void ProbeConnection::shut() {
+  state_ = State::kClosed;
+  ++timer_generation_;
   if (timer_token_ != 0) host_.env().cancel(timer_token_);
-  host_.unregister_flow(addr_);
+  timer_token_ = 0;
+  if (registered_) host_.unregister_flow(addr_);
+  registered_ = false;
 }
 
 void ProbeConnection::connect(std::function<void(bool)> done) {

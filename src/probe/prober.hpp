@@ -27,11 +27,12 @@ struct ProbeConnectionOptions {
 /// One probe-side TCP connection. connect() performs the three-way
 /// handshake (with SYN retransmission); after establishment the owner
 /// sends arbitrary segments via the helpers and observes every incoming
-/// packet through `on_packet`.
+/// packet through `on_packet`. The connection's flow registration and its
+/// pending timer capture the connection itself, so destroying it shuts it.
 class ProbeConnection {
  public:
   ProbeConnection(ProbeHost& host, FlowAddr addr, ProbeConnectionOptions options);
-  ~ProbeConnection();
+  ~ProbeConnection() { shut(); }
 
   ProbeConnection(const ProbeConnection&) = delete;
   ProbeConnection& operator=(const ProbeConnection&) = delete;
@@ -48,6 +49,13 @@ class ProbeConnection {
   /// Abortive close (RST). Used for cleanup when graceful close is not
   /// worth the round trips.
   void abort();
+
+  /// Stops the connection where it is: unregisters its flow and cancels
+  /// its pending timer, sending nothing, so no later packet or timer
+  /// reaches it. Safe from inside the connection's own packet handler
+  /// (ProbeHost calls a copy of the handler), though freeing the
+  /// connection there is not.
+  void shut();
 
   // --- established-state accessors ---
   bool established() const { return established_; }
@@ -101,6 +109,7 @@ class ProbeConnection {
   std::function<void()> close_done_;
   std::uint64_t timer_token_{0};
   std::uint64_t timer_generation_{0};
+  bool registered_{true};
 };
 
 }  // namespace reorder::probe

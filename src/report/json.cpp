@@ -55,6 +55,7 @@ void dump_number(double d, std::string& out) {
 struct Parser {
   std::string_view text;
   std::size_t pos{0};
+  int depth{0};  ///< arrays and objects open around pos
 
   void skip_ws() {
     while (pos < text.size() && std::isspace(static_cast<unsigned char>(text[pos]))) ++pos;
@@ -80,8 +81,14 @@ struct Parser {
       case 't': return match("true") ? std::optional<Json>{Json{true}} : std::nullopt;
       case 'f': return match("false") ? std::optional<Json>{Json{false}} : std::nullopt;
       case '"': return string_value();
-      case '[': return array_value();
-      case '{': return object_value();
+      case '[':
+      case '{': {
+        if (depth == Json::kMaxDepth) return std::nullopt;
+        ++depth;
+        auto nested = text[pos] == '[' ? array_value() : object_value();
+        --depth;
+        return nested;
+      }
       default: return number_value();
     }
   }

@@ -85,7 +85,13 @@ class Json {
   /// Compact single-line rendering (stable member order).
   std::string dump() const;
 
-  /// Parses one JSON document; empty on malformed input or trailing junk.
+  /// Deepest array/object nesting parse() accepts. The parser recurses
+  /// once per level, so a bound keeps one hostile line from overflowing
+  /// the stack; the deepest record this code writes nests 8 levels.
+  static constexpr int kMaxDepth = 128;
+
+  /// Parses one JSON document; empty on malformed input, trailing junk or
+  /// nesting deeper than kMaxDepth.
   static std::optional<Json> parse(std::string_view text);
 
  private:

@@ -14,9 +14,10 @@ namespace reorder::tcpip {
 /// Capacity of a scheduled callback's inline capture buffer. Sized for the
 /// largest hot-path capture: a netsim stage forwarding lambda carrying a
 /// whole tcpip::Packet by value (headers + payload vector + metadata), with
-/// headroom for the protocol timers (shared_from_this + completion function
-/// + generation). Compile-time enforced — an oversized capture fails the
-/// static_assert in InplaceFunction rather than silently allocating.
+/// headroom for the protocol timers (the non-owning pointer to their run or
+/// endpoint + completion function + generation). Compile-time enforced — an
+/// oversized capture fails the static_assert in InplaceFunction rather than
+/// silently allocating.
 inline constexpr std::size_t kCallbackCapacity = 192;
 
 /// Deferred-execution callback: move-only, never heap-allocates its capture.
@@ -34,7 +35,8 @@ class Environment {
   /// Tokens are never zero, so callers can use 0 as "no timer armed".
   virtual std::uint64_t schedule(util::Duration delay, Callback fn) = 0;
 
-  /// Cancels a previously scheduled callback; no-op if already run.
+  /// Cancels a previously scheduled callback; no-op if already run or
+  /// cancelled, and for the "no timer armed" token 0.
   virtual void cancel(std::uint64_t token) = 0;
 
   /// Allocates a packet uid, unique within this environment's world and

@@ -166,6 +166,45 @@ TEST(MetricRestore, UnknownMetricNameThrows) {
   EXPECT_THROW(metrics::make_metric("no-such-metric"), std::invalid_argument);
 }
 
+TEST(MetricRestore, OutOfRangeSketchBucketIndicesThrow) {
+  // A sketch bucket index past the largest value's bucket (UINT64_MAX
+  // falls in bucket 1919) is corrupt input. The first index below used to
+  // wrap resize() to zero and write out of bounds; the second asked for
+  // terabytes.
+  const auto with_buckets = [](std::string text, const std::string& buckets) {
+    const std::string empty = "\"buckets\":[]";
+    const std::size_t at = text.find(empty);
+    EXPECT_NE(at, std::string::npos);
+    EXPECT_EQ(text.find(empty, at + 1), std::string::npos) << "one sketch in the record";
+    text.replace(at, empty.size(), "\"buckets\":" + buckets);
+    return *report::Json::parse(text);
+  };
+
+  // A whole metrics record, as reorder-merge and resume restore it: its
+  // late_time sketch is empty, so the record holds one bucket list.
+  metrics::MetricEngine engine;
+  metrics::EngineSink sink{engine};
+  TestRunResult result;
+  result.aggregate();
+  publish_result(sink, "host-0", "syn", util::TimePoint::epoch(), result);
+  const std::string record = engine.records().front().dump();
+  for (const std::string buckets : {"[[\"18446744073709551615\",1]]", "[[1000000000000,1]]"}) {
+    metrics::MetricEngine restored;
+    EXPECT_THROW(restored.restore_record(with_buckets(record, buckets)), std::runtime_error)
+        << buckets;
+  }
+  metrics::MetricEngine restored;
+  EXPECT_NO_THROW(restored.restore_record(with_buckets(record, "[[1919,1]]")));
+
+  // SequenceExtentMetric's extent_tail restores through the same code.
+  const std::string extent = metrics::make_metric("sequence_extent")->to_json().dump();
+  for (const std::string buckets : {"[[\"18446744073709551615\",1]]", "[[1000000000000,1]]"}) {
+    EXPECT_THROW(metrics::make_metric("sequence_extent")->from_json(with_buckets(extent, buckets)),
+                 std::runtime_error)
+        << buckets;
+  }
+}
+
 // ------------------------------------------------------ checkpoint codec
 
 TEST(Checkpoint, MeasurementCodecIsFullFidelity) {
@@ -332,38 +371,45 @@ TEST(KillAndResume, ResumeAfterAnyPrefixIsByteIdentical) {
 }
 
 TEST(KillAndResume, TornCheckpointRecordsAreDetectedAndTheirTargetsReRun) {
-  // A checkpoint holding targets {0, 1}, with 1's record torn mid-write
-  // (the file ends mid-line, as a killed writer leaves it).
+  // A checkpoint holding targets {0, 1}, with 1's record damaged: torn
+  // mid-write (the file ends mid-line, as a killed writer leaves it), or
+  // replaced by a line nested a million levels deep, which must cost only
+  // that record, not crash the parser.
   const SurveyCheckpoint& full = full_checkpoint();
   SurveyCheckpoint cp;
   cp.set_header(*full.header());
   cp.record_shard(full.restore_shard(0));
   cp.record_shard(full.restore_shard(1));
-  std::string text = cp.serialize();
+  const std::string text = cp.serialize();
   const std::size_t first_nl = text.find('\n');
   const std::size_t second_nl = text.find('\n', first_nl + 1);
   ASSERT_NE(second_nl, std::string::npos);
   const std::size_t last_begin = second_nl + 1;  // target 1's record starts here
   ASSERT_LT(last_begin, text.size());
-  text.resize(last_begin + (text.size() - last_begin) / 2);  // tear it mid-write
+  const std::vector<std::string> damaged = {
+      text.substr(0, last_begin + (text.size() - last_begin) / 2),  // torn mid-write
+      text.substr(0, last_begin) + std::string(1'000'000, '[') + "\n",
+  };
 
   const std::string path = testing::TempDir() + "reorder_ckpt_torn.jsonl";
-  {
-    std::ofstream out{path, std::ios::trunc};
-    out << text;
-  }
-  const SurveyCheckpoint loaded = SurveyCheckpoint::load(path);
-  std::remove(path.c_str());
-  EXPECT_EQ(loaded.completed_count(), 1u);
-  EXPECT_GE(loaded.torn_records(), 1u);
+  for (std::size_t d = 0; d < damaged.size(); ++d) {
+    {
+      std::ofstream out{path, std::ios::trunc};
+      out << damaged[d];
+    }
+    const SurveyCheckpoint loaded = SurveyCheckpoint::load(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(loaded.completed_count(), 1u) << "damage " << d;
+    EXPECT_GE(loaded.torn_records(), 1u) << "damage " << d;
 
-  SurveyService resumed{service_config(2)};
-  resumed.restore(loaded);
-  resumed.admit(nine_targets());
-  resumed.drain();
-  EXPECT_EQ(resumed.attempts(0), 0);
-  EXPECT_EQ(resumed.attempts(1), 1) << "the torn record's target re-ran";
-  EXPECT_EQ(canonical_jsonl(resumed), reference().jsonl);
+    SurveyService resumed{service_config(2)};
+    resumed.restore(loaded);
+    resumed.admit(nine_targets());
+    resumed.drain();
+    EXPECT_EQ(resumed.attempts(0), 0) << "damage " << d;
+    EXPECT_EQ(resumed.attempts(1), 1) << "the damaged record's target re-ran; damage " << d;
+    EXPECT_EQ(canonical_jsonl(resumed), reference().jsonl) << "damage " << d;
+  }
 }
 
 // ------------------------------------------------ retry and degradation

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "core/survey_testbed.hpp"
 #include "report/builders.hpp"
@@ -83,6 +84,24 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_FALSE(Json::parse("nan").has_value());
   // A \u escape must consume exactly four hex digits.
   EXPECT_FALSE(Json::parse("\"\\u12x4\"").has_value());
+  // Nesting a million levels deep: refused at the depth bound instead of
+  // recursing until the stack overflows.
+  constexpr std::size_t kDeep = 1'000'000;
+  EXPECT_FALSE(Json::parse(std::string(kDeep, '[')).has_value());
+  std::string deep_object;
+  for (std::size_t i = 0; i < kDeep; ++i) deep_object += "{\"a\":";
+  EXPECT_FALSE(Json::parse(deep_object).has_value());
+}
+
+TEST(Json, ParseAcceptsNestingUpToTheDepthBound) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  const auto parsed = Json::parse(nested(Json::kMaxDepth));
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->dump(), nested(Json::kMaxDepth));
+  EXPECT_FALSE(Json::parse(nested(Json::kMaxDepth + 1)).has_value());
 }
 
 TEST(Json, TypedAccessorsThrowOnMismatch) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <string>
 
 #include "core/test_registry.hpp"
 #include "core/testbed.hpp"
@@ -101,10 +102,11 @@ class SlowTest final : public ReorderTest {
 
 TEST(Testbed, RunSyncAbandonedCompletionLeavesNoResidue) {
   // Regression: run_sync used to hand the test a reference to a
-  // stack-local completion slot. A run abandoned at the deadline has no
-  // abort path, so its completion fired during the NEXT run_sync on the
-  // same loop — writing through a dangling stack pointer. The slot is
-  // heap-shared now; the late write lands there and is discarded.
+  // stack-local completion slot. A test like SlowTest completes on its
+  // own schedule, so an abandoned run's completion fired during the NEXT
+  // run_sync on the same loop — writing through a dangling stack
+  // pointer. The slot is heap-shared now; the late write lands there and
+  // is discarded.
   Testbed bed{TestbedConfig{}};
   SlowTest slow{bed.loop(), Duration::seconds(30)};
   const auto abandoned = bed.run_sync(slow, TestRunConfig{}, /*deadline_s=*/1);
@@ -118,6 +120,69 @@ TEST(Testbed, RunSyncAbandonedCompletionLeavesNoResidue) {
   EXPECT_EQ(fresh.note, "finished late");
   EXPECT_EQ(fresh.test_name, "slow");
 }
+
+/// A test owns its one current run, and the run owns what it put into
+/// the world: connections, flow registrations and pending events. So
+/// ending a run mid-measurement, by destroying its test or by starting
+/// the test's next run, must leave nothing behind and fire no completion.
+class TestbedTeardown : public ::testing::TestWithParam<std::string> {
+ protected:
+  static TestRunConfig fifteen_samples() {
+    TestRunConfig run;
+    run.samples = 15;
+    return run;
+  }
+
+  /// Nothing of any run is left in the probe host.
+  static void expect_empty(Testbed& bed) {
+    EXPECT_EQ(bed.probe().registered_flows(), 0u);
+    EXPECT_FALSE(bed.probe().icmp_handler);
+  }
+};
+
+TEST_P(TestbedTeardown, DestroyingATestMidRunEndsItWithoutACompletion) {
+  Testbed bed{TestbedConfig{}};
+  auto test = make_registered_test(bed.probe(), bed.remote_addr(), TestSpec{GetParam()});
+  int completions = 0;
+  test->run(fifteen_samples(), [&completions](TestRunResult) { ++completions; });
+  bed.loop().advance(Duration::millis(150));
+  ASSERT_EQ(completions, 0) << "the run must still be measuring";
+  ASSERT_TRUE(bed.probe().registered_flows() > 0 || bed.probe().icmp_handler)
+      << "a live run holds a flow or the ICMP handler";
+
+  test.reset();
+  // Long past every timer the run had armed, and past close_linger, so a
+  // SYN sample's polite close has released its flow too.
+  bed.loop().advance(Duration::seconds(700));
+  EXPECT_EQ(completions, 0);
+  expect_empty(bed);
+}
+
+TEST_P(TestbedTeardown, StartingARunEndsThePreviousOne) {
+  Testbed bed{TestbedConfig{}};
+  auto test = make_registered_test(bed.probe(), bed.remote_addr(), TestSpec{GetParam()});
+  int first = 0;
+  int second = 0;
+  test->run(fifteen_samples(), [&first](TestRunResult) { ++first; });
+  bed.loop().advance(Duration::millis(150));
+  ASSERT_EQ(first, 0) << "the first run must still be measuring";
+
+  test->run(fifteen_samples(), [&second](TestRunResult) { ++second; });
+  bed.loop().advance(Duration::seconds(700));
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+  expect_empty(bed);
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryTechnique, TestbedTeardown,
+                         ::testing::ValuesIn(TestRegistry::global().technique_names()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
 
 TEST(Testbed, WholeExperimentIsByteDeterministic) {
   // Strongest determinism check: the full pcap of a run (every packet,
