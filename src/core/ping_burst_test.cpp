@@ -8,7 +8,7 @@ namespace reorder::core {
 
 /// Per-run state machine, owned by its prober. Its callbacks capture it
 /// without owning it; ending it cancels its timer and drops the ICMP
-/// handler it installed.
+/// handler it registered for its target.
 struct PingBurstTest::Run {
   probe::ProbeHost& host;
   tcpip::Ipv4Address target;
@@ -31,7 +31,7 @@ struct PingBurstTest::Run {
 
   ~Run() {
     env().cancel(timer_token);
-    if (!finished) host.icmp_handler = nullptr;
+    if (!finished) host.unregister_icmp(target);
   }
 
   tcpip::Environment& env() { return host.env(); }
@@ -46,7 +46,7 @@ struct PingBurstTest::Run {
   }
 
   void start() {
-    host.icmp_handler = [this](const tcpip::Packet& pkt) { on_reply(pkt); };
+    host.register_icmp(target, [this](const tcpip::Packet& pkt) { on_reply(pkt); });
     next_burst();
   }
 
@@ -109,7 +109,7 @@ struct PingBurstTest::Run {
 
   void finish() {
     finished = true;
-    host.icmp_handler = nullptr;
+    host.unregister_icmp(target);
     auto cb = std::move(done);
     done = nullptr;
     if (cb) cb(result);

@@ -6,6 +6,24 @@
 
 namespace reorder::metrics {
 
+namespace {
+
+/// Appends the entries (position + t, first + t), t < count, to `runs`,
+/// extending the last run when they continue it in both position and send
+/// index (in 64 bits, so a run ending at 2^32 - 1 never absorbs 0).
+void append_run(std::vector<SequenceRun>& runs, std::uint64_t position, std::uint32_t first,
+                std::uint64_t count) {
+  const auto last = static_cast<std::uint32_t>(first + (count - 1));
+  if (!runs.empty() && std::uint64_t{runs.back().last} + 1 == first &&
+      runs.back().last_position() + 1 == position) {
+    runs.back().last = last;
+  } else {
+    runs.push_back(SequenceRun{position, first, last});
+  }
+}
+
+}  // namespace
+
 // -------------------------------------------------------- ArrivalCounter
 
 void ArrivalCounter::insert(std::uint32_t send_index) {
@@ -40,7 +58,9 @@ void ArrivalCounter::insert(std::uint32_t send_index) {
 std::uint64_t ArrivalCounter::count_above_slow(std::uint32_t send_index) {
   // Materialize the deferred records first (first reordered arrival of a
   // sequence pays the whole backlog once; after that it's incremental).
-  for (const std::uint32_t s : pending_) insert(s);
+  for (const Interval& r : pending_) {
+    for (std::uint64_t s = r.first; s <= r.last; ++s) insert(static_cast<std::uint32_t>(s));
+  }
   pending_.clear();
   // total - (arrivals with send index <= send_index).
   std::uint64_t at_or_below = 0;
@@ -63,20 +83,24 @@ void SequenceExtentMetric::observe_arrival(std::uint32_t send_index) {
   open_ = true;
   ++packets_;
   inversions_ += counter_.count_above(send_index);
-  if (!records_.empty() && records_.back().send_index > send_index) {
+  if (!records_.empty() && records_.back().last > send_index) {
     // Reordered (RFC 4737 type-P-reordered): a larger send index already
     // arrived. The extent is the distance back to the earliest such
-    // arrival, which is always a prefix-maximum record.
+    // arrival, which is always a prefix-maximum record: the first run
+    // ending above send_index holds it, at t = send_index + 1 - its
+    // first send index, clamped at 0.
     const auto it = std::upper_bound(
         records_.begin(), records_.end(), send_index,
-        [](std::uint32_t value, const Record& r) { return r.send_index > value; });
-    const auto extent = static_cast<std::uint32_t>(position_ - it->position);
+        [](std::uint32_t value, const SequenceRun& r) { return r.last > value; });
+    const std::uint64_t t =
+        send_index >= it->send_index ? std::uint64_t{send_index} + 1 - it->send_index : 0;
+    const auto extent = static_cast<std::uint32_t>(position_ - (it->position + t));
     ++reordered_;
     extent_sum_ += extent;
     max_extent_ = std::max(max_extent_, extent);
     extent_tail_.add(extent);
-  } else if (records_.empty() || send_index > records_.back().send_index) {
-    records_.push_back(Record{position_, send_index});
+  } else if (records_.empty() || send_index > records_.back().last) {
+    append_run(records_, position_, send_index, 1);
   }
   counter_.record(send_index);
   ++position_;
@@ -85,30 +109,26 @@ void SequenceExtentMetric::observe_arrival(std::uint32_t send_index) {
 void SequenceExtentMetric::observe_arrivals(const std::uint32_t* send_indices,
                                             std::size_t count) {
   // The scalar recurrence, with its in-order case bulked. An arrival
-  // whose send index exceeds the running prefix maximum (records_.back(),
-  // which equals the counter's max) is exactly: not reordered, zero
-  // inversions added, one record appended, one counter record — so a
-  // strictly-increasing stretch above the maximum reduces to three bulk
-  // appends. Anything else falls back to the scalar step for that
-  // arrival. Bit-exact by case analysis; the ingest equivalence tests
-  // hold it to that over every scenario.
+  // whose send index exceeds the running prefix maximum (the last run's
+  // last record, which equals the counter's max) is exactly: not
+  // reordered, zero inversions added, one record appended, one counter
+  // record — so a stretch of consecutive indices above the maximum is one
+  // run appended to each. Anything else falls back to the scalar step for
+  // that arrival. Bit-exact by case analysis; the ingest equivalence
+  // tests hold it to that over every scenario.
   std::size_t i = 0;
   while (i < count) {
-    if (!records_.empty() && send_indices[i] <= records_.back().send_index) {
+    if (!records_.empty() && send_indices[i] <= records_.back().last) {
       observe_arrival(send_indices[i]);
       ++i;
       continue;
     }
     std::size_t j = i + 1;
-    while (j < count && send_indices[j] > send_indices[j - 1]) ++j;
-    const std::size_t len = j - i;
+    while (j < count && std::uint64_t{send_indices[j - 1]} + 1 == send_indices[j]) ++j;
+    const std::uint64_t len = j - i;
     open_ = true;
-    const std::size_t base = records_.size();
-    records_.resize(base + len);
-    for (std::size_t t = 0; t < len; ++t) {
-      records_[base + t] = Record{position_ + t, send_indices[i + t]};
-    }
-    counter_.record_ascending(send_indices + i, len);
+    append_run(records_, position_, send_indices[i], len);
+    counter_.record_run(send_indices[i], len);
     packets_ += len;
     position_ += len;
     i = j;
@@ -118,6 +138,10 @@ void SequenceExtentMetric::observe_arrivals(const std::uint32_t* send_indices,
 void SequenceExtentMetric::prefetch_state() const {
   if (!records_.empty()) __builtin_prefetch(records_.data() + records_.size() - 1, 1);
   counter_.prefetch_tail();
+}
+
+std::size_t SequenceExtentMetric::state_bytes() const {
+  return records_.capacity() * sizeof(SequenceRun) + counter_.state_bytes();
 }
 
 void SequenceExtentMetric::end_sequence() {
@@ -177,13 +201,13 @@ void SequenceExtentMetric::from_json(const report::Json& j) {
 
 void NReorderingMetric::observe_arrival(std::uint32_t send_index) {
   open_ = true;
-  if (!stack_.empty() && stack_.back().send_index < send_index) {
-    // In-order fast path: the stack top is always the previous arrival
-    // (pushed at position_ - 1), so when it was sent earlier the binary
-    // search would land past the end, n would be 0, and the pop loop
-    // would pop nothing — skip straight to the push.
-    ++packets_;
-    stack_.push_back(Entry{position_, send_index});
+  ++packets_;
+  if (stack_.empty() || stack_.back().last < send_index) {
+    // In-order fast path: the stack top is always the previous arrival,
+    // so when it was sent earlier the binary search would land past the
+    // end, n would be 0, and the pop would pop nothing — skip straight to
+    // the push. (An empty stack is position 0, where n is 0 too.)
+    append_run(stack_, position_, send_index, 1);
     ++position_;
     return;
   }
@@ -191,40 +215,49 @@ void NReorderingMetric::observe_arrival(std::uint32_t send_index) {
   // before it were all sent after it. n = current position - 1 - (latest
   // earlier position whose send index is smaller). The monotonic stack
   // holds (position, send index) with strictly increasing values, so that
-  // latest smaller-valued position is found by binary search.
+  // latest smaller-valued position is found by binary search: the first
+  // run ending at or above send_index, whose first `below` entries are
+  // below it. The top run ends at or above it, so that run exists.
   const auto it = std::lower_bound(
       stack_.begin(), stack_.end(), send_index,
-      [](const Entry& e, std::uint32_t value) { return e.send_index < value; });
-  const std::int64_t boundary = it == stack_.begin() ? -1 : static_cast<std::int64_t>(
-                                                               std::prev(it)->position);
+      [](const SequenceRun& e, std::uint32_t value) { return e.last < value; });
+  const std::uint64_t below = send_index > it->send_index ? send_index - it->send_index : 0;
+  std::int64_t boundary = -1;
+  if (below > 0) {
+    boundary = static_cast<std::int64_t>(it->position + below - 1);
+  } else if (it != stack_.begin()) {
+    boundary = static_cast<std::int64_t>(std::prev(it)->last_position());
+  }
   const auto n = static_cast<std::uint64_t>(static_cast<std::int64_t>(position_) - 1 - boundary);
   if (n > 0) ++density_[n];
-  ++packets_;
-  while (!stack_.empty() && stack_.back().send_index >= send_index) stack_.pop_back();
-  stack_.push_back(Entry{position_, send_index});
+  // Pop every entry at or above send_index: the run keeps its `below`
+  // entries and the runs after it go.
+  if (below > 0) {
+    it->last = send_index - 1;
+    stack_.erase(std::next(it), stack_.end());
+  } else {
+    stack_.erase(it, stack_.end());
+  }
+  append_run(stack_, position_, send_index, 1);
   ++position_;
 }
 
 void NReorderingMetric::observe_arrivals(const std::uint32_t* send_indices, std::size_t count) {
   // Scalar recurrence with the in-order case bulked: an arrival above the
   // stack top (always the previous arrival) has n == 0 and pops nothing,
-  // so a strictly-increasing stretch is a straight append to the stack.
+  // so a stretch of consecutive indices above it is one run pushed.
   std::size_t i = 0;
   while (i < count) {
-    if (!stack_.empty() && send_indices[i] <= stack_.back().send_index) {
+    if (!stack_.empty() && send_indices[i] <= stack_.back().last) {
       observe_arrival(send_indices[i]);
       ++i;
       continue;
     }
     std::size_t j = i + 1;
-    while (j < count && send_indices[j] > send_indices[j - 1]) ++j;
-    const std::size_t len = j - i;
+    while (j < count && std::uint64_t{send_indices[j - 1]} + 1 == send_indices[j]) ++j;
+    const std::uint64_t len = j - i;
     open_ = true;
-    const std::size_t base = stack_.size();
-    stack_.resize(base + len);
-    for (std::size_t t = 0; t < len; ++t) {
-      stack_[base + t] = Entry{position_ + t, send_indices[i + t]};
-    }
+    append_run(stack_, position_, send_indices[i], len);
     packets_ += len;
     position_ += len;
     i = j;

@@ -3,10 +3,18 @@
 // measurement, trace capture, or TCP transfer is one sequence).
 //
 // Where core::analyze_sequence is the O(n^2) batch oracle, these are the
-// streaming production implementations: O(log n) per arrival, constant
-// state between arrivals, and exactly mergeable at sequence boundaries
-// (the engine closes the sequence at every measurement event, so shard
-// partitions never split one). The new metrics the literature asks for:
+// streaming production implementations: O(log n) per arrival, and exactly
+// mergeable at sequence boundaries (the engine closes the sequence at
+// every measurement event, so shard partitions never split one).
+//
+// The open state is run-length coded, so an in-order stretch costs O(1)
+// however long it is. SequenceExtentMetric keeps one run per stretch of
+// consecutive prefix maxima, its ArrivalCounter one interval per stretch
+// of consecutive send indices, plus a Fenwick tree of 8 B per send index
+// once the first reordered arrival needs one. NReorderingMetric keeps one
+// run per stretch of consecutive monotonic-stack entries. A fully in-order
+// sequence holds one run per structure, a lossy one a run per gap. The
+// new metrics the literature asks for:
 //
 //   * SequenceExtentMetric — RFC 4737 reordered ratio + reordering
 //     extents (max / mean / tail sketch) + inversions;
@@ -22,6 +30,7 @@
 //     (Mohammadpour & Le Boudec).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -39,18 +48,19 @@ class ArrivalCounter {
   /// O(1): buffers the index; the tree is only materialized when a query
   /// actually needs it. Counts depend on the multiset of recorded
   /// indices, not insertion order, so deferral is invisible.
-  void record(std::uint32_t send_index) {
-    pending_.push_back(send_index);
-    max_seen_ = std::max(max_seen_, send_index);
-    ++total_;
-  }
-  /// Bulk record of a strictly ascending run (caller's precondition; the
-  /// last element is then the run's maximum). Equivalent to `count`
-  /// record() calls.
-  void record_ascending(const std::uint32_t* send_indices, std::size_t count) {
-    if (count == 0) return;
-    pending_.insert(pending_.end(), send_indices, send_indices + count);
-    max_seen_ = std::max(max_seen_, send_indices[count - 1]);
+  void record(std::uint32_t send_index) { record_run(send_index, 1); }
+  /// O(1) bulk record of the `count` consecutive indices first,
+  /// first + 1, ... (the caller keeps the last one within 32 bits).
+  /// Equivalent to `count` record() calls.
+  void record_run(std::uint32_t first, std::uint64_t count) {
+    const auto last = static_cast<std::uint32_t>(first + (count - 1));
+    // In 64 bits, so an interval ending at 2^32 - 1 never absorbs 0.
+    if (!pending_.empty() && std::uint64_t{pending_.back().last} + 1 == first) {
+      pending_.back().last = last;
+    } else {
+      pending_.push_back(Interval{first, last});
+    }
+    max_seen_ = std::max(max_seen_, last);
     total_ += count;
   }
   std::uint64_t count_above(std::uint32_t send_index) {
@@ -63,19 +73,42 @@ class ArrivalCounter {
   }
   std::uint64_t total() const { return total_; }
   void clear();
+  /// Bytes of capacity held by the tree and the backlog.
+  std::size_t state_bytes() const {
+    return tree_.capacity() * sizeof(std::uint64_t) + pending_.capacity() * sizeof(Interval);
+  }
   /// Prefetch hint for the append tail (see Metric::prefetch_state).
   void prefetch_tail() const {
     if (!pending_.empty()) __builtin_prefetch(pending_.data() + pending_.size() - 1, 1);
   }
 
  private:
+  /// The recorded send indices first..last, each once.
+  struct Interval {
+    std::uint32_t first;
+    std::uint32_t last;
+  };
+
   void insert(std::uint32_t send_index);
   std::uint64_t count_above_slow(std::uint32_t send_index);
 
-  std::vector<std::uint64_t> tree_;       // 1-based Fenwick
-  std::vector<std::uint32_t> pending_;    // recorded, not yet in the tree
+  std::vector<std::uint64_t> tree_;  // 1-based Fenwick
+  std::vector<Interval> pending_;    // recorded, not yet in the tree
   std::uint64_t total_{0};
   std::uint32_t max_seen_{0};
+};
+
+/// A run of sequence entries that step by one in both arrival position
+/// and send index: the entries (position + t, send_index + t) for
+/// t = 0 .. last - send_index. SequenceExtentMetric's prefix maxima and
+/// NReorderingMetric's monotonic stack rise strictly in both, so each
+/// stores a stretch of consecutive entries as one run.
+struct SequenceRun {
+  std::uint64_t position;    ///< arrival position of the run's first entry
+  std::uint32_t send_index;  ///< send index of the run's first entry
+  std::uint32_t last;        ///< send index of the run's last entry
+
+  std::uint64_t last_position() const { return position + (last - send_index); }
 };
 
 /// RFC 4737 §4/§5: reordered ratio, reordering extents, inversions —
@@ -89,10 +122,10 @@ class SequenceExtentMetric final : public Metric {
 
   std::string_view name() const override { return kName; }
   void observe_arrival(std::uint32_t send_index) override;
-  /// The batched fast path: in-order stretches (send index above the
-  /// running maximum) collapse to bulk appends; every other arrival runs
-  /// the scalar step. Bit-exact with `count` observe_arrival() calls —
-  /// the ingest equivalence tests enforce it over every scenario.
+  /// The batched fast path: a stretch of consecutive send indices above
+  /// the running maximum extends one run in O(1); every other arrival
+  /// runs the scalar step. Bit-exact with `count` observe_arrival() calls
+  /// — the ingest equivalence tests enforce it over every scenario.
   void observe_arrivals(const std::uint32_t* send_indices, std::size_t count) override;
   void prefetch_state() const override;
   void end_sequence() override;
@@ -116,12 +149,11 @@ class SequenceExtentMetric final : public Metric {
   std::uint64_t sequences() const { return sequences_; }
   const TailSketch& extent_tail() const { return extent_tail_; }
 
- private:
-  struct Record {
-    std::uint64_t position;   ///< arrival position within the sequence
-    std::uint32_t send_index;
-  };
+  /// Bytes of capacity held by the open-sequence state, the counter's
+  /// Fenwick tree included.
+  std::size_t state_bytes() const;
 
+ private:
   // Closed totals (what merge combines).
   std::uint64_t packets_{0};
   std::uint64_t reordered_{0};
@@ -132,7 +164,7 @@ class SequenceExtentMetric final : public Metric {
   TailSketch extent_tail_;
 
   // Open-sequence state (must be closed before merge/snapshot compare).
-  std::vector<Record> records_;  ///< strictly increasing prefix maxima
+  std::vector<SequenceRun> records_;  ///< strictly increasing prefix maxima, as runs
   ArrivalCounter counter_;
   std::uint64_t position_{0};
   bool open_{false};
@@ -162,17 +194,16 @@ class NReorderingMetric final : public Metric {
   /// Fraction of packets with n-reordering >= 1.
   double reordered_fraction() const;
 
- private:
-  struct Entry {
-    std::uint64_t position;
-    std::uint32_t send_index;
-  };
+  /// Bytes of capacity held by the open-sequence state.
+  std::size_t state_bytes() const { return stack_.capacity() * sizeof(SequenceRun); }
 
+ private:
   std::uint64_t packets_{0};
   std::map<std::uint64_t, std::uint64_t> density_;  ///< n -> packet count
-  /// Monotonic stack: increasing position AND send index; the latest
-  /// earlier arrival with a smaller send index is found by binary search.
-  std::vector<Entry> stack_;
+  /// Monotonic stack, as runs: increasing position AND send index; the
+  /// latest earlier arrival with a smaller send index is found by binary
+  /// search. Its top entry is always the previous arrival.
+  std::vector<SequenceRun> stack_;
   std::uint64_t position_{0};
   bool open_{false};
 };

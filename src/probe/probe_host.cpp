@@ -23,9 +23,20 @@ void ProbeHost::register_flow(const FlowAddr& addr, Handler handler) {
 
 void ProbeHost::unregister_flow(const FlowAddr& addr) { flows_.erase(key_of(addr)); }
 
+void ProbeHost::register_icmp(tcpip::Ipv4Address remote, Handler handler) {
+  icmp_[remote] = std::move(handler);
+}
+
+void ProbeHost::unregister_icmp(tcpip::Ipv4Address remote) { icmp_.erase(remote); }
+
 void ProbeHost::on_receive(const tcpip::Packet& pkt) {
   if (pkt.is_icmp()) {
-    if (icmp_handler) icmp_handler(pkt);
+    const auto it = icmp_.find(pkt.ip.src);
+    if (it != icmp_.end()) {
+      // Copy the handler: it may unregister (and destroy) itself mid-call.
+      auto handler = it->second;
+      handler(pkt);
+    }
     return;
   }
   const FlowKey key{pkt.ip.src.value(), pkt.tcp.src_port, pkt.tcp.dst_port};

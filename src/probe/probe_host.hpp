@@ -34,15 +34,19 @@ class ProbeHost {
   void register_flow(const FlowAddr& addr, Handler handler);
   void unregister_flow(const FlowAddr& addr);
 
+  /// Routes incoming ICMP from `remote` (echo replies for the ping-burst
+  /// baseline) to `handler`. One handler per remote; re-registering
+  /// replaces it. ICMP from an unregistered remote is dropped.
+  void register_icmp(tcpip::Ipv4Address remote, Handler handler);
+  void unregister_icmp(tcpip::Ipv4Address remote);
+
   /// Packets that match no registered flow (e.g. stray RSTs).
   Handler unmatched_handler;
-
-  /// All incoming ICMP traffic (echo replies for the ping-burst baseline).
-  Handler icmp_handler;
 
   void send(tcpip::Packet pkt) { socket_.send(std::move(pkt)); }
 
   std::size_t registered_flows() const { return flows_.size(); }
+  std::size_t registered_icmp() const { return icmp_.size(); }
 
  private:
   void on_receive(const tcpip::Packet& pkt);
@@ -61,6 +65,7 @@ class ProbeHost {
   RawSocket& socket_;
   std::uint16_t next_port_;
   std::map<FlowKey, Handler> flows_;
+  std::map<tcpip::Ipv4Address, Handler> icmp_;
 };
 
 }  // namespace reorder::probe

@@ -62,7 +62,7 @@ TEST(IcmpCodec, DescribeAndHelpers) {
 TEST(HostEcho, RepliesWithMirroredPayload) {
   core::Testbed bed{core::TestbedConfig{}};
   std::optional<tcpip::Packet> reply;
-  bed.probe().icmp_handler = [&](const tcpip::Packet& pkt) { reply = pkt; };
+  bed.probe().register_icmp(bed.remote_addr(), [&](const tcpip::Packet& pkt) { reply = pkt; });
 
   tcpip::Packet req;
   req.ip.src = bed.probe().address();
@@ -87,7 +87,7 @@ TEST(HostEcho, SilentWhenDisabled) {
   cfg.remote.respond_to_ping = false;
   core::Testbed bed{cfg};
   int replies = 0;
-  bed.probe().icmp_handler = [&](const tcpip::Packet&) { ++replies; };
+  bed.probe().register_icmp(bed.remote_addr(), [&](const tcpip::Packet&) { ++replies; });
   tcpip::Packet req;
   req.ip.src = bed.probe().address();
   req.ip.dst = bed.remote_addr();
@@ -104,7 +104,7 @@ TEST(HostEcho, RateLimitCapsRepliesPerWindow) {
   cfg.remote.ping_rate_limit_per_sec = 3;
   core::Testbed bed{cfg};
   int replies = 0;
-  bed.probe().icmp_handler = [&](const tcpip::Packet&) { ++replies; };
+  bed.probe().register_icmp(bed.remote_addr(), [&](const tcpip::Packet&) { ++replies; });
 
   auto send_burst = [&](std::uint16_t base) {
     for (int i = 0; i < 10; ++i) {

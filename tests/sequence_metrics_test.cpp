@@ -1,11 +1,22 @@
 // Golden tests for the sequence metrics against worked examples: RFC 4737
 // (reordered ratio and extents), RFC 5236 (n-reordering), and Piratla's
-// RD / RBD density examples, all hand-checked.
+// RD / RBD density examples, all hand-checked. Then a differential test
+// of the extent and n-reordering metrics against independent oracles over
+// sequences with duplicates, gaps, late and early arrivals, and a bound
+// on their open per-flow state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <vector>
 
+#include "core/metrics.hpp"
+#include "ingest/arrival_batch.hpp"
+#include "ingest/pipeline.hpp"
 #include "metrics/sequence_metrics.hpp"
+#include "monitor/differential.hpp"
+#include "util/random.hpp"
 
 namespace reorder {
 namespace {
@@ -154,6 +165,217 @@ TEST(SequenceMetrics, PairStreamCollapsesToPairMetric) {
   EXPECT_EQ(extent.reordered(), 4u);
   EXPECT_EQ(extent.max_extent(), 1u);
   EXPECT_EQ(n.count_for(1), 4u);
+}
+
+// ------------------------------------------------ oracle differential
+
+/// A random arrival sequence of 1..300 arrivals mixing in-order stretches,
+/// gaps (lost packets), duplicates, late arrivals (below the running
+/// maximum) and early ones (a jump ahead whose skipped indices may still
+/// arrive late).
+std::vector<std::uint32_t> mixed_arrival(util::Rng& rng) {
+  const std::size_t n = 1 + rng.below(300);
+  std::vector<std::uint32_t> out;
+  std::vector<std::uint32_t> skipped;
+  auto next = static_cast<std::uint32_t>(rng.below(4));
+  while (out.size() < n) {
+    switch (rng.below(6)) {
+      case 0:
+      case 1:
+        for (auto k = 1 + rng.below(40); k > 0 && out.size() < n; --k) out.push_back(next++);
+        break;
+      case 2:
+        next += static_cast<std::uint32_t>(1 + rng.below(4));
+        break;
+      case 3:
+        if (!out.empty()) {
+          out.push_back(out[out.size() - 1 - rng.below(std::min<std::size_t>(out.size(), 8))]);
+        }
+        break;
+      case 4:
+        if (!skipped.empty()) {
+          const std::size_t k = rng.below(skipped.size());
+          out.push_back(skipped[k]);
+          skipped.erase(skipped.begin() + static_cast<std::ptrdiff_t>(k));
+        } else if (next > 0) {
+          out.push_back(static_cast<std::uint32_t>(rng.below(next)));
+        }
+        break;
+      default: {
+        const auto jump = static_cast<std::uint32_t>(1 + rng.below(12));
+        for (std::uint32_t k = 0; k < jump; ++k) skipped.push_back(next + k);
+        next += jump;
+        out.push_back(next++);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+/// RFC 5236 by brute force: an arrival's n counts the arrivals just
+/// before it, back to the first one with a strictly smaller send index.
+std::map<std::uint64_t, std::uint64_t> n_reordering_oracle(
+    const std::vector<std::uint32_t>& arrival) {
+  std::map<std::uint64_t, std::uint64_t> density;
+  for (std::size_t i = 0; i < arrival.size(); ++i) {
+    std::uint64_t n = 0;
+    for (std::size_t k = i; k > 0 && arrival[k - 1] >= arrival[i]; --k) ++n;
+    if (n > 0) ++density[n];
+  }
+  return density;
+}
+
+std::map<std::uint64_t, std::uint64_t> density_of(const metrics::NReorderingMetric& m) {
+  std::map<std::uint64_t, std::uint64_t> density;
+  const report::Json j = m.to_json();
+  for (const report::Json& d : j.at("density").items()) {
+    density[d.at("n").as_u64()] = d.at("count").as_u64();
+  }
+  return density;
+}
+
+// Each sequence goes through one suite arrival by arrival and through
+// another as random-length observe_arrivals() spans, twice each, so the
+// second pass reuses the metrics after end_sequence(). Both must match
+// core::analyze_sequence (extent, inversions) and the brute-force RFC 5236
+// count (n-reordering) after every pass.
+TEST(SequenceMetricsOracle, MixedSequencesMatchIndependentOracles) {
+  util::Rng rng{2207};
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::vector<std::uint32_t> arrival = mixed_arrival(rng);
+    const core::SequenceReorderStats extent_oracle = core::analyze_sequence(arrival);
+    const std::map<std::uint64_t, std::uint64_t> n_oracle = n_reordering_oracle(arrival);
+
+    metrics::MetricSuite scalar = ingest::SequenceEngine::default_suite();
+    metrics::MetricSuite spans = ingest::SequenceEngine::default_suite();
+    for (std::uint64_t pass = 1; pass <= 2; ++pass) {
+      for (const std::uint32_t s : arrival) scalar.observe_arrival(s);
+      scalar.end_sequence();
+      for (std::size_t i = 0; i < arrival.size();) {
+        const std::size_t len = 1 + rng.below(std::min<std::size_t>(arrival.size() - i, 40));
+        spans.observe_arrivals(arrival.data() + i, len);
+        i += len;
+      }
+      spans.end_sequence();
+
+      for (const metrics::MetricSuite* suite : {&scalar, &spans}) {
+        const char* feed = suite == &scalar ? "scalar" : "spans";
+        const auto* e =
+            suite->get<metrics::SequenceExtentMetric>(metrics::SequenceExtentMetric::kName);
+        ASSERT_EQ(e->packets(), pass * extent_oracle.packets) << "trial " << trial << " " << feed;
+        ASSERT_EQ(e->reordered(), pass * extent_oracle.reordered) << "trial " << trial << " " << feed;
+        ASSERT_EQ(e->max_extent(), extent_oracle.max_extent) << "trial " << trial << " " << feed;
+        ASSERT_DOUBLE_EQ(e->mean_extent(), extent_oracle.mean_extent)
+            << "trial " << trial << " " << feed;
+        ASSERT_EQ(e->inversions(), pass * extent_oracle.adjacent_swaps)
+            << "trial " << trial << " " << feed;
+
+        const auto* n = suite->get<metrics::NReorderingMetric>(metrics::NReorderingMetric::kName);
+        ASSERT_EQ(n->packets(), pass * arrival.size()) << "trial " << trial << " " << feed;
+        std::map<std::uint64_t, std::uint64_t> expected = n_oracle;
+        for (auto& [k, count] : expected) count *= pass;
+        ASSERT_EQ(density_of(*n), expected) << "trial " << trial << " " << feed;
+      }
+    }
+  }
+}
+
+// Runs and intervals end in 64 bits: a stretch ending at 2^32 - 1 never
+// continues into index 0.
+TEST(SequenceMetricsOracle, RunsDoNotWrapAtTheTopIndex) {
+  const std::vector<std::uint32_t> arrival{0xfffffffeu, 0xffffffffu, 0, 1};
+  metrics::NReorderingMetric spans;
+  observe_sequence(spans, arrival);
+  metrics::NReorderingMetric scalar;
+  for (const std::uint32_t s : arrival) scalar.observe_arrival(s);
+  scalar.end_sequence();
+  for (const metrics::NReorderingMetric* m : {&spans, &scalar}) {
+    EXPECT_EQ(density_of(*m), n_reordering_oracle(arrival));
+    EXPECT_EQ(m->count_for(2), 1u);  // 0 follows the two later-sent packets
+  }
+
+  metrics::ArrivalCounter counter;
+  counter.record_run(0xfffffffeu, 2);
+  const std::size_t one_interval = counter.state_bytes();
+  counter.record(0);
+  EXPECT_GT(counter.state_bytes(), one_interval);  // 0 opens an interval of its own
+  EXPECT_EQ(counter.total(), 3u);
+}
+
+// ------------------------------------------------------ state bound
+
+/// Both exact metrics' open-state bytes for one flow of `engine`.
+std::pair<std::size_t, std::size_t> flow_state(const ingest::SequenceEngine& engine,
+                                               std::uint64_t flow) {
+  const metrics::MetricSuite* suite = engine.flow_suite(flow);
+  return {suite->get<metrics::SequenceExtentMetric>(metrics::SequenceExtentMetric::kName)
+              ->state_bytes(),
+          suite->get<metrics::NReorderingMetric>(metrics::NReorderingMetric::kName)
+              ->state_bytes()};
+}
+
+// An open in-order flow holds one run per structure however long it is:
+// four flows fed through ingest_batch in runs of 16 hold the same bytes
+// after 2^20 arrivals each as after 2^10.
+TEST(SequenceStateBound, InOrderFlowStateIsFlat) {
+  constexpr std::uint64_t kFlows = 4;
+  constexpr std::uint32_t kRun = 16;
+  ingest::SequenceEngine engine;
+  ingest::ArrivalBatchBuilder builder{1024};
+  std::uint32_t next = 0;
+  const auto feed_until = [&](std::uint32_t end) {
+    for (; next < end; next += kRun) {
+      for (std::uint64_t flow = 1; flow <= kFlows; ++flow) {
+        for (std::uint32_t i = 0; i < kRun; ++i) {
+          if (builder.push(flow, next + i, 0)) engine.ingest_batch(builder.take());
+        }
+      }
+    }
+    if (builder.size() > 0) engine.ingest_batch(builder.take());
+  };
+
+  feed_until(1u << 10);
+  std::vector<std::pair<std::size_t, std::size_t>> small;
+  for (std::uint64_t flow = 1; flow <= kFlows; ++flow) small.push_back(flow_state(engine, flow));
+  feed_until(1u << 20);
+  ASSERT_EQ(engine.arrivals(), kFlows << 20);
+  for (std::uint64_t flow = 1; flow <= kFlows; ++flow) {
+    EXPECT_EQ(flow_state(engine, flow), small[flow - 1]) << "flow " << flow;
+  }
+}
+
+// A lossy flow holds a run per gap: the `lossy` traffic model's 2% drops,
+// four flows fed in runs of 16, each metric within 256 + 128 B per gap.
+TEST(SequenceStateBound, LossyFlowStateGrowsWithGapsOnly) {
+  monitor::TrafficOptions traffic;
+  traffic.flows = 4;
+  traffic.packets_per_flow = std::size_t{1} << 18;
+  std::map<std::uint64_t, std::vector<std::uint32_t>> flows;
+  for (const monitor::MonitorArrival& a : monitor::scenario_arrivals("lossy", 3, traffic)) {
+    flows[a.flow].push_back(a.send_index);
+  }
+  ASSERT_EQ(flows.size(), traffic.flows);
+
+  ingest::SequenceEngine engine;
+  ingest::ArrivalBatchBuilder builder{1024};
+  for (std::size_t at = 0; at < traffic.packets_per_flow; at += 16) {
+    for (const auto& [flow, sends] : flows) {
+      for (std::size_t i = at; i < std::min(at + 16, sends.size()); ++i) {
+        if (builder.push(flow, sends[i], 0)) engine.ingest_batch(builder.take());
+      }
+    }
+  }
+  if (builder.size() > 0) engine.ingest_batch(builder.take());
+
+  for (const auto& [flow, sends] : flows) {
+    std::size_t gaps = 0;
+    for (std::size_t i = 1; i < sends.size(); ++i) gaps += sends[i] != sends[i - 1] + 1;
+    ASSERT_GT(gaps, 1000u);
+    const auto [extent, n] = flow_state(engine, flow);
+    EXPECT_LE(extent, 256 + 128 * gaps) << "flow " << flow;
+    EXPECT_LE(n, 256 + 128 * gaps) << "flow " << flow;
+  }
 }
 
 }  // namespace

@@ -4,9 +4,12 @@
 // (watchdog timeouts, stale completions).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <set>
+#include <vector>
 
+#include "core/ping_burst_adapter.hpp"
 #include "core/survey_testbed.hpp"
 #include "stats/pair_difference.hpp"
 
@@ -320,6 +323,37 @@ TEST(SurveyEngine, StaleCompletionAfterTimeoutIsDropped) {
   loop.run();
   ASSERT_EQ(engine.measurements().size(), 1u);
   EXPECT_FALSE(engine.measurements()[0].result.admissible);
+}
+
+// Every run in a world shares its probe host. Two ping-burst runs at
+// once each register ICMP for their own target, so each counts exactly
+// its own echo replies: ten clean bursts of five are 40 in-order pairs.
+TEST(SurveyTestbed, PingBurstRunsInOneWorldCountOnlyTheirOwnReplies) {
+  SurveyTestbedConfig cfg;
+  cfg.seed = 5;
+  cfg.targets.resize(2);
+  for (SurveyTargetConfig& target : cfg.targets) target.tests = {TestSpec{"ping-burst"}};
+  SurveyTestbed bed{cfg};
+  std::vector<std::unique_ptr<PingBurstAdapter>> probes;
+  std::vector<std::optional<TestRunResult>> results(2);
+  TestRunConfig run;
+  run.samples = 10;
+  for (std::size_t i = 0; i < 2; ++i) {
+    probes.push_back(std::make_unique<PingBurstAdapter>(bed.probe(), bed.target_addr(i)));
+    probes[i]->run(run, [&results, i](TestRunResult r) { results[i] = std::move(r); });
+  }
+  bed.loop().run();
+
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(results[i].has_value()) << bed.target_name(i);
+    const PingBurstResult& burst = probes[i]->last_burst_result();
+    EXPECT_TRUE(results[i]->admissible) << bed.target_name(i);
+    EXPECT_EQ(burst.requests_sent, 50u) << bed.target_name(i);
+    EXPECT_EQ(burst.replies_received, burst.requests_sent) << bed.target_name(i);
+    EXPECT_EQ(results[i]->forward.in_order, 40u) << bed.target_name(i);
+    EXPECT_EQ(results[i]->forward.reordered, 0u) << bed.target_name(i);
+  }
+  EXPECT_EQ(bed.probe().registered_icmp(), 0u);
 }
 
 TEST(SurveyEngine, NoTargetsCompletesImmediately) {

@@ -136,7 +136,7 @@ class TestbedTeardown : public ::testing::TestWithParam<std::string> {
   /// Nothing of any run is left in the probe host.
   static void expect_empty(Testbed& bed) {
     EXPECT_EQ(bed.probe().registered_flows(), 0u);
-    EXPECT_FALSE(bed.probe().icmp_handler);
+    EXPECT_EQ(bed.probe().registered_icmp(), 0u);
   }
 };
 
@@ -147,7 +147,7 @@ TEST_P(TestbedTeardown, DestroyingATestMidRunEndsItWithoutACompletion) {
   test->run(fifteen_samples(), [&completions](TestRunResult) { ++completions; });
   bed.loop().advance(Duration::millis(150));
   ASSERT_EQ(completions, 0) << "the run must still be measuring";
-  ASSERT_TRUE(bed.probe().registered_flows() > 0 || bed.probe().icmp_handler)
+  ASSERT_TRUE(bed.probe().registered_flows() > 0 || bed.probe().registered_icmp() > 0)
       << "a live run holds a flow or the ICMP handler";
 
   test.reset();
