@@ -1,7 +1,7 @@
 // Declarative description of one direction of an emulated path, and the
-// builder that assembles it into a sim::Path. Shared by the single-remote
-// Testbed and the multi-remote SurveyTestbed so every topology derives its
-// per-stage RNG streams the same way.
+// builder that assembles it into a sim::Path. SurveyTestbed, the one world
+// builder, assembles every path of every world with it, so every topology
+// derives its per-stage RNG streams the same way.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,20 @@
 #include "core/survey_testbed.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
-#include "core/testbed.hpp"
 #include "util/shard_seeder.hpp"
 
 namespace reorder::core {
+
+tcpip::HostConfig default_remote_config(std::size_t object_size) {
+  tcpip::HostConfig cfg;
+  cfg.name = "remote";
+  cfg.listeners[kDiscardPort] = tcpip::ListenerConfig{tcpip::AppKind::kDiscard, 0};
+  cfg.listeners[kEchoPort] = tcpip::ListenerConfig{tcpip::AppKind::kEcho, 0};
+  cfg.listeners[kHttpPort] = tcpip::ListenerConfig{tcpip::AppKind::kObjectServer, object_size};
+  return cfg;
+}
 
 std::string default_target_name(std::size_t index) {
   return "target-" + std::to_string(index);
@@ -36,54 +45,71 @@ void pin_global_identity(SurveyTargetConfig& target, std::size_t global_index,
   if (!target.reverse_path_tag) target.reverse_path_tag = seeds.reverse_tag;
 }
 
-SurveyTestbed::SurveyTestbed(SurveyTestbedConfig config) {
+SurveyTestbed::SurveyTestbed(SurveyTestbedConfig config) : loop_{config.scheduler} {
   socket_ = std::make_unique<probe::SimRawSocket>(loop_, config.probe_addr);
   probe_ = std::make_unique<probe::ProbeHost>(loop_, *socket_);
 
-  std::size_t index = 0;
-  for (SurveyTargetConfig& target_cfg : config.targets) {
+  for (std::size_t index = 0; index < config.targets.size(); ++index) {
     auto net = std::make_unique<TargetNet>();
-    net->config = std::move(target_cfg);
-    if (net->config.name.empty()) net->config.name = default_target_name(index);
-    if (net->config.address == tcpip::Ipv4Address{}) {
-      net->config.address = default_target_address(index);
-    }
+    net->config = std::move(config.targets[index]);
+    pin_global_identity(net->config, index, config.seed);
+    const SurveyTargetConfig& target = net->config;
 
     // Install only the standard listener set when none is configured —
-    // the target's behaviour/IPID knobs must survive.
-    tcpip::HostConfig host_cfg = net->config.remote;
+    // the target's behaviour/IPID knobs must survive. With backends > 1
+    // each backend believes it owns the target's address.
+    tcpip::HostConfig host_cfg = target.remote;
     if (host_cfg.listeners.empty()) host_cfg.listeners = default_remote_config().listeners;
-    host_cfg.address = net->config.address;
-    host_cfg.name = net->config.name;
-    // Per-target seed/IPID derivation mirrors Testbed's per-backend scheme
-    // so identical (seed, index) pairs reproduce identical hosts. A config
-    // with explicit identity (pin_global_identity's) overrides the local
-    // derivation wholesale — that is what makes a target's world a pure
-    // function of its global fleet index.
-    host_cfg.seed = net->config.host_seed.value_or(config.seed * 1000 + index + 1);
-    host_cfg.ipid_initial =
-        net->config.ipid_initial.value_or(static_cast<std::uint16_t>(1 + 17'000 * index));
-    net->host = std::make_unique<tcpip::Host>(loop_, std::move(host_cfg));
+    host_cfg.address = target.address;
+    host_cfg.name = target.name;
+    for (std::size_t b = 0; b < std::max<std::size_t>(1, target.backends); ++b) {
+      tcpip::HostConfig backend_cfg = host_cfg;
+      backend_cfg.seed = *target.host_seed + b;
+      // Distinct IPID starting points make disjoint counter spaces obvious.
+      backend_cfg.ipid_initial = static_cast<std::uint16_t>(*target.ipid_initial + 17'000 * b);
+      net->hosts.push_back(std::make_unique<tcpip::Host>(loop_, std::move(backend_cfg)));
+    }
+    if (net->hosts.size() > 1) {
+      std::vector<tcpip::Host*> backends;
+      backends.reserve(net->hosts.size());
+      for (auto& host : net->hosts) backends.push_back(host.get());
+      net->balancer.emplace(std::move(backends), config.seed ^ 0x9e3779b9u);
+    }
+    if (target.capture) net->traces = std::make_unique<TargetTraces>();
+    TargetTraces* traces = net->traces.get();
 
-    // Distinct seed tags per target and direction keep every path's RNG
-    // stream independent of the others.
-    const std::uint64_t tag_base = 0x100 + index * 2;
-    build_measurement_path(loop_, net->forward, net->config.forward, config.seed,
-                           net->config.forward_path_tag.value_or(tag_base + 0));
-    build_measurement_path(loop_, net->reverse, net->config.reverse, config.seed,
-                           net->config.reverse_path_tag.value_or(tag_base + 1));
+    // Forward: probe -> (stages) -> [ingress tap] -> host or balancer.
+    // The packet dies there (hosts consume it by const ref): recycle its
+    // payload buffer for the next sender.
+    net->forward_handles = build_measurement_path(
+        loop_, net->forward, target.forward, config.seed, *target.forward_path_tag,
+        traces ? &traces->remote_ingress : nullptr, "remote-ingress");
+    net->forward.terminate([net = net.get()](tcpip::Packet pkt) {
+      if (net->balancer) {
+        net->balancer->receive(pkt);
+      } else {
+        net->hosts.front()->receive(pkt);
+      }
+      tcpip::recycle(std::move(pkt));
+    });
 
-    tcpip::Host* host = net->host.get();
-    net->forward.terminate([host](tcpip::Packet pkt) { host->receive(std::move(pkt)); });
+    // Reverse: host(s) -> [egress tap] -> (stages) -> [probe ingress tap]
+    // -> probe.
+    if (traces) {
+      net->reverse.emplace<trace::TraceTap>(loop_, traces->remote_egress, "remote-egress");
+    }
+    net->reverse_handles = build_measurement_path(
+        loop_, net->reverse, target.reverse, config.seed, *target.reverse_path_tag,
+        traces ? &traces->probe_ingress : nullptr, "probe-ingress");
     net->reverse.terminate([this](tcpip::Packet pkt) { socket_->deliver(std::move(pkt)); });
-    net->host->set_transmit(net->reverse.entry());
+    const auto reverse_entry = net->reverse.entry();
+    for (auto& host : net->hosts) host->set_transmit(reverse_entry);
 
-    if (!routes_.emplace(net->config.address.value(), net.get()).second) {
+    if (!routes_.emplace(target.address.value(), net.get()).second) {
       throw std::invalid_argument{"SurveyTestbed: duplicate target address " +
-                                  net->config.address.to_string()};
+                                  target.address.to_string()};
     }
     targets_.push_back(std::move(net));
-    ++index;
   }
 
   socket_->set_transmit([this](tcpip::Packet pkt) {

@@ -1,106 +1,64 @@
-// A canonical duplex topology: probe host — forward path — remote host(s)
-// — reverse path — probe host, with trace taps at the validation points
-// the paper's controlled experiments need (actual arrival order at the
-// remote; actual departure order from the remote). Everything the tests,
-// benches and examples wire up goes through this builder.
+// The one-target world the paper's controlled experiments run in: probe
+// host — forward path — remote host(s) — reverse path — probe host, with
+// trace taps at the validation points (actual arrival order at the
+// remote; actual departure order from the remote). A Testbed is a
+// one-target SurveyTestbed with a fixed identity and ground-truth capture
+// on; it owns nothing of its own and reads target 0 for its callers.
 #pragma once
 
-#include <memory>
-#include <optional>
-#include <vector>
+#include <cstdint>
 
-#include "core/path_builder.hpp"
 #include "core/reorder_test.hpp"
-#include "netsim/event_loop.hpp"
-#include "netsim/link.hpp"
-#include "netsim/load_balancer.hpp"
-#include "netsim/path.hpp"
-#include "netsim/striped_link.hpp"
-#include "netsim/swap_shaper.hpp"
-#include "probe/probe_host.hpp"
-#include "probe/raw_socket.hpp"
-#include "tcpip/host.hpp"
-#include "trace/trace.hpp"
+#include "core/survey_testbed.hpp"
 
 namespace reorder::core {
 
 struct TestbedConfig {
   std::uint64_t seed{1};
-  tcpip::Ipv4Address probe_addr{tcpip::Ipv4Address::from_octets(10, 0, 0, 1)};
-  tcpip::Ipv4Address remote_addr{tcpip::Ipv4Address::from_octets(10, 0, 0, 2)};
-  /// Behaviour/IPID/app configuration of the remote (address is overridden
-  /// with remote_addr). Defaults: discard on 9, 16 KiB object on 80.
+  /// Behaviour/IPID/app configuration of the remote. The standard
+  /// listener set (discard on 9, echo on 7, a 16 KiB object on 80) is
+  /// installed when no listeners are configured; every other field is
+  /// kept.
   tcpip::HostConfig remote{};
   /// > 1 puts that many backends behind a transparent load balancer at
-  /// remote_addr; 1 is a plain single host.
+  /// remote_addr(); 1 is a plain single host.
   std::size_t backends{1};
   PathSpec forward{};
   PathSpec reverse{};
-  /// Scheduler implementation for this testbed's event loop. The reference
-  /// map exists for differential testing (order-equivalence suite) and the
-  /// scheduling benchmarks' before/after comparison; experiments keep the
-  /// default.
+  /// Scheduler implementation for this testbed's event loop (see
+  /// SurveyTestbedConfig::scheduler).
   sim::EventLoop::QueuePolicy scheduler{sim::EventLoop::QueuePolicy::kIndexedHeap};
 };
 
-/// Well-known ports the default remote listens on.
-constexpr std::uint16_t kDiscardPort = 9;
-constexpr std::uint16_t kEchoPort = 7;
-constexpr std::uint16_t kHttpPort = 80;
-
-class Testbed {
+class Testbed : private SurveyTestbed {
  public:
   explicit Testbed(TestbedConfig config);
 
-  sim::EventLoop& loop() { return loop_; }
-  probe::ProbeHost& probe() { return *probe_; }
-  tcpip::Ipv4Address remote_addr() const { return config_.remote_addr; }
-  tcpip::Host& remote(std::size_t i = 0) { return *remotes_.at(i); }
-  std::size_t backend_count() const { return remotes_.size(); }
-  sim::LoadBalancer* balancer() { return balancer_ ? &*balancer_ : nullptr; }
+  using SurveyTestbed::loop;
+  using SurveyTestbed::probe;
+  tcpip::Ipv4Address remote_addr() const { return target_addr(0); }
+  tcpip::Host& remote(std::size_t i = 0) { return target_host(0, i); }
+  std::size_t backend_count() const { return target_backend_count(0); }
+  sim::LoadBalancer* balancer() { return target_balancer(0); }
 
   /// Runtime handles on the reordering processes (null when absent).
-  sim::SwapShaper* forward_shaper() { return fwd_shaper_; }
-  sim::SwapShaper* reverse_shaper() { return rev_shaper_; }
-  sim::StripedLink* forward_striped() { return fwd_striped_; }
+  sim::SwapShaper* forward_shaper() { return forward_handles(0).shaper; }
+  sim::SwapShaper* reverse_shaper() { return reverse_handles(0).shaper; }
+  sim::StripedLink* forward_striped() { return forward_handles(0).striped; }
 
   /// Ground-truth capture: packets as they arrive at the remote side
   /// (after all forward-path reordering).
-  trace::TraceBuffer& remote_ingress_trace() { return remote_ingress_; }
+  trace::TraceBuffer& remote_ingress_trace() { return target_traces(0)->remote_ingress; }
   /// Packets in the order the remote transmitted them (before any
   /// reverse-path reordering).
-  trace::TraceBuffer& remote_egress_trace() { return remote_egress_; }
+  trace::TraceBuffer& remote_egress_trace() { return target_traces(0)->remote_egress; }
   /// Packets as they arrive back at the probe.
-  trace::TraceBuffer& probe_ingress_trace() { return probe_ingress_; }
+  trace::TraceBuffer& probe_ingress_trace() { return target_traces(0)->probe_ingress; }
 
   /// Drives the loop until the test completes (or `deadline_s` of virtual
   /// time passes) and returns the result.
   TestRunResult run_sync(ReorderTest& test, const TestRunConfig& config,
                          std::int64_t deadline_s = 600);
-
- private:
-  TestbedConfig config_;
-  sim::EventLoop loop_;
-
-  trace::TraceBuffer remote_ingress_;
-  trace::TraceBuffer remote_egress_;
-  trace::TraceBuffer probe_ingress_;
-
-  std::unique_ptr<probe::SimRawSocket> socket_;
-  std::unique_ptr<probe::ProbeHost> probe_;
-  std::vector<std::unique_ptr<tcpip::Host>> remotes_;
-  std::optional<sim::LoadBalancer> balancer_;
-
-  sim::Path forward_;
-  sim::Path reverse_;
-  sim::SwapShaper* fwd_shaper_{nullptr};
-  sim::SwapShaper* rev_shaper_{nullptr};
-  sim::StripedLink* fwd_striped_{nullptr};
-  sim::StripedLink* rev_striped_{nullptr};
 };
-
-/// A HostConfig with the standard listener set (discard/echo/object) and
-/// the given behaviour knobs — the usual starting point for experiments.
-tcpip::HostConfig default_remote_config(std::size_t object_size = 16 * 1024);
 
 }  // namespace reorder::core

@@ -71,8 +71,10 @@ std::uint64_t ArrivalCounter::count_above_slow(std::uint32_t send_index) {
 }
 
 void ArrivalCounter::clear() {
-  tree_.clear();
-  pending_.clear();
+  // Release the storage, not just the contents: a closed sequence must not
+  // keep the largest tree this counter ever held.
+  tree_ = std::vector<std::uint64_t>{};
+  pending_ = std::vector<Interval>{};
   total_ = 0;
   max_seen_ = 0;
 }
@@ -147,7 +149,7 @@ std::size_t SequenceExtentMetric::state_bytes() const {
 void SequenceExtentMetric::end_sequence() {
   if (!open_) return;
   ++sequences_;
-  records_.clear();
+  records_ = std::vector<SequenceRun>{};
   counter_.clear();
   position_ = 0;
   open_ = false;
@@ -270,7 +272,7 @@ void NReorderingMetric::prefetch_state() const {
 
 void NReorderingMetric::end_sequence() {
   if (!open_) return;
-  stack_.clear();
+  stack_ = std::vector<SequenceRun>{};
   position_ = 0;
   open_ = false;
 }

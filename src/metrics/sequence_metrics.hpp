@@ -72,6 +72,7 @@ class ArrivalCounter {
     return count_above_slow(send_index);
   }
   std::uint64_t total() const { return total_; }
+  /// Empties the counter and releases its storage.
   void clear();
   /// Bytes of capacity held by the tree and the backlog.
   std::size_t state_bytes() const {

@@ -3,15 +3,16 @@
 namespace reorder::probe {
 
 ProbeHost::ProbeHost(tcpip::Environment& env, RawSocket& socket, std::uint16_t first_ephemeral)
-    : env_{env}, socket_{socket}, next_port_{first_ephemeral} {
+    : env_{env}, socket_{socket}, first_ephemeral_{first_ephemeral} {
   socket_.set_receive_handler([this](const tcpip::Packet& pkt) { on_receive(pkt); });
 }
 
 FlowAddr ProbeHost::make_flow(tcpip::Ipv4Address remote, std::uint16_t remote_port) {
   FlowAddr addr;
   addr.local = socket_.local_address();
-  addr.local_port = next_port_++;
-  if (next_port_ == 0) next_port_ = 40000;  // wrapped the ephemeral range
+  std::uint16_t& next_port = next_port_.try_emplace(remote, first_ephemeral_).first->second;
+  addr.local_port = next_port++;
+  if (next_port == 0) next_port = 40000;  // wrapped the ephemeral range
   addr.remote = remote;
   addr.remote_port = remote_port;
   return addr;

@@ -25,6 +25,9 @@ class ProbeHost {
   tcpip::Ipv4Address address() const { return socket_.local_address(); }
 
   /// Builds a flow address toward `remote:port` on a fresh local port.
+  /// Each remote has its own port sequence, so the ports a target's flows
+  /// use (which a load balancer hashes) do not depend on what other
+  /// targets of the same probe run.
   FlowAddr make_flow(tcpip::Ipv4Address remote, std::uint16_t remote_port);
 
   using Handler = std::function<void(const tcpip::Packet&)>;
@@ -63,7 +66,8 @@ class ProbeHost {
 
   tcpip::Environment& env_;
   RawSocket& socket_;
-  std::uint16_t next_port_;
+  std::uint16_t first_ephemeral_;
+  std::map<tcpip::Ipv4Address, std::uint16_t> next_port_;  ///< per remote
   std::map<FlowKey, Handler> flows_;
   std::map<tcpip::Ipv4Address, Handler> icmp_;
 };

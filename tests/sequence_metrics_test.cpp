@@ -378,5 +378,36 @@ TEST(SequenceStateBound, LossyFlowStateGrowsWithGapsOnly) {
   }
 }
 
+// Closing a sequence releases its open state: after a 2^16-arrival
+// adjacent-swap sequence, and again after a following 3-arrival one, each
+// metric holds what a fresh one does.
+TEST(SequenceStateBound, ClosingASequenceReleasesItsState) {
+  const std::size_t fresh_extent = metrics::SequenceExtentMetric{}.state_bytes();
+  const std::size_t fresh_n = metrics::NReorderingMetric{}.state_bytes();
+  metrics::SequenceExtentMetric extent;
+  metrics::NReorderingMetric n;
+  const auto observe_swaps = [&](std::uint32_t arrivals) {
+    for (std::uint32_t i = 0; i < arrivals; ++i) {
+      extent.observe_arrival(i ^ 1u);  // 1, 0, 3, 2, ...
+      n.observe_arrival(i ^ 1u);
+    }
+  };
+
+  observe_swaps(1u << 16);
+  ASSERT_GT(extent.state_bytes(), fresh_extent) << "the open sequence holds state";
+  ASSERT_GT(n.state_bytes(), fresh_n) << "the open sequence holds state";
+  extent.end_sequence();
+  n.end_sequence();
+  EXPECT_EQ(extent.state_bytes(), fresh_extent);
+  EXPECT_EQ(n.state_bytes(), fresh_n);
+
+  observe_swaps(3);
+  extent.end_sequence();
+  n.end_sequence();
+  EXPECT_EQ(extent.state_bytes(), fresh_extent);
+  EXPECT_EQ(n.state_bytes(), fresh_n);
+  EXPECT_EQ(extent.sequences(), 2u);
+}
+
 }  // namespace
 }  // namespace reorder

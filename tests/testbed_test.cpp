@@ -1,5 +1,6 @@
-// Tests for the Testbed topology builder itself: wiring, trace taps,
-// backend fan-out, and whole-experiment determinism at the byte level.
+// Tests for the world builder itself: wiring, trace taps, backend fan-out
+// (per target in a SurveyTestbed, and through the one-target Testbed
+// view), and whole-experiment determinism at the byte level.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include "core/test_registry.hpp"
 #include "core/testbed.hpp"
 #include "probe/prober.hpp"
+#include "survey_fixture.hpp"
 #include "trace/pcap_writer.hpp"
 
 namespace reorder::core {
@@ -25,6 +27,22 @@ TEST(Testbed, DefaultsProvideListeners) {
   EXPECT_TRUE(listeners.contains(kDiscardPort));
   EXPECT_TRUE(listeners.contains(kEchoPort));
   EXPECT_TRUE(listeners.contains(kHttpPort));
+}
+
+TEST(Testbed, RemoteKnobsSurviveWithoutListeners) {
+  // A remote config with knobs but no listeners gets the standard
+  // listener set added; the knobs must not be replaced with defaults.
+  TestbedConfig cfg;
+  cfg.remote.ipid_policy = tcpip::IpidPolicy::kRandom;
+  cfg.remote.syn_drop_probability = 0.5;
+  Testbed bed{cfg};
+  const tcpip::HostConfig& remote = bed.remote().config();
+  EXPECT_EQ(remote.ipid_policy, tcpip::IpidPolicy::kRandom);
+  EXPECT_DOUBLE_EQ(remote.syn_drop_probability, 0.5);
+  EXPECT_EQ(remote.listeners.size(), 3u);
+  EXPECT_TRUE(remote.listeners.contains(kDiscardPort));
+  EXPECT_TRUE(remote.listeners.contains(kEchoPort));
+  EXPECT_TRUE(remote.listeners.contains(kHttpPort));
 }
 
 TEST(Testbed, ShaperHandlesExposedWhenConfigured) {
@@ -213,6 +231,104 @@ TEST(Testbed, WholeExperimentIsByteDeterministic) {
   EXPECT_EQ(ba, bb);
   std::remove("/tmp/testbed_det_a.pcap");
   std::remove("/tmp/testbed_det_b.pcap");
+}
+
+/// Two targets in one world: "balanced" behind three backends with
+/// ground-truth capture on, "plain" a single host without it. Both are
+/// pinned to their index, so each is also buildable alone.
+std::vector<SurveyTargetConfig> balanced_and_plain(std::uint64_t seed) {
+  SurveyTargetConfig balanced;
+  balanced.name = "balanced";
+  balanced.backends = 3;
+  balanced.capture = true;
+  balanced.forward.swap_probability = 0.2;
+  balanced.reverse.swap_probability = 0.05;
+  balanced.tests = {TestSpec{"syn"}, TestSpec{"dual-connection"}};
+  SurveyTargetConfig plain;
+  plain.name = "plain";
+  plain.forward.swap_probability = 0.1;
+  plain.tests = {TestSpec{"single-connection"}, TestSpec{"syn"}};
+  std::vector<SurveyTargetConfig> targets{balanced, plain};
+  for (std::size_t i = 0; i < targets.size(); ++i) pin_global_identity(targets[i], i, seed);
+  return targets;
+}
+
+/// Surveys every target of `bed` for three rounds; returns the snapshot dump.
+std::string survey(SurveyTestbed& bed) {
+  SurveyEngine engine{bed.loop()};
+  bed.populate(engine);
+  TestRunConfig run;
+  run.samples = 10;
+  engine.run(run, /*rounds=*/3, Duration::millis(500));
+  return survey_fixture::snapshot_dump(engine.metrics());
+}
+
+/// (capture time, IPID) of every packet in a trace, in capture order.
+std::vector<std::pair<std::int64_t, std::uint16_t>> timeline(const trace::TraceBuffer& trace) {
+  std::vector<std::pair<std::int64_t, std::uint16_t>> out;
+  for (const trace::TraceRecord& r : trace.records()) {
+    out.emplace_back(r.at.ns(), r.packet.ip.identification);
+  }
+  return out;
+}
+
+TEST(SurveyTestbed, BackendsAndCaptureArePerTarget) {
+  constexpr std::uint64_t kSeed = 5;
+  SurveyTestbedConfig cfg;
+  cfg.seed = kSeed;
+  cfg.targets = balanced_and_plain(kSeed);
+  SurveyTestbed bed{cfg};
+
+  // The backends share the balanced target's address; the plain target
+  // is one host with no balancer.
+  ASSERT_EQ(bed.target_backend_count(0), 3u);
+  ASSERT_NE(bed.target_balancer(0), nullptr);
+  for (std::size_t b = 0; b < 3; ++b) {
+    EXPECT_EQ(bed.target_host(0, b).address(), bed.target_addr(0));
+  }
+  EXPECT_EQ(bed.target_backend_count(1), 1u);
+  EXPECT_EQ(bed.target_balancer(1), nullptr);
+  EXPECT_NE(bed.target_addr(1), bed.target_addr(0));
+  EXPECT_EQ(bed.target_traces(1), nullptr) << "a target without capture allocates no trace";
+
+  const std::string together = survey(bed);
+  ASSERT_FALSE(together.empty());
+
+  // Only the capturing target's three traces fill, each with its own
+  // traffic only.
+  TargetTraces* traces = bed.target_traces(0);
+  ASSERT_NE(traces, nullptr);
+  ASSERT_FALSE(traces->remote_ingress.empty());
+  ASSERT_FALSE(traces->remote_egress.empty());
+  ASSERT_FALSE(traces->probe_ingress.empty());
+  for (const trace::TraceRecord& r : traces->remote_ingress.records()) {
+    EXPECT_EQ(r.packet.ip.dst, bed.target_addr(0));
+  }
+  for (const trace::TraceBuffer* t : {&traces->remote_egress, &traces->probe_ingress}) {
+    for (const trace::TraceRecord& r : t->records()) EXPECT_EQ(r.packet.ip.src, bed.target_addr(0));
+  }
+  std::size_t backends_used = 0;
+  for (std::size_t b = 0; b < 3; ++b) backends_used += bed.target_balancer(0)->forwarded_to(b) > 0;
+  EXPECT_GE(backends_used, 2u) << "the balancer spreads flows over the backends";
+
+  // Each target measures exactly what the same pinned target measures
+  // alone, and the balanced target's taps capture the same timeline.
+  std::string alone;
+  for (std::size_t i = 0; i < cfg.targets.size(); ++i) {
+    SurveyTestbedConfig one;
+    one.seed = kSeed;
+    one.targets = {cfg.targets[i]};
+    SurveyTestbed solo{one};
+    alone += survey(solo);
+    if (i == 0) {
+      TargetTraces* solo_traces = solo.target_traces(0);
+      ASSERT_NE(solo_traces, nullptr);
+      EXPECT_EQ(timeline(solo_traces->remote_ingress), timeline(traces->remote_ingress));
+      EXPECT_EQ(timeline(solo_traces->remote_egress), timeline(traces->remote_egress));
+      EXPECT_EQ(timeline(solo_traces->probe_ingress), timeline(traces->probe_ingress));
+    }
+  }
+  EXPECT_EQ(together, alone);
 }
 
 TEST(Testbed, PathDescribeListsStages) {
