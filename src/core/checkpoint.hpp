@@ -29,7 +29,6 @@
 //     Corruption costs work, never correctness.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -46,22 +45,16 @@
 namespace reorder::core {
 
 /// Failure policy for one target's world: how often a failed run is
-/// re-attempted and how the waits between attempts grow. Retries apply
-/// only to TRANSIENT failures (infrastructure: a worker died, an injected
-/// kThrow/kShardAbort with transient=true); deterministic failures
-/// (std::invalid_argument, non-transient injected faults) would fail
-/// identically every attempt and go straight to the degraded path.
+/// re-attempted (the waits between attempts are the service's fixed
+/// backoff schedule). Retries apply only to TRANSIENT failures
+/// (infrastructure: a worker died, an injected kThrow/kShardAbort with
+/// transient=true); deterministic failures (std::invalid_argument,
+/// non-transient injected faults) would fail identically every attempt
+/// and go straight to the degraded path.
 struct ShardRetryPolicy {
   /// Attempts per target including the first (clamped to >= 1). A target
   /// still failing after the last attempt makes the survey degraded.
   int max_attempts{3};
-  /// Wall-clock wait before attempt 2; grows by `multiplier` per further
-  /// attempt, capped at `max_backoff`. Wall time, not virtual time: the
-  /// world is rebuilt afresh each attempt, so virtual time restarts
-  /// — only the host needs breathing room.
-  std::chrono::milliseconds initial_backoff{1};
-  double multiplier{2.0};
-  std::chrono::milliseconds max_backoff{50};
 };
 
 /// What one completed world leaves behind — the unit a checkpoint records

@@ -116,12 +116,8 @@ report::Json TimeDomainMetric::to_json() const {
 void TimeDomainMetric::from_json(const report::Json& j) {
   profile_ = core::TimeDomainProfile{};
   for (const auto& point : j.at("points").items()) {
-    core::ReorderEstimate estimate;
-    estimate.in_order = point.at("in_order").as_u64();
-    estimate.reordered = point.at("reordered").as_u64();
-    estimate.ambiguous = point.at("ambiguous").as_u64();
-    estimate.lost = point.at("lost").as_u64();
-    profile_.add(util::Duration::nanos(point.at("gap_ns").as_int()), estimate);
+    profile_.add(util::Duration::nanos(point.at("gap_ns").as_int()),
+                 report::estimate_from_json(point));
   }
 }
 

@@ -2,8 +2,10 @@
 // builder owns the data one figure/table family is derived from and
 // renders it two ways: an aligned human table (Table) and a JSONL record
 // stream (one {"type":"row",...} object per table row, then one
-// {"type":"summary",...} object). The benches feed them and print;
-// nothing in bench/ hand-rolls a table loop any more.
+// {"type":"summary",...} object). Benches whose table fits a builder
+// feed it and print; six (ablation_table, fig6_timeseries, ipid_survey,
+// pairdiff_table, related_work_bennett, related_work_paxson) still build
+// some of their own row or summary records.
 #pragma once
 
 #include <optional>

@@ -50,6 +50,41 @@ void dump_number(double d, std::string& out) {
   out += buf;
 }
 
+// Appends `v`'s compact rendering to `out`: one buffer for the whole
+// tree, so a nested value is written in place, never copied up a level.
+void dump_value(const Json& v, std::string& out) {
+  switch (v.type()) {
+    case Json::Type::kNull: out += "null"; break;
+    case Json::Type::kBool: out += v.as_bool() ? "true" : "false"; break;
+    case Json::Type::kNumber: dump_number(v.as_double(), out); break;
+    case Json::Type::kString: dump_string(v.as_string(), out); break;
+    case Json::Type::kArray: {
+      out += '[';
+      bool first = true;
+      for (const auto& item : v.items()) {
+        if (!first) out += ',';
+        first = false;
+        dump_value(item, out);
+      }
+      out += ']';
+      break;
+    }
+    case Json::Type::kObject: {
+      out += '{';
+      bool first = true;
+      for (const auto& [k, member] : v.members()) {
+        if (!first) out += ',';
+        first = false;
+        dump_string(k, out);
+        out += ':';
+        dump_value(member, out);
+      }
+      out += '}';
+      break;
+    }
+  }
+}
+
 // ------------------------------------------------------------- parsing
 
 struct Parser {
@@ -211,7 +246,7 @@ double Json::as_double() const {
 
 std::int64_t Json::as_int() const {
   const double d = as_double();  // the bounds are exact doubles; NaN fails both
-  if (!(d >= -0x1p63 && d < 0x1p63)) type_error("a number in the int64 range");
+  if (!(d >= -0x1p63 && d < 0x1p63) || d != std::floor(d)) type_error("an int64-range integer");
   return static_cast<std::int64_t>(d);
 }
 
@@ -301,36 +336,7 @@ const std::vector<std::pair<std::string, Json>>& Json::members() const {
 
 std::string Json::dump() const {
   std::string out;
-  switch (type()) {
-    case Type::kNull: out = "null"; break;
-    case Type::kBool: out = as_bool() ? "true" : "false"; break;
-    case Type::kNumber: dump_number(as_double(), out); break;
-    case Type::kString: dump_string(as_string(), out); break;
-    case Type::kArray: {
-      out = "[";
-      bool first = true;
-      for (const auto& v : items()) {
-        if (!first) out += ',';
-        first = false;
-        out += v.dump();
-      }
-      out += ']';
-      break;
-    }
-    case Type::kObject: {
-      out = "{";
-      bool first = true;
-      for (const auto& [k, v] : members()) {
-        if (!first) out += ',';
-        first = false;
-        dump_string(k, out);
-        out += ':';
-        out += v.dump();
-      }
-      out += '}';
-      break;
-    }
-  }
+  dump_value(*this, out);
   return out;
 }
 

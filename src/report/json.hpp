@@ -57,7 +57,8 @@ class Json {
   bool is_object() const { return type() == Type::kObject; }
 
   /// Typed accessors; throw std::runtime_error on a type mismatch, and
-  /// as_int()/as_u64() also on a non-finite or out-of-range number.
+  /// as_int()/as_u64() also on a number that is not an integer in their
+  /// range (non-finite, fractional or too large).
   bool as_bool() const;
   double as_double() const;
   std::int64_t as_int() const;

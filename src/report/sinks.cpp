@@ -63,10 +63,10 @@ Json to_json(const core::MeasurementEvent& e) {
 
 core::ReorderEstimate estimate_from_json(const Json& j) {
   core::ReorderEstimate e;
-  e.in_order = static_cast<std::uint64_t>(j.at("in_order").as_int());
-  e.reordered = static_cast<std::uint64_t>(j.at("reordered").as_int());
-  e.ambiguous = static_cast<std::uint64_t>(j.at("ambiguous").as_int());
-  e.lost = static_cast<std::uint64_t>(j.at("lost").as_int());
+  e.in_order = j.at("in_order").as_u64();
+  e.reordered = j.at("reordered").as_u64();
+  e.ambiguous = j.at("ambiguous").as_u64();
+  e.lost = j.at("lost").as_u64();
   return e;
 }
 

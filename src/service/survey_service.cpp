@@ -14,6 +14,13 @@ namespace reorder::service {
 
 namespace {
 
+/// Wall-clock wait before a target's second attempt, doubled per further
+/// attempt up to kMaxBackoff. Wall time, not virtual time: the world is
+/// rebuilt afresh each attempt, so virtual time restarts; only the host
+/// needs breathing room.
+constexpr std::chrono::milliseconds kInitialBackoff{1};
+constexpr std::chrono::milliseconds kMaxBackoff{50};
+
 /// The canonical log order: one target runs its tests strictly
 /// sequentially, so (target, test, at) totally orders a survey's
 /// measurements.
@@ -315,7 +322,7 @@ void SurveyService::run_target(std::size_t index) {
   const std::string run_site = "shard/" + std::to_string(index) + "/run";
   const std::string abort_site = "shard/" + std::to_string(index) + "/abort";
   const int max_attempts = std::max(1, config_.retry.max_attempts);
-  std::chrono::duration<double, std::milli> backoff = config_.retry.initial_backoff;
+  std::chrono::milliseconds backoff = kInitialBackoff;
 
   std::string error;
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
@@ -345,8 +352,7 @@ void SurveyService::run_target(std::size_t index) {
       return;
     }
     std::this_thread::sleep_for(backoff);
-    backoff = std::min(backoff * config_.retry.multiplier,
-                       std::chrono::duration<double, std::milli>{config_.retry.max_backoff});
+    backoff = std::min(backoff * 2, kMaxBackoff);
   }
 }
 

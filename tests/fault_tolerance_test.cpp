@@ -21,6 +21,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -296,19 +297,24 @@ TEST(Checkpoint, AnUnreadableHeaderRejectsTheFile) {
   SurveyCheckpoint cp;
   cp.set_header({0, 9, kRounds, kSeed});
   cp.record_shard(full_checkpoint().restore_shard(1));
-  std::string text = cp.serialize();
+  const std::string text = cp.serialize();
   const std::string seed = ",\"seed\":" + std::to_string(kSeed);
-  const std::size_t at = text.find(seed);
-  ASSERT_NE(at, std::string::npos);
+  const std::string rounds = ",\"rounds\":" + std::to_string(kRounds);
+  // A missing seed, a seed past u64, and a fractional round count, which
+  // must be refused rather than truncated into another plan.
+  const std::vector<std::pair<std::string, std::string>> edits{
+      {seed, ""}, {seed, ",\"seed\":1e20"}, {rounds, ",\"rounds\":1.9"}};
   const std::string path = testing::TempDir() + "reorder_ckpt_headless.jsonl";
-  for (const std::string& header : {std::string{}, std::string{",\"seed\":1e20"}}) {
+  for (const auto& [field, header] : edits) {
+    const std::size_t at = text.find(field);
+    ASSERT_NE(at, std::string::npos) << field;
     {
       std::ofstream out{path, std::ios::trunc};
-      out << std::string{text}.replace(at, seed.size(), header);
+      out << std::string{text}.replace(at, field.size(), header);
     }
     try {
       SurveyCheckpoint::load(path);
-      ADD_FAILURE() << "load() accepted the header with '" << header << "' for the seed";
+      ADD_FAILURE() << "load() accepted the header with '" << header << "' for '" << field << "'";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string{e.what()}.find(path), std::string::npos) << e.what();
     }

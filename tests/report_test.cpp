@@ -1,19 +1,28 @@
-// Tests for the report layer: the JSON value (dump/parse round-trips),
-// the table emitter, the streaming JsonlResultSink, and the
-// golden round-trip the benches rely on — JSONL written during a survey,
-// parsed back, reproducing the aggregate rates exactly.
+// Tests for the report layer: the JSON value (dump/parse round-trips,
+// over every record type a survey and its checkpoint write too), the
+// table emitter, the streaming JsonlResultSink, and the golden round-trip
+// the benches rely on — JSONL written during a survey, parsed back,
+// reproducing the aggregate rates exactly.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <limits>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "core/scenario.hpp"
 #include "core/survey_testbed.hpp"
 #include "report/builders.hpp"
 #include "report/sinks.hpp"
 #include "report/table.hpp"
+#include "service/survey_service.hpp"
+#include "util/fault_injector.hpp"
 
 namespace reorder::report {
 namespace {
@@ -118,8 +127,10 @@ TEST(Json, IntegerAccessorsRejectNumbersOutsideTheirRange) {
   EXPECT_THROW(Json{-1e300}.as_int(), std::runtime_error);
   EXPECT_THROW(Json{std::numeric_limits<double>::infinity()}.as_u64(), std::runtime_error);
   EXPECT_THROW(Json{std::nan("")}.as_int(), std::runtime_error);
-  // In range, as before: as_int truncates, as_u64 takes exact integers.
-  EXPECT_EQ(Json{-2.75}.as_int(), -2);
+  // Both take exact integers only: a fractional count or plan field is
+  // refused, never truncated.
+  EXPECT_THROW(Json{-2.75}.as_int(), std::runtime_error);
+  EXPECT_THROW(Json{1.9}.as_u64(), std::runtime_error);
   EXPECT_EQ(Json{9007199254740992.0}.as_u64(), 9007199254740992ull);
   EXPECT_EQ(Json{-9223372036854775808.0}.as_int(), INT64_MIN);
   EXPECT_EQ(Json::u64(UINT64_MAX).as_u64(), UINT64_MAX);
@@ -258,6 +269,78 @@ TEST(JsonlResultSink, RoundTripReproducesAggregateRates) {
   EXPECT_EQ(lines.back().at("type").as_string(), "survey_end");
   EXPECT_EQ(static_cast<std::size_t>(lines.back().at("measurements").as_int()),
             engine.measurements().size());
+}
+
+TEST(JsonlResultSink, EstimateCountsMustBeUnsignedIntegers) {
+  // reorder-merge inputs and checkpoint records reach estimate_from_json
+  // with whatever the file holds: -1 must not wrap to 2^64 - 1, nor 2.5
+  // truncate to 2.
+  for (const std::string bad : {"-1", "2.5"}) {
+    const auto j = Json::parse(R"({"in_order":)" + bad + R"(,"reordered":0,"ambiguous":0,"lost":0})");
+    ASSERT_TRUE(j.has_value()) << bad;
+    EXPECT_THROW(estimate_from_json(*j), std::runtime_error) << bad;
+  }
+}
+
+TEST(Json, EveryRecordTheSurveyAndItsCheckpointWriteRoundTrips) {
+  // One target per canonical scenario, plus one whose world always fails,
+  // so the run ends degraded (survey_end's failure tail, participation).
+  std::vector<core::SurveyTargetConfig> fleet;
+  for (const std::string& name : core::scenarios::names()) {
+    const core::ScenarioSpec spec = core::scenarios::by_name(name);
+    core::SurveyTargetConfig target;
+    target.name = name;
+    target.remote = spec.testbed.remote;
+    target.backends = spec.testbed.backends;
+    target.forward = spec.testbed.forward;
+    target.reverse = spec.testbed.reverse;
+    target.tests = spec.tests;
+    fleet.push_back(std::move(target));
+  }
+  core::SurveyTargetConfig failing;
+  failing.name = "failing";
+  fleet.push_back(failing);
+  util::FaultInjector faults{17};
+  faults.arm({"shard/" + std::to_string(fleet.size() - 1) + "/run",
+              util::FaultInjector::Mode::kThrow, 1.0, 0, true});
+
+  const std::string path = testing::TempDir() + "report_test_round_trip.ckpt";
+  std::remove(path.c_str());
+  service::SurveyServiceConfig cfg;
+  cfg.seed = 5;
+  cfg.workers = 2;
+  cfg.run.samples = 6;
+  cfg.engine.faults = &faults;
+  cfg.retry.max_attempts = 1;
+  cfg.checkpoint_path = path;
+  service::SurveyService service{cfg};
+  service.admit(fleet);
+  service.drain();
+  ASSERT_EQ(service.failed_target_indices(), std::vector<std::size_t>{fleet.size() - 1});
+
+  std::ostringstream text;
+  JsonlWriter writer{text};
+  service.emit_jsonl(writer);
+  writer.write(service.snapshot().to_json());
+  service.stop();
+  {
+    std::ifstream checkpoint{path, std::ios::binary};
+    text << checkpoint.rdbuf();
+  }
+  std::remove(path.c_str());
+
+  // The one renderer and the one parser agree on every line written.
+  std::set<std::string> types;
+  std::istringstream lines{text.str()};
+  for (std::string line; std::getline(lines, line);) {
+    const std::optional<Json> parsed = Json::parse(line);
+    ASSERT_TRUE(parsed.has_value()) << line;
+    EXPECT_EQ(parsed->dump(), line);
+    types.insert(parsed->at("type").as_string());
+  }
+  EXPECT_EQ(types, (std::set<std::string>{"checkpoint_header", "measurement", "metrics",
+                                          "participation", "sample", "service_snapshot",
+                                          "shard_done", "survey_begin", "survey_end"}));
 }
 
 // ----------------------------------------------------------- builders

@@ -522,7 +522,6 @@ TEST(SurveyService, AWorldTornDownMidRunLeavesNothingBehind) {
   // its worker and retried there, to the same bytes.
   std::atomic<bool> thrown{false};
   SurveyServiceConfig cfg = service_config(1);
-  cfg.retry.initial_backoff = std::chrono::milliseconds(1);
   cfg.engine.suite_factory = [&thrown](std::string_view target, std::string_view test) {
     if (target == "host-3" && !thrown.exchange(true)) {
       throw std::runtime_error{"world died mid-run"};
@@ -549,7 +548,6 @@ TEST(SurveyService, TransientFailuresRetryToTheSameBytes) {
   SurveyServiceConfig cfg = service_config(2);
   cfg.engine.faults = &faults;
   cfg.retry.max_attempts = 5;
-  cfg.retry.initial_backoff = std::chrono::milliseconds(1);
   SurveyService service{cfg};
   service.admit(nine_targets());
   service.drain();
@@ -570,7 +568,6 @@ TEST(SurveyService, ExhaustedRetriesDegradeWithFullFleetAccounting) {
   SurveyServiceConfig cfg = service_config(2);
   cfg.engine.faults = &faults;
   cfg.retry.max_attempts = 2;
-  cfg.retry.initial_backoff = std::chrono::milliseconds(1);
   cfg.checkpoint_path = path;
   SurveyService service{cfg};
   service.admit(nine_targets());

@@ -1,141 +1,99 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over google-benchmark JSON output.
+"""Perf-regression gates over google-benchmark JSON output.
 
-Three subcommands:
+Two subcommands:
 
-  baseline <gbench.json> -o BENCH_baseline.json
-      Extracts per-benchmark medians (cpu_time, ns) from a google-benchmark
-      ``--benchmark_out`` JSON file into the small, stable baseline format
-      checked into the repo:
-          {"time_unit": "ns", "benchmarks": {"BM_Foo/1000": 123.4, ...}}
+  paired --base B1.json [B2.json ...] --head H1.json [H2.json ...]
+      Gates every row on the code, not on the host. Bi and Hi are one
+      pair: micro_bench built at the merge base and at the head, run back
+      to back on the same machine (CI alternates which side runs first).
+      For each row on both sides it takes every pair's head/base ratio of
+      the row's median time (real_time for a ``/real_time`` row, whose
+      work runs on other threads; cpu_time for every other row) and fails
+      the row when the median of those ratios is above 1.25. A row on one
+      side only (new, renamed or removed) is reported, not gated.
 
-  check <BENCH_baseline.json> <gbench.json> [--max-regression 0.25]
-                                            [--calibrate BM_A --calibrate BM_B]
-      Compares the current run's medians against the baseline and exits
-      non-zero if any benchmark present in both is more than
-      ``max_regression`` slower (1.25x by default). Benchmarks missing from
-      either side are reported but do not fail the gate (renames should not
-      brick CI); improvements are reported for the log.
-
-      --calibrate names benchmarks whose implementation is frozen (the
-      retained reference-scheduler benches are ideal): the geometric mean
-      of their current/baseline ratios becomes a machine-speed scale that
-      divides every other benchmark's ratio before gating. This makes the
-      gate meaningful when the baseline was captured on different hardware
-      than the run being checked (a checked-in baseline vs a CI runner) —
-      it then gates performance *relative to the frozen reference on the
-      same machine*, which is what a real regression changes. Calibration
-      benches themselves are reported but not gated.
-
-  ratio <gbench.json> <numerator> <denominator> --field F --min M
+  ratio <gbench.json>... <numerator> <denominator> --field F --min M
       Divides the numerator benchmark's median ``F`` (real_time, cpu_time,
-      items_per_second, ...) by the denominator's, both from the same run,
-      prints the ratio and exits non-zero when it is below ``M``. A
-      within-run ratio needs no cross-machine calibration; ``--min 0``
-      prints a ratio without gating it.
-
-The gate intentionally tracks only benchmarks listed in the baseline, which
-is curated to the stable scheduling / codec / end-to-end set.
+      items_per_second, ...) by the denominator's, both over the same runs
+      of one build, prints the ratio and exits non-zero when it is below
+      ``M``. ``--min 0`` prints a ratio without gating it.
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
+# The largest passing median head/base ratio of a row.
+MAX_RATIO = 1.25
 
-def _load_medians(path, field="cpu_time"):
-    """name -> median ``field`` from a google-benchmark JSON file.
+
+def _load_medians(paths, field):
+    """name -> median ``field`` over google-benchmark JSON files.
 
     Times (``*_time``) are converted to ns; other fields are read as they
     are. Prefers explicit ``_median`` aggregates (present with
-    --benchmark_repetitions); otherwise computes the median over the plain
-    iteration runs of each benchmark name.
+    --benchmark_repetitions); otherwise takes the median over the plain
+    iteration runs of each benchmark name in all the files.
     """
-    with open(path) as f:
-        doc = json.load(f)
     aggregates = {}
     runs = {}
-    for b in doc.get("benchmarks", []):
-        if field not in b:
-            continue
-        scale = _UNIT_NS[b.get("time_unit", "ns")] if field.endswith("_time") else 1.0
-        value = float(b[field]) * scale
-        if b.get("run_type") == "aggregate":
-            if b.get("aggregate_name") == "median":
-                aggregates[b["run_name"]] = value
-        else:
-            runs.setdefault(b["name"], []).append(value)
-    if aggregates:
-        return aggregates
-    out = {}
-    for name, samples in runs.items():
-        samples.sort()
-        n = len(samples)
-        mid = samples[n // 2] if n % 2 else 0.5 * (samples[n // 2 - 1] + samples[n // 2])
-        out[name] = mid
-    return out
+    for path in paths:
+        with open(path) as f:
+            doc = json.load(f)
+        for b in doc.get("benchmarks", []):
+            if field not in b:
+                continue
+            scale = _UNIT_NS[b.get("time_unit", "ns")] if field.endswith("_time") else 1.0
+            value = float(b[field]) * scale
+            if b.get("run_type") == "aggregate":
+                if b.get("aggregate_name") == "median":
+                    aggregates.setdefault(b["run_name"], []).append(value)
+            else:
+                runs.setdefault(b["name"], []).append(value)
+    return {name: statistics.median(values) for name, values in (aggregates or runs).items()}
 
 
-def cmd_baseline(args):
-    medians = _load_medians(args.gbench_json)
-    if not medians:
-        print("no benchmark entries found", file=sys.stderr)
-        return 1
-    doc = {"time_unit": "ns", "benchmarks": {k: round(v, 2) for k, v in sorted(medians.items())}}
-    with open(args.output, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-    print(f"wrote {args.output} with {len(medians)} benchmarks")
-    return 0
+def _row_times(path):
+    """name -> the time a row is gated on: real_time for /real_time rows."""
+    cpu = _load_medians([path], "cpu_time")
+    real = _load_medians([path], "real_time")
+    return {name: real[name] if name.endswith("/real_time") else t for name, t in cpu.items()}
 
 
-def cmd_check(args):
-    with open(args.baseline) as f:
-        baseline = json.load(f)["benchmarks"]
-    current = _load_medians(args.gbench_json)
-
-    scale = 1.0
-    calibrators = [c for c in (args.calibrate or []) if c in baseline and c in current]
-    if calibrators:
-        import math
-        log_sum = sum(math.log(current[c] / baseline[c]) for c in calibrators)
-        scale = math.exp(log_sum / len(calibrators))
-        print(f"machine-speed scale from {len(calibrators)} calibration bench(es): {scale:.3f}x")
-    elif args.calibrate:
-        print("warning: no calibration benchmark present in both files; scale=1.0",
+def cmd_paired(args):
+    if len(args.base) != len(args.head):
+        print(f"FAIL: {len(args.base)} base runs but {len(args.head)} head runs",
               file=sys.stderr)
+        return 1
+    pairs = [(_row_times(b), _row_times(h)) for b, h in zip(args.base, args.head)]
+    names = sorted(set().union(*(set(b) | set(h) for b, h in pairs)))
 
     failures = []
-    print(f"{'benchmark':<44} {'baseline':>12} {'current':>12} {'ratio':>7}")
-    for name, base_ns in sorted(baseline.items()):
-        cur_ns = current.get(name)
-        if cur_ns is None:
-            print(f"{name:<44} {base_ns:>12.1f} {'missing':>12} {'-':>7}")
+    print(f"{'benchmark':<46} {'head/base per pair: q25':>23} {'median':>7} {'q75':>5}")
+    for name in names:
+        ratios = sorted(h[name] / b[name] for b, h in pairs if name in b and name in h)
+        if len(ratios) < len(pairs):
+            print(f"{name:<46} (not on both sides of every pair; not gated)")
             continue
-        ratio = cur_ns / (base_ns * scale) if base_ns > 0 else float("inf")
-        if name in calibrators:
-            print(f"{name:<44} {base_ns:>12.1f} {cur_ns:>12.1f} {ratio:>6.2f}x  (calibration)")
-            continue
+        median = statistics.median(ratios)
         flag = ""
-        if ratio > 1.0 + args.max_regression:
+        if median > MAX_RATIO:
             flag = "  << REGRESSION"
-            failures.append((name, ratio))
-        print(f"{name:<44} {base_ns:>12.1f} {cur_ns:>12.1f} {ratio:>6.2f}x{flag}")
-    extra = sorted(set(current) - set(baseline))
-    if extra:
-        print(f"(not gated: {', '.join(extra)})")
+            failures.append((name, median))
+        q25, q75 = ratios[len(ratios) // 4], ratios[3 * len(ratios) // 4]
+        print(f"{name:<46} {q25:23.2f} {median:6.2f}x {q75:5.2f}{flag}")
 
     if failures:
         worst = max(failures, key=lambda f: f[1])
-        print(
-            f"\nFAIL: {len(failures)} benchmark(s) regressed more than "
-            f"{args.max_regression:.0%} (worst: {worst[0]} at {worst[1]:.2f}x)",
-            file=sys.stderr,
-        )
+        print(f"\nFAIL: {len(failures)} row(s) slower than {MAX_RATIO}x the merge base "
+              f"(worst: {worst[0]} at {worst[1]:.2f}x)", file=sys.stderr)
         return 1
-    print(f"\nOK: no benchmark regressed more than {args.max_regression:.0%}")
+    print(f"\nOK: no row slower than {MAX_RATIO}x the merge base "
+          f"(median of {len(pairs)} pairs)")
     return 0
 
 
@@ -159,23 +117,16 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_base = sub.add_parser("baseline", help="write a baseline file from a gbench JSON")
-    p_base.add_argument("gbench_json")
-    p_base.add_argument("-o", "--output", required=True)
-    p_base.set_defaults(func=cmd_baseline)
-
-    p_check = sub.add_parser("check", help="fail on regression vs a baseline file")
-    p_check.add_argument("baseline")
-    p_check.add_argument("gbench_json")
-    p_check.add_argument("--max-regression", type=float, default=0.25,
-                         help="allowed slowdown fraction (default 0.25 = 25%%)")
-    p_check.add_argument("--calibrate", action="append", default=[],
-                         help="frozen benchmark whose ratio calibrates machine speed "
-                              "(repeatable; excluded from gating)")
-    p_check.set_defaults(func=cmd_check)
+    p_paired = sub.add_parser("paired", help="fail on a row slower than the merge base")
+    p_paired.add_argument("--base", nargs="+", required=True,
+                          help="gbench JSON of each pair's merge-base run, in pair order")
+    p_paired.add_argument("--head", nargs="+", required=True,
+                          help="gbench JSON of each pair's head run, in pair order")
+    p_paired.set_defaults(func=cmd_paired)
 
     p_ratio = sub.add_parser("ratio", help="fail when a within-run median ratio is too low")
-    p_ratio.add_argument("gbench_json")
+    p_ratio.add_argument("gbench_json", nargs="+",
+                         help="one run, or several runs of one build whose medians pool")
     p_ratio.add_argument("numerator")
     p_ratio.add_argument("denominator")
     p_ratio.add_argument("--field", required=True,
