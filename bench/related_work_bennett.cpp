@@ -17,7 +17,7 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "core/ping_burst_adapter.hpp"
+#include "core/ping_burst_test.hpp"
 #include "core/result_sink.hpp"
 #include "metrics/engine.hpp"
 #include "report/table.hpp"
@@ -31,7 +31,7 @@ using util::Duration;
 core::PingBurstResult run_pings(core::Testbed& bed, int burst_size, int bursts) {
   core::PingBurstOptions opts;
   opts.burst_size = burst_size;
-  auto ping = core::TestRegistry::global().create_as<core::PingBurstAdapter>(
+  auto ping = core::TestRegistry::global().create_as<core::PingBurstTest>(
       bed.probe(), bed.remote_addr(), core::TestSpec{"ping-burst", 0, opts});
   core::TestRunConfig run;
   run.samples = bursts;

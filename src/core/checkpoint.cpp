@@ -97,7 +97,7 @@ std::optional<std::size_t> record_index(const report::Json& j) {
 SurveyEvent end_from_json(const report::Json& j) {
   SurveyEvent e;
   e.targets = static_cast<std::size_t>(j.at("targets").as_u64());
-  e.rounds = static_cast<int>(j.at("rounds").as_int());
+  e.rounds = j.at("rounds").as_i32();
   e.measurements = static_cast<std::size_t>(j.at("measurements").as_u64());
   e.at = util::TimePoint::from_ns(j.at("at_ns").as_int());
   return e;
@@ -179,7 +179,7 @@ ShardRunResult SurveyCheckpoint::Record::decode() const {
   const report::Json& body = line.at("body");
   ShardRunResult out;
   out.shard = static_cast<std::size_t>(body.at("shard").as_u64());
-  body.at("attempts").as_int();  // not part of the results, but part of a well-formed record
+  body.at("attempts").as_i32();  // not part of the results, but part of a well-formed record
   out.end = end_from_json(body.at("end"));
   out.log.reserve(body.at("log").size());
   for (const report::Json& m : body.at("log").items()) {
@@ -197,7 +197,7 @@ ShardRunResult SurveyCheckpoint::restore_shard(std::size_t shard) const {
 
 int SurveyCheckpoint::attempts(std::size_t shard) const {
   const report::Json line = parse_line(shards_.at(shard).line_);
-  return static_cast<int>(line.at("body").at("attempts").as_int());
+  return line.at("body").at("attempts").as_i32();
 }
 
 void SurveyCheckpoint::write_lines(report::JsonlWriter& writer) const {
@@ -245,9 +245,9 @@ SurveyCheckpoint SurveyCheckpoint::load(const std::string& path) {
         Header h;
         h.shards = static_cast<std::size_t>(line.at("shards").as_u64());
         h.targets = static_cast<std::size_t>(line.at("targets").as_u64());
-        h.rounds = static_cast<int>(line.at("rounds").as_int());
+        h.rounds = line.at("rounds").as_i32();
         h.seed = line.at("seed").as_u64();
-        h.samples = static_cast<int>(line.at("samples").as_int());
+        h.samples = line.at("samples").as_i32();
         h.sample_payloads = line.at("sample_payloads").as_bool();
         cp.header_ = h;
       } catch (const std::exception& e) {

@@ -35,24 +35,16 @@ struct DataTransferTest::Run {
   std::uint32_t max_end_rel{0};           ///< highest byte received (rel)
   bool fin_seen{false};
 
-  std::uint64_t stall_token{0};
-  std::uint64_t stall_generation{0};
+  tcpip::Timer stall_timer{host.env()};
 
   Run(probe::ProbeHost& h, DataTransferOptions o, TestRunConfig c,
       std::function<void(TestRunResult)> d)
       : host{h}, options{o}, config{c}, done{std::move(d)} {}
 
-  ~Run() { env().cancel(stall_token); }
-
   tcpip::Environment& env() { return host.env(); }
 
   void bump_stall_timer() {
-    if (stall_token != 0) env().cancel(stall_token);
-    const std::uint64_t gen = ++stall_generation;
-    stall_token = env().schedule(options.stall_timeout, [this, gen] {
-      if (gen != stall_generation) return;
-      finish("transfer stalled");
-    });
+    stall_timer.arm(options.stall_timeout, [this] { finish("transfer stalled"); });
   }
 
   void start(tcpip::Ipv4Address target, std::uint16_t port) {
@@ -105,8 +97,7 @@ struct DataTransferTest::Run {
   void finish(const std::string& why) {
     if (finished) return;
     finished = true;
-    if (stall_token != 0) env().cancel(stall_token);
-    ++stall_generation;
+    stall_timer.cancel();
     result.note = why;
 
     // Reconstruct verdicts: the server transmits in sequence order, so the

@@ -1,7 +1,6 @@
 #include "core/dual_connection_test.hpp"
 
 #include <array>
-#include <deque>
 
 #include "tcpip/seq.hpp"
 
@@ -55,37 +54,16 @@ struct DualConnectionTest::Run {
   };
   std::vector<AckSeen> acks;
 
-  std::uint64_t timer_token{0};
-  std::uint64_t timer_generation{0};
-  /// Second packets waiting out inter_packet_gap, oldest first (every one
-  /// waits the same gap, so they fire in the order they were scheduled).
-  std::deque<std::uint64_t> gap_tokens;
+  tcpip::Timer timer{host.env()};  ///< the current phase's one timeout
+  /// The current sample's second packet, waiting out inter_packet_gap;
+  /// classifying the sample cancels it.
+  tcpip::Timer gap_timer{host.env()};
 
   Run(probe::ProbeHost& h, DualConnectionOptions o, TestRunConfig c,
       std::function<void(TestRunResult)> d)
       : host{h}, options{o}, config{c}, done{std::move(d)} {}
 
-  ~Run() {
-    env().cancel(timer_token);
-    for (const std::uint64_t token : gap_tokens) env().cancel(token);
-  }
-
   tcpip::Environment& env() { return host.env(); }
-
-  void arm_timer(util::Duration delay, std::function<void()> fn) {
-    cancel_timer();
-    const std::uint64_t gen = ++timer_generation;
-    timer_token = env().schedule(delay, [this, fn = std::move(fn), gen] {
-      if (gen != timer_generation) return;
-      timer_token = 0;
-      fn();
-    });
-  }
-  void cancel_timer() {
-    if (timer_token != 0) env().cancel(timer_token);
-    timer_token = 0;
-    ++timer_generation;
-  }
 
   void start(tcpip::Ipv4Address target, std::uint16_t port) {
     for (int i = 0; i < 2; ++i) {
@@ -135,7 +113,7 @@ struct DualConnectionTest::Run {
     const int conn = validation_sent % 2;
     validation_retries = 0;
     conns[conn]->send_data_rel(1, kProbeByte);
-    arm_timer(options.validation_timeout, [this, conn] { validation_probe_timeout(conn); });
+    timer.arm(options.validation_timeout, [this, conn] { validation_probe_timeout(conn); });
   }
 
   void validation_probe_timeout(int conn) {
@@ -147,12 +125,12 @@ struct DualConnectionTest::Run {
       return;
     }
     conns[conn]->send_data_rel(1, kProbeByte);
-    arm_timer(options.validation_timeout, [this, conn] { validation_probe_timeout(conn); });
+    timer.arm(options.validation_timeout, [this, conn] { validation_probe_timeout(conn); });
   }
 
   void begin_settle() {
     phase = Phase::kSettle;
-    arm_timer(util::Duration::millis(50), [this] { next_sample(); });
+    timer.arm(util::Duration::millis(50), [this] { next_sample(); });
   }
 
   // --- measurement ---
@@ -179,14 +157,12 @@ struct DualConnectionTest::Run {
     if (config.inter_packet_gap.is_zero()) {
       conns[1]->send_raw(std::move(second));
     } else {
-      gap_tokens.push_back(
-          env().schedule(config.inter_packet_gap, [this, pkt = std::move(second)]() mutable {
-            gap_tokens.pop_front();
-            if (phase != Phase::kMeasure) return;
-            conns[1]->send_raw(std::move(pkt));
-          }));
+      gap_timer.arm(config.inter_packet_gap, [this, pkt = std::move(second)]() mutable {
+        if (phase != Phase::kMeasure) return;
+        conns[1]->send_raw(std::move(pkt));
+      });
     }
-    arm_timer(config.sample_timeout, [this] { classify(); });
+    timer.arm(config.sample_timeout, [this] { classify(); });
   }
 
   void on_packet(int conn, const tcpip::Packet& pkt) {
@@ -223,7 +199,8 @@ struct DualConnectionTest::Run {
   }
 
   void classify() {
-    cancel_timer();
+    timer.cancel();
+    gap_timer.cancel();
     sample.completed = env().now();
     Ordering fwd = Ordering::kLost;
     Ordering rev = Ordering::kLost;
@@ -253,12 +230,12 @@ struct DualConnectionTest::Run {
     result.samples.push_back(sample);
     ++sample_index;
     phase = Phase::kSettle;
-    arm_timer(config.sample_spacing, [this] { next_sample(); });
+    timer.arm(config.sample_spacing, [this] { next_sample(); });
   }
 
   void finish() {
     if (phase == Phase::kDone || phase == Phase::kClosing) return;
-    cancel_timer();
+    timer.cancel();
     result.aggregate();
     if (connect_failed || !conns[0] || !conns[1] || !conns[0]->established() ||
         !conns[1]->established()) {
@@ -272,7 +249,7 @@ struct DualConnectionTest::Run {
     // can close cleanly, then FIN both connections.
     phase = Phase::kClosing;
     for (auto& c : conns) c->send_data_rel(0, kProbeByte);
-    arm_timer(util::Duration::millis(50), [this] {
+    timer.arm(util::Duration::millis(50), [this] {
       for (auto& c : conns) {
         c->close(2, [this] {
           if (--closes_pending == 0) complete();
@@ -286,7 +263,7 @@ struct DualConnectionTest::Run {
   /// objects live on with this run.
   void complete() {
     phase = Phase::kDone;
-    cancel_timer();
+    timer.cancel();
     for (auto& c : conns) {
       if (c) c->shut();
     }

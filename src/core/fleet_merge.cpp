@@ -45,7 +45,7 @@ std::vector<report::Json> merge_fleet_streams(
       const std::string& type = record.at("type").as_string();
       if (type == "survey_begin") {
         begin.targets += static_cast<std::size_t>(record.at("targets").as_u64());
-        begin.rounds = std::max(begin.rounds, static_cast<int>(record.at("rounds").as_int()));
+        begin.rounds = std::max(begin.rounds, record.at("rounds").as_i32());
         continue;
       }
       if (type == "sample" || type == "measurement") {
@@ -71,7 +71,7 @@ std::vector<report::Json> merge_fleet_streams(
       }
       if (type == "survey_end") {
         end.targets += static_cast<std::size_t>(record.at("targets").as_u64());
-        end.rounds = std::max(end.rounds, static_cast<int>(record.at("rounds").as_int()));
+        end.rounds = std::max(end.rounds, record.at("rounds").as_i32());
         end.at = std::max(end.at, util::TimePoint::from_ns(record.at("at_ns").as_int()));
         // Pre-degradation artifacts lack the accounting tail; treat them
         // as clean full-participation runs.

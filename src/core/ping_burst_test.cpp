@@ -6,7 +6,7 @@
 
 namespace reorder::core {
 
-/// Per-run state machine, owned by its prober. Its callbacks capture it
+/// Per-run state machine, owned by its test. Its callbacks capture it
 /// without owning it; ending it cancels its timer and drops the ICMP
 /// handler it registered for its target.
 struct PingBurstTest::Run {
@@ -23,26 +23,13 @@ struct PingBurstTest::Run {
   std::vector<std::uint16_t> arrival;  // reply sequences in arrival order
   bool burst_open{false};
   bool finished{false};
-  std::uint64_t timer_token{0};
-  std::uint64_t timer_generation{0};
+  tcpip::Timer timer{host.env()};  ///< the burst timeout, then the spacing
 
   Run(probe::ProbeHost& h, tcpip::Ipv4Address t, PingBurstOptions o)
       : host{h}, target{t}, options{o} {}
 
   ~Run() {
-    env().cancel(timer_token);
     if (!finished) host.unregister_icmp(target);
-  }
-
-  tcpip::Environment& env() { return host.env(); }
-
-  void arm_timer(util::Duration delay, std::function<void()> fn) {
-    env().cancel(timer_token);  // at most one timer pending, for ~Run to cancel
-    const std::uint64_t gen = ++timer_generation;
-    timer_token = env().schedule(delay, [this, fn = std::move(fn), gen] {
-      if (gen != timer_generation) return;
-      fn();
-    });
   }
 
   void start() {
@@ -69,7 +56,7 @@ struct PingBurstTest::Run {
       host.send(std::move(req));
       ++result.requests_sent;
     }
-    arm_timer(options.burst_timeout, [this] { close_burst(); });
+    timer.arm(options.burst_timeout, [this] { close_burst(); });
   }
 
   void on_reply(const tcpip::Packet& pkt) {
@@ -86,8 +73,6 @@ struct PingBurstTest::Run {
   void close_burst() {
     if (!burst_open) return;
     burst_open = false;
-    ++timer_generation;
-    env().cancel(timer_token);
 
     ++result.bursts;
     if (static_cast<int>(arrival.size()) == options.burst_size) ++result.bursts_complete;
@@ -104,7 +89,7 @@ struct PingBurstTest::Run {
     }
 
     ++burst_index;
-    arm_timer(spacing, [this] { next_burst(); });
+    timer.arm(spacing, [this] { next_burst(); });
   }
 
   void finish() {
@@ -122,13 +107,29 @@ PingBurstTest::PingBurstTest(probe::ProbeHost& host, tcpip::Ipv4Address target,
 
 PingBurstTest::~PingBurstTest() = default;
 
-void PingBurstTest::run(int bursts, util::Duration burst_spacing,
-                        std::function<void(PingBurstResult)> done) {
-  active_ = std::make_unique<Run>(host_, target_, options_);
-  active_->bursts_requested = bursts;
-  active_->spacing = burst_spacing;
-  active_->done = std::move(done);
-  active_->start();
+void PingBurstTest::run(const TestRunConfig& config, std::function<void(TestRunResult)> done) {
+  run_ = std::make_unique<Run>(host_, target_, options_);
+  run_->bursts_requested = config.samples;
+  run_->spacing = config.sample_spacing;
+  run_->done = [this, done = std::move(done)](PingBurstResult r) {
+    last_ = r;
+    TestRunResult out;
+    out.test_name = name();
+    out.forward.in_order = static_cast<std::uint64_t>(r.adjacent_pairs - r.adjacent_exchanged);
+    out.forward.reordered = static_cast<std::uint64_t>(r.adjacent_exchanged);
+    // Same unit as the pair counts above: adjacent pairs a complete run
+    // would have produced but lost replies ate.
+    const std::int64_t expected_pairs =
+        static_cast<std::int64_t>(r.bursts) * std::max(0, options_.burst_size - 1);
+    out.forward.lost = static_cast<std::uint64_t>(
+        std::max<std::int64_t>(0, expected_pairs - static_cast<std::int64_t>(r.adjacent_pairs)));
+    out.admissible = r.replies_received > 0;
+    out.note = out.admissible ? "round-trip verdicts: forward holds combined-path pair counts "
+                                "(direction-ambiguous)"
+                              : "no echo replies (ICMP filtered or rate-limited away)";
+    done(std::move(out));
+  };
+  run_->start();
 }
 
 }  // namespace reorder::core

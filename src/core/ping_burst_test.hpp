@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/reorder_test.hpp"
 #include "probe/probe_host.hpp"
 #include "util/time.hpp"
 
@@ -49,29 +50,37 @@ struct PingBurstResult {
   }
 };
 
-/// Runs bursts of echo requests against one target. Unlike the paper's
-/// techniques this is NOT a ReorderTest: its verdicts are round-trip
-/// (combined-path) by construction, which is exactly the limitation the
-/// comparison benches demonstrate.
-class PingBurstTest {
+/// Runs bursts of echo requests against one target, as a ReorderTest so
+/// the baseline joins registry-driven scenarios and surveys next to the
+/// paper's techniques. Its verdicts are round-trip (combined-path) by
+/// construction, exactly the limitation the comparison benches
+/// demonstrate: the adjacent-pair counts land in `forward`, `reverse`
+/// stays empty, and the result note records the caveat.
+class PingBurstTest final : public ReorderTest {
  public:
   PingBurstTest(probe::ProbeHost& host, tcpip::Ipv4Address target, PingBurstOptions options = {});
-  ~PingBurstTest();
+  ~PingBurstTest() override;
 
   PingBurstTest(const PingBurstTest&) = delete;
   PingBurstTest& operator=(const PingBurstTest&) = delete;
 
-  /// Sends `bursts` bursts spaced by `burst_spacing`; `done` fires once.
-  /// Same ownership as ReorderTest::run: starting a run ends the previous
-  /// one, destroying the prober ends its run, and neither fires `done`.
-  void run(int bursts, util::Duration burst_spacing, std::function<void(PingBurstResult)> done);
+  std::string name() const override { return "ping-burst"; }
+
+  /// config.samples is the number of bursts; sample_spacing paces them.
+  /// inter_packet_gap does not apply (the burst paces itself internally).
+  void run(const TestRunConfig& config, std::function<void(TestRunResult)> done) override;
+
+  /// Burst-level statistics from the most recent completed run (the
+  /// Bennett metrics — burst fraction, reply rate — the benches report).
+  const PingBurstResult& last_burst_result() const { return last_; }
 
  private:
   struct Run;
   probe::ProbeHost& host_;
   tcpip::Ipv4Address target_;
   PingBurstOptions options_;
-  std::unique_ptr<Run> active_;
+  std::unique_ptr<Run> run_;
+  PingBurstResult last_;
 };
 
 }  // namespace reorder::core

@@ -14,8 +14,9 @@ namespace reorder::core {
 ///
 /// A test owns its one current run, and the run owns everything it put
 /// into the world: its connections, flow registrations and pending
-/// events. So the test must not outlive the probe host and event loop it
-/// was built on.
+/// events. A run's pending events are its tcpip::Timers, which cancel
+/// when the run ends. So the test must not outlive the probe host and
+/// event loop it was built on.
 class ReorderTest {
  public:
   /// Ends the current run, if any: it stops where it is and its `done`

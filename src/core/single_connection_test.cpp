@@ -1,7 +1,6 @@
 #include "core/single_connection_test.hpp"
 
 #include <array>
-#include <deque>
 
 #include "tcpip/seq.hpp"
 #include "util/logging.hpp"
@@ -50,34 +49,17 @@ struct SingleConnectionTest::Run {
   };
   std::vector<AckSeen> acks;
 
-  std::uint64_t timer_token{0};
-  std::uint64_t timer_generation{0};
+  tcpip::Timer timer{host.env()};  ///< the current phase's one timeout
+  /// The current sample's second packet, waiting out inter_packet_gap;
+  /// classifying the sample cancels it.
+  tcpip::Timer gap_timer{host.env()};
   int aux_attempts{0};
-  /// Second packets waiting out inter_packet_gap, oldest first (every one
-  /// waits the same gap, so they fire in the order they were scheduled).
-  std::deque<std::uint64_t> gap_tokens;
 
   Run(probe::ProbeHost& h, SingleConnectionOptions o, TestRunConfig c,
       std::function<void(TestRunResult)> d)
       : host{h}, options{o}, config{c}, done{std::move(d)} {}
 
-  ~Run() {
-    env().cancel(timer_token);
-    for (const std::uint64_t token : gap_tokens) env().cancel(token);
-  }
-
   tcpip::Environment& env() { return host.env(); }
-
-  void arm_timer(util::Duration delay, std::function<void(std::uint64_t)> fn) {
-    env().cancel(timer_token);  // at most one timer pending, for ~Run to cancel
-    const std::uint64_t gen = ++timer_generation;
-    timer_token = env().schedule(delay, [this, fn = std::move(fn), gen] { fn(gen); });
-  }
-  void cancel_timer() {
-    if (timer_token != 0) env().cancel(timer_token);
-    timer_token = 0;
-    ++timer_generation;
-  }
 
   void start(tcpip::Ipv4Address target, std::uint16_t port) {
     conn = std::make_unique<probe::ProbeConnection>(host, host.make_flow(target, port),
@@ -122,8 +104,8 @@ struct SingleConnectionTest::Run {
     const std::uint32_t len = base - known_rcv_rel;
     std::vector<std::uint8_t> fill(len, 0x5a);
     conn->send_data_rel(known_rcv_rel, fill);
-    arm_timer(options.aux_rto, [this](std::uint64_t gen) {
-      if (gen != timer_generation || phase != Phase::kResync) return;
+    timer.arm(options.aux_rto, [this] {
+      if (phase != Phase::kResync) return;
       if (++aux_attempts > options.max_aux_retries) {
         abandon("resync failed: remote unresponsive");
         return;
@@ -133,10 +115,9 @@ struct SingleConnectionTest::Run {
   }
 
   void begin_settle(Phase which) {
-    cancel_timer();
     phase = which;
-    arm_timer(options.settle, [this, which](std::uint64_t gen) {
-      if (gen != timer_generation || phase != which) return;
+    timer.arm(options.settle, [this, which] {
+      if (phase != which) return;
       if (which == Phase::kResyncSettle) {
         begin_prep();
       } else {
@@ -154,8 +135,8 @@ struct SingleConnectionTest::Run {
   void send_prep() {
     const std::array<std::uint8_t, 1> one{0xa5};
     conn->send_data_rel(base + 1, one);
-    arm_timer(options.aux_rto, [this](std::uint64_t gen) {
-      if (gen != timer_generation || phase != Phase::kPrep) return;
+    timer.arm(options.aux_rto, [this] {
+      if (phase != Phase::kPrep) return;
       if (++aux_attempts > options.max_aux_retries) {
         abandon("prep failed: remote unresponsive");
         return;
@@ -185,15 +166,13 @@ struct SingleConnectionTest::Run {
     if (config.inter_packet_gap.is_zero()) {
       conn->send_raw(std::move(second));
     } else {
-      gap_tokens.push_back(
-          env().schedule(config.inter_packet_gap, [this, pkt = std::move(second)]() mutable {
-            gap_tokens.pop_front();
-            if (phase != Phase::kMeasure) return;
-            conn->send_raw(std::move(pkt));
-          }));
+      gap_timer.arm(config.inter_packet_gap, [this, pkt = std::move(second)]() mutable {
+        if (phase != Phase::kMeasure) return;
+        conn->send_raw(std::move(pkt));
+      });
     }
-    arm_timer(config.sample_timeout, [this](std::uint64_t gen) {
-      if (gen != timer_generation || phase != Phase::kMeasure) return;
+    timer.arm(config.sample_timeout, [this] {
+      if (phase != Phase::kMeasure) return;
       classify();
     });
   }
@@ -230,7 +209,8 @@ struct SingleConnectionTest::Run {
   }
 
   void classify() {
-    cancel_timer();
+    timer.cancel();
+    gap_timer.cancel();
     sample.completed = env().now();
     // Map the observed ACK pattern to verdicts. Offsets: 0 = hole dup-ack
     // ("ack 1" in the paper's figure), 2 = post-hole-fill ("ack 2"/"ack 3"),
@@ -290,10 +270,7 @@ struct SingleConnectionTest::Run {
     ++sample_index;
     base += 3;
     phase = Phase::kResync;  // placeholder until the spacing timer fires
-    arm_timer(config.sample_spacing, [this](std::uint64_t gen) {
-      if (gen != timer_generation) return;
-      next_sample();
-    });
+    timer.arm(config.sample_spacing, [this] { next_sample(); });
   }
 
   void abandon(const std::string& why) {
@@ -311,7 +288,7 @@ struct SingleConnectionTest::Run {
   void finish(bool graceful) {
     if (phase == Phase::kDone) return;
     phase = Phase::kDone;
-    cancel_timer();
+    timer.cancel();
     result.aggregate();
     if (graceful && conn && conn->established()) {
       // Politely close at the byte the remote expects next.

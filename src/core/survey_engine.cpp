@@ -35,7 +35,7 @@ void SurveyEngine::add_target(std::string name, std::vector<std::unique_ptr<Reor
   if (running()) {
     throw std::logic_error{"SurveyEngine: cannot add targets while a survey is running"};
   }
-  auto target = std::make_unique<Target>();
+  auto target = std::make_unique<Target>(loop_);
   target->name = std::move(name);
   target->tests = std::move(tests);
   targets_.push_back(std::move(target));
@@ -89,14 +89,13 @@ void SurveyEngine::begin_next_measurement(Target& target) {
   const util::TimePoint at = loop_.now();
   target.deadline_at = at + options_.measurement_deadline;
 
-  target.watchdog_token =
-      loop_.schedule(options_.measurement_deadline, [this, &target, generation, at] {
-        TestRunResult timeout;
-        timeout.test_name = target.tests[target.next_test]->name();
-        timeout.admissible = false;
-        timeout.note = "measurement did not complete";
-        finish_measurement(target, generation, at, std::move(timeout));
-      });
+  target.watchdog.arm(options_.measurement_deadline, [this, &target, generation, at] {
+    TestRunResult timeout;
+    timeout.test_name = target.tests[target.next_test]->name();
+    timeout.admissible = false;
+    timeout.note = "measurement did not complete";
+    finish_measurement(target, generation, at, std::move(timeout));
+  });
 
   // Injected target timeout: the target "never answers" this measurement.
   // Probing the fault point here — after the watchdog is armed, before
@@ -119,7 +118,8 @@ void SurveyEngine::begin_next_measurement(Target& target) {
 void SurveyEngine::finish_measurement(Target& target, std::uint64_t generation,
                                       util::TimePoint at, TestRunResult result) {
   // A stale completion: the watchdog already gave up on this measurement
-  // (or vice versa — whichever arrives second is dropped).
+  // and its run completed late. (A completion that arrives first cancels
+  // the watchdog.)
   if (!target.measurement_open || generation != target.generation) return;
   // Abandoned-run residue guard: past the give-up deadline only the
   // watchdog itself (which fires AT the deadline, never after) may close
@@ -129,7 +129,7 @@ void SurveyEngine::finish_measurement(Target& target, std::uint64_t generation,
   // runs it first), but the sink contract must not depend on that.
   if (loop_.now() > target.deadline_at) return;
   target.measurement_open = false;
-  loop_.cancel(target.watchdog_token);
+  target.watchdog.cancel();
 
   record(target, at, std::move(result));
 

@@ -119,16 +119,18 @@ class SurveyEngine {
 
  private:
   struct Target {
+    explicit Target(tcpip::Environment& env) : watchdog{env} {}
+
     std::string name;
     std::vector<std::unique_ptr<ReorderTest>> tests;
     std::size_t next_test{0};
     int rounds_done{0};
-    /// Guards against stale completions: a watchdog that fires after the
-    /// deadline and a test completion racing it both carry the generation
-    /// they belong to; only the first one with the live generation counts.
+    /// Guards against stale completions: a run the watchdog gave up on
+    /// may still complete later, so each completion carries the
+    /// generation it belongs to and only the live generation counts.
     std::uint64_t generation{0};
     bool measurement_open{false};
-    std::uint64_t watchdog_token{0};
+    tcpip::Timer watchdog;  ///< the open measurement's give-up deadline
     /// Instant past which the open measurement may no longer publish: the
     /// watchdog records the timeout, and any completion arriving later is
     /// abandoned-run residue that must not reach the sinks.

@@ -1,7 +1,5 @@
 #include "core/syn_test.hpp"
 
-#include <deque>
-
 #include "probe/packet_factory.hpp"
 #include "tcpip/seq.hpp"
 
@@ -49,38 +47,20 @@ struct SynTest::Run {
   /// The flow routes to this run: registered and not yet classified.
   bool flow_open{false};
 
-  std::uint64_t timer_token{0};
-  std::uint64_t timer_generation{0};
-  /// Second SYNs waiting out inter_packet_gap, oldest first (every one
-  /// waits the same gap, so they fire in the order they were scheduled).
-  std::deque<std::uint64_t> gap_tokens;
+  tcpip::Timer timer{host.env()};  ///< the sample timeout, then the spacing
+  /// The current sample's second SYN, waiting out inter_packet_gap;
+  /// classifying the sample cancels it.
+  tcpip::Timer gap_timer{host.env()};
 
   Run(probe::ProbeHost& h, tcpip::Ipv4Address t, std::uint16_t p, SynTestOptions o,
       TestRunConfig c, std::function<void(TestRunResult)> d)
       : host{h}, target{t}, port{p}, options{o}, config{c}, done{std::move(d)} {}
 
   ~Run() {
-    env().cancel(timer_token);
-    for (const std::uint64_t token : gap_tokens) env().cancel(token);
     if (flow_open) host.unregister_flow(flow.addr);
   }
 
   tcpip::Environment& env() { return host.env(); }
-
-  void arm_timer(util::Duration delay, std::function<void()> fn) {
-    cancel_timer();
-    const std::uint64_t gen = ++timer_generation;
-    timer_token = env().schedule(delay, [this, fn = std::move(fn), gen] {
-      if (gen != timer_generation) return;
-      timer_token = 0;
-      fn();
-    });
-  }
-  void cancel_timer() {
-    if (timer_token != 0) env().cancel(timer_token);
-    timer_token = 0;
-    ++timer_generation;
-  }
 
   void next_sample() {
     if (finished) return;
@@ -114,16 +94,10 @@ struct SynTest::Run {
     if (config.inter_packet_gap.is_zero()) {
       host.send(std::move(syn2));
     } else {
-      // Classifying a sample advances sample_index, so a second SYN whose
-      // sample is already classified stays unsent.
-      gap_tokens.push_back(env().schedule(
-          config.inter_packet_gap, [this, sample = sample_index, pkt = std::move(syn2)]() mutable {
-            gap_tokens.pop_front();
-            if (sample_index != sample) return;
-            host.send(std::move(pkt));
-          }));
+      gap_timer.arm(config.inter_packet_gap,
+                    [this, pkt = std::move(syn2)]() mutable { host.send(std::move(pkt)); });
     }
-    arm_timer(config.sample_timeout, [this] { classify(); });
+    timer.arm(config.sample_timeout, [this] { classify(); });
   }
 
   void on_packet(const tcpip::Packet& pkt) {
@@ -155,7 +129,8 @@ struct SynTest::Run {
     if (!flow_open) return;
     flow_open = false;
     Flow& f = flow;
-    cancel_timer();
+    timer.cancel();
+    gap_timer.cancel();
     f.sample.completed = env().now();
 
     const Flow::Reply* synack = nullptr;
@@ -220,7 +195,7 @@ struct SynTest::Run {
 
     polite_close(f.addr, synack);
     ++sample_index;
-    arm_timer(config.sample_spacing, [this] { next_sample(); });
+    timer.arm(config.sample_spacing, [this] { next_sample(); });
   }
 
   /// Completes the three-way handshake with whichever ISS the remote
@@ -252,7 +227,7 @@ struct SynTest::Run {
   void finish() {
     if (finished) return;
     finished = true;
-    cancel_timer();
+    timer.cancel();
     result.aggregate();
     auto cb = std::move(done);
     done = nullptr;

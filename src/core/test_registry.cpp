@@ -1,6 +1,5 @@
 #include "core/test_registry.hpp"
 
-#include "core/ping_burst_adapter.hpp"
 #include "core/testbed.hpp"
 
 namespace reorder::core {
@@ -21,25 +20,64 @@ std::uint16_t port_or(const TestSpec& spec, std::uint16_t fallback) {
 
 }  // namespace
 
-void TestRegistry::register_technique(const std::string& name, Factory factory) {
-  const std::lock_guard<std::mutex> lock{mu_};
-  factories_[name] = std::move(factory);
-}
+TestRegistry::TestRegistry()
+    : factories_{
+          {"single-connection",
+           [](probe::ProbeHost& host, tcpip::Ipv4Address target, const TestSpec& spec) {
+             return std::make_unique<SingleConnectionTest>(
+                 host, target, port_or(spec, kDiscardPort),
+                 options_or_default<SingleConnectionOptions>(spec));
+           }},
+          {"single-connection-inorder",
+           [](probe::ProbeHost& host, tcpip::Ipv4Address target, const TestSpec& spec) {
+             auto opts = options_or_default<SingleConnectionOptions>(spec);
+             opts.reversed_order = false;
+             return std::make_unique<SingleConnectionTest>(host, target,
+                                                           port_or(spec, kDiscardPort), opts);
+           }},
+          {"dual-connection",
+           [](probe::ProbeHost& host, tcpip::Ipv4Address target, const TestSpec& spec) {
+             return std::make_unique<DualConnectionTest>(
+                 host, target, port_or(spec, kDiscardPort),
+                 options_or_default<DualConnectionOptions>(spec));
+           }},
+          {"syn",
+           [](probe::ProbeHost& host, tcpip::Ipv4Address target, const TestSpec& spec) {
+             return std::make_unique<SynTest>(host, target, port_or(spec, kDiscardPort),
+                                              options_or_default<SynTestOptions>(spec));
+           }},
+          {"data-transfer",
+           [](probe::ProbeHost& host, tcpip::Ipv4Address target, const TestSpec& spec) {
+             return std::make_unique<DataTransferTest>(
+                 host, target, port_or(spec, kHttpPort),
+                 options_or_default<DataTransferOptions>(spec));
+           }},
+          {"ping-burst",
+           [](probe::ProbeHost& host, tcpip::Ipv4Address target, const TestSpec& spec) {
+             return std::make_unique<PingBurstTest>(host, target,
+                                                    options_or_default<PingBurstOptions>(spec));
+           }},
+      },
+      aliases_{
+          {"single", "single-connection"},
+          {"single-inorder", "single-connection-inorder"},
+          {"dual", "dual-connection"},
+          {"data", "data-transfer"},
+          {"ping", "ping-burst"},
+      } {}
 
-void TestRegistry::register_alias(const std::string& alias, const std::string& canonical) {
-  const std::lock_guard<std::mutex> lock{mu_};
-  aliases_[alias] = canonical;
+std::map<std::string, TestRegistry::Factory>::const_iterator TestRegistry::find(
+    const std::string& name) const {
+  const auto alias = aliases_.find(name);
+  return factories_.find(alias != aliases_.end() ? alias->second : name);
 }
 
 bool TestRegistry::contains(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock{mu_};
-  const auto alias = aliases_.find(name);
-  return factories_.count(alias != aliases_.end() ? alias->second : name) > 0;
+  return find(name) != factories_.end();
 }
 
-const std::string& TestRegistry::canonical_name_locked(const std::string& name) const {
-  const auto alias = aliases_.find(name);
-  const auto it = factories_.find(alias != aliases_.end() ? alias->second : name);
+const std::string& TestRegistry::canonical_name(const std::string& name) const {
+  const auto it = find(name);
   if (it == factories_.end()) {
     std::string known;
     for (const auto& [technique, _] : factories_) {
@@ -48,17 +86,10 @@ const std::string& TestRegistry::canonical_name_locked(const std::string& name) 
     throw std::invalid_argument{"TestRegistry: unknown technique '" + name + "' (known: " + known +
                                 ")"};
   }
-  // Map nodes are never erased or mutated, so the name outlives the lock.
   return it->first;
 }
 
-const std::string& TestRegistry::canonical_name(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock{mu_};
-  return canonical_name_locked(name);
-}
-
 std::vector<std::string> TestRegistry::technique_names() const {
-  const std::lock_guard<std::mutex> lock{mu_};
   std::vector<std::string> names;
   names.reserve(factories_.size());
   for (const auto& [name, _] : factories_) names.push_back(name);
@@ -68,64 +99,11 @@ std::vector<std::string> TestRegistry::technique_names() const {
 std::unique_ptr<ReorderTest> TestRegistry::create(probe::ProbeHost& host,
                                                   tcpip::Ipv4Address target,
                                                   const TestSpec& spec) const {
-  Factory factory;
-  {
-    const std::lock_guard<std::mutex> lock{mu_};
-    factory = factories_.at(canonical_name_locked(spec.technique));
-  }
-  // Construct outside the lock: a technique's constructor may be arbitrarily
-  // slow and must not serialize other shards' lookups.
-  return factory(host, target, spec);
+  return factories_.at(canonical_name(spec.technique))(host, target, spec);
 }
 
-TestRegistry& TestRegistry::global() {
-  static TestRegistry* registry = [] {
-    auto* reg = new TestRegistry;
-    reg->register_technique(
-        "single-connection",
-        [](probe::ProbeHost& host, tcpip::Ipv4Address target, const TestSpec& spec) {
-          return std::make_unique<SingleConnectionTest>(
-              host, target, port_or(spec, kDiscardPort),
-              options_or_default<SingleConnectionOptions>(spec));
-        });
-    reg->register_technique(
-        "single-connection-inorder",
-        [](probe::ProbeHost& host, tcpip::Ipv4Address target, const TestSpec& spec) {
-          auto opts = options_or_default<SingleConnectionOptions>(spec);
-          opts.reversed_order = false;
-          return std::make_unique<SingleConnectionTest>(host, target, port_or(spec, kDiscardPort),
-                                                        opts);
-        });
-    reg->register_technique(
-        "dual-connection",
-        [](probe::ProbeHost& host, tcpip::Ipv4Address target, const TestSpec& spec) {
-          return std::make_unique<DualConnectionTest>(
-              host, target, port_or(spec, kDiscardPort),
-              options_or_default<DualConnectionOptions>(spec));
-        });
-    reg->register_technique(
-        "syn", [](probe::ProbeHost& host, tcpip::Ipv4Address target, const TestSpec& spec) {
-          return std::make_unique<SynTest>(host, target, port_or(spec, kDiscardPort),
-                                           options_or_default<SynTestOptions>(spec));
-        });
-    reg->register_technique(
-        "data-transfer",
-        [](probe::ProbeHost& host, tcpip::Ipv4Address target, const TestSpec& spec) {
-          return std::make_unique<DataTransferTest>(host, target, port_or(spec, kHttpPort),
-                                                    options_or_default<DataTransferOptions>(spec));
-        });
-    reg->register_technique(
-        "ping-burst", [](probe::ProbeHost& host, tcpip::Ipv4Address target, const TestSpec& spec) {
-          return std::make_unique<PingBurstAdapter>(host, target,
-                                                    options_or_default<PingBurstOptions>(spec));
-        });
-    reg->register_alias("single", "single-connection");
-    reg->register_alias("single-inorder", "single-connection-inorder");
-    reg->register_alias("dual", "dual-connection");
-    reg->register_alias("data", "data-transfer");
-    reg->register_alias("ping", "ping-burst");
-    return reg;
-  }();
+const TestRegistry& TestRegistry::global() {
+  static const TestRegistry* const registry = new TestRegistry;
   return *registry;
 }
 

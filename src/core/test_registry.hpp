@@ -4,24 +4,19 @@
 // options; TestRegistry maps technique names to factories with the
 // canonical signature (ProbeHost&, Ipv4Address, const TestSpec&). Every
 // technique instantiation in examples/, bench/ and tests/ goes through
-// here, so adding a technique (or a variant) is one registration instead
+// here, so adding a technique (or a variant) is one table entry instead
 // of twenty call-site edits — and unknown names are a hard error instead
 // of a silent fallback.
 //
-// Thread safety: the registry is shared process state (global() is the
-// one instance everything uses) and the survey service builds test
-// suites from worker threads, so every lookup and registration
-// takes an internal mutex. The global() instance itself is initialized
-// exactly once (C++ static-local guarantee). Factories run OUTSIDE the
-// lock — a slow constructor must not serialize other workers' lookups —
-// and technique names resolved by canonical_name() stay valid forever
-// (registrations are insert-only into node-based maps).
+// Thread safety: the registry is a fixed table. global() builds it once
+// (C++ static-local guarantee) and nothing changes it afterwards, so the
+// survey service's workers read it concurrently without a lock, and the
+// names canonical_name() returns stay valid for the process's lifetime.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <variant>
@@ -60,15 +55,11 @@ struct TestSpec {
 
 class TestRegistry {
  public:
-  /// The canonical factory signature every technique registers under.
+  /// The canonical factory signature of every technique in the table.
   using Factory = std::function<std::unique_ptr<ReorderTest>(
       probe::ProbeHost&, tcpip::Ipv4Address, const TestSpec&)>;
 
-  void register_technique(const std::string& name, Factory factory);
-  /// Short name (e.g. "single") resolving to a registered technique.
-  void register_alias(const std::string& alias, const std::string& canonical);
-
-  /// True for canonical names and aliases alike.
+  /// True for canonical names and aliases (e.g. "single") alike.
   bool contains(const std::string& name) const;
 
   /// Resolves aliases to the canonical technique name. Throws
@@ -98,17 +89,19 @@ class TestRegistry {
                                 "' is not of the requested concrete type"};
   }
 
-  /// The process-wide registry, pre-loaded with the paper's techniques:
-  /// single-connection (+ the in-order variant), dual-connection, syn,
-  /// data-transfer, and the ping-burst baseline.
-  static TestRegistry& global();
+  /// The process-wide registry: the paper's techniques — single-
+  /// connection (+ the in-order variant), dual-connection, syn,
+  /// data-transfer — and the ping-burst baseline, with their short aliases.
+  static const TestRegistry& global();
 
  private:
-  const std::string& canonical_name_locked(const std::string& name) const;
+  TestRegistry();
 
-  mutable std::mutex mu_;
+  /// The factory `name` (canonical or alias) resolves to, or end().
+  std::map<std::string, Factory>::const_iterator find(const std::string& name) const;
+
   std::map<std::string, Factory> factories_;
-  std::map<std::string, std::string> aliases_;
+  std::map<std::string, std::string> aliases_;  ///< alias -> canonical name
 };
 
 /// Convenience: builds `spec` against `target` via the global registry.

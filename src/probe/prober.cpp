@@ -12,9 +12,7 @@ ProbeConnection::ProbeConnection(ProbeHost& host, FlowAddr addr, ProbeConnection
 
 void ProbeConnection::shut() {
   state_ = State::kClosed;
-  ++timer_generation_;
-  if (timer_token_ != 0) host_.env().cancel(timer_token_);
-  timer_token_ = 0;
+  timer_.cancel();
   if (registered_) host_.unregister_flow(addr_);
   registered_ = false;
 }
@@ -23,16 +21,15 @@ void ProbeConnection::connect(std::function<void(bool)> done) {
   connect_done_ = std::move(done);
   state_ = State::kSynSent;
   send_syn();
-  const std::uint64_t gen = ++timer_generation_;
-  timer_token_ = host_.env().schedule(options_.syn_rto, [this, gen] { syn_rto_fire(gen, 1); });
+  timer_.arm(options_.syn_rto, [this] { syn_rto_fire(1); });
 }
 
 void ProbeConnection::send_syn() {
   host_.send(factory_.syn(options_.iss, options_.advertised_mss, options_.advertised_window));
 }
 
-void ProbeConnection::syn_rto_fire(std::uint64_t generation, int attempt) {
-  if (generation != timer_generation_ || state_ != State::kSynSent) return;
+void ProbeConnection::syn_rto_fire(int attempt) {
+  if (state_ != State::kSynSent) return;
   if (attempt > options_.max_syn_retries) {
     state_ = State::kClosed;
     if (connect_done_) {
@@ -43,9 +40,7 @@ void ProbeConnection::syn_rto_fire(std::uint64_t generation, int attempt) {
     return;
   }
   send_syn();
-  const std::uint64_t gen = ++timer_generation_;
-  timer_token_ =
-      host_.env().schedule(options_.syn_rto * 2, [this, gen, attempt] { syn_rto_fire(gen, attempt + 1); });
+  timer_.arm(options_.syn_rto * 2, [this, attempt] { syn_rto_fire(attempt + 1); });
 }
 
 void ProbeConnection::handle(const tcpip::Packet& pkt) {
@@ -64,9 +59,7 @@ void ProbeConnection::handle(const tcpip::Packet& pkt) {
         irs_ = pkt.tcp.seq;
         established_ = true;
         state_ = State::kEstablished;
-        ++timer_generation_;  // cancels pending SYN retries
-        host_.env().cancel(timer_token_);
-        timer_token_ = 0;
+        timer_.cancel();  // no more SYN retries
         send_ack_abs(rcv_base());
         if (connect_done_) {
           auto cb = std::move(connect_done_);
@@ -101,11 +94,7 @@ void ProbeConnection::handle(const tcpip::Packet& pkt) {
     }
     if (our_fin_acked_ && remote_fin_seen_) {
       state_ = State::kClosed;
-      ++timer_generation_;
-      if (timer_token_ != 0) {
-        host_.env().cancel(timer_token_);
-        timer_token_ = 0;
-      }
+      timer_.cancel();
       if (close_done_) {
         auto cb = std::move(close_done_);
         close_done_ = nullptr;
@@ -142,11 +131,9 @@ void ProbeConnection::close(std::uint32_t rel_seq, std::function<void()> done) {
   host_.send(factory_.fin(fin_seq_abs_, rcv_base(), options_.advertised_window));
   // Close timeout: give up after a generous interval and report done anyway
   // (the measurement is already finished by this point).
-  const std::uint64_t gen = ++timer_generation_;
-  timer_token_ = host_.env().schedule(util::Duration::seconds(5), [this, gen] {
-    if (gen != timer_generation_ || state_ != State::kFinSent) return;
+  timer_.arm(util::Duration::seconds(5), [this] {
+    if (state_ != State::kFinSent) return;
     state_ = State::kClosed;
-    timer_token_ = 0;
     if (close_done_) {
       auto cb = std::move(close_done_);
       close_done_ = nullptr;

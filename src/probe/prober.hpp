@@ -89,7 +89,7 @@ class ProbeConnection {
  private:
   void handle(const tcpip::Packet& pkt);
   void send_syn();
-  void syn_rto_fire(std::uint64_t generation, int attempt);
+  void syn_rto_fire(int attempt);
 
   enum class State { kIdle, kSynSent, kEstablished, kFinSent, kClosed };
 
@@ -107,8 +107,7 @@ class ProbeConnection {
 
   std::function<void(bool)> connect_done_;
   std::function<void()> close_done_;
-  std::uint64_t timer_token_{0};
-  std::uint64_t timer_generation_{0};
+  tcpip::Timer timer_{host_.env()};  ///< SYN retries, then the close timeout
   bool registered_{true};
 };
 

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 namespace reorder::report {
@@ -248,6 +249,14 @@ std::int64_t Json::as_int() const {
   const double d = as_double();  // the bounds are exact doubles; NaN fails both
   if (!(d >= -0x1p63 && d < 0x1p63) || d != std::floor(d)) type_error("an int64-range integer");
   return static_cast<std::int64_t>(d);
+}
+
+int Json::as_i32() const {
+  const std::int64_t v = as_int();
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
+    type_error("an int-range integer");
+  }
+  return static_cast<int>(v);
 }
 
 Json Json::u64(std::uint64_t v) {

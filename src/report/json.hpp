@@ -57,11 +57,12 @@ class Json {
   bool is_object() const { return type() == Type::kObject; }
 
   /// Typed accessors; throw std::runtime_error on a type mismatch, and
-  /// as_int()/as_u64() also on a number that is not an integer in their
-  /// range (non-finite, fractional or too large).
+  /// as_int()/as_i32()/as_u64() also on a number that is not an integer
+  /// in their range (non-finite, fractional or too large).
   bool as_bool() const;
   double as_double() const;
   std::int64_t as_int() const;
+  int as_i32() const;
   const std::string& as_string() const;
 
   // ----- object -----

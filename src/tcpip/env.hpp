@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "util/inplace_function.hpp"
 #include "util/time.hpp"
@@ -14,10 +15,10 @@ namespace reorder::tcpip {
 /// Capacity of a scheduled callback's inline capture buffer. Sized for the
 /// largest hot-path capture: a netsim stage forwarding lambda carrying a
 /// whole tcpip::Packet by value (headers + payload vector + metadata), with
-/// headroom for the protocol timers (the non-owning pointer to their run or
-/// endpoint + completion function + generation). Compile-time enforced — an
-/// oversized capture fails the static_assert in InplaceFunction rather than
-/// silently allocating.
+/// headroom for a Timer's callback (the timer's own pointer plus its
+/// callable: a pointer to the run or endpoint, or a paced packet). Compile-
+/// time enforced — an oversized capture fails the static_assert in
+/// InplaceFunction rather than silently allocating.
 inline constexpr std::size_t kCallbackCapacity = 192;
 
 /// Deferred-execution callback: move-only, never heap-allocates its capture.
@@ -47,6 +48,42 @@ class Environment {
 
  private:
   std::uint64_t packet_uids_{0};
+};
+
+/// At most one pending callback on an Environment — the one timer every
+/// protocol state machine uses. arm() cancels the pending callback, then
+/// schedules `fn`, so only the last armed callback ever runs; the timer
+/// disarms before `fn` runs, so `fn` may re-arm it. Destroying the timer
+/// cancels what it holds, so the environment must outlive it. The
+/// scheduled event captures the timer's address: a Timer never moves.
+class Timer {
+ public:
+  explicit Timer(Environment& env) : env_{&env} {}
+  ~Timer() { cancel(); }
+
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+  /// `fn` is a template parameter, never a std::function, so a capture of
+  /// plain pointers stays trivially copyable inside the Callback.
+  template <class F>
+  void arm(util::Duration delay, F fn) {
+    cancel();
+    token_ = env_->schedule(delay, [this, fn = std::move(fn)]() mutable {
+      token_ = 0;
+      fn();
+    });
+  }
+
+  void cancel() {
+    if (token_ != 0) env_->cancel(std::exchange(token_, 0));
+  }
+
+  bool armed() const { return token_ != 0; }
+
+ private:
+  Environment* env_;
+  std::uint64_t token_{0};  ///< 0 when nothing is pending
 };
 
 }  // namespace reorder::tcpip

@@ -50,8 +50,6 @@ TcpEndpoint::TcpEndpoint(Environment& env, TcpBehavior behavior, ConnKey key, st
       peer_mss_{behavior.default_mss} {}
 
 TcpEndpoint::~TcpEndpoint() {
-  cancel_delayed_ack();
-  cancel_rto();
   for (auto& [seq, buf] : reassembly_) util::BufferPool::global().release(std::move(buf));
 }
 
@@ -300,7 +298,7 @@ void TcpEndpoint::send_flags(std::uint8_t flags) {
 }
 
 void TcpEndpoint::send_ack_now(bool duplicate) {
-  cancel_delayed_ack();
+  delack_timer_.cancel();
   unacked_in_order_ = 0;
   ++counters_.acks_sent;
   if (duplicate) ++counters_.dup_acks_sent;
@@ -313,23 +311,11 @@ void TcpEndpoint::send_rst() {
 }
 
 void TcpEndpoint::schedule_delayed_ack() {
-  if (ack_pending_) return;
-  ack_pending_ = true;
-  const std::uint64_t gen = ++delack_generation_;
-  delack_token_ =
-      env_.schedule(behavior_.delayed_ack_timeout, [this, gen] { delayed_ack_fire(gen); });
+  if (delack_timer_.armed()) return;
+  delack_timer_.arm(behavior_.delayed_ack_timeout, [this] { delayed_ack_fire(); });
 }
 
-void TcpEndpoint::cancel_delayed_ack() {
-  if (!ack_pending_) return;
-  env_.cancel(delack_token_);
-  ack_pending_ = false;
-  ++delack_generation_;
-}
-
-void TcpEndpoint::delayed_ack_fire(std::uint64_t generation) {
-  if (!ack_pending_ || generation != delack_generation_) return;
-  ack_pending_ = false;
+void TcpEndpoint::delayed_ack_fire() {
   ++counters_.delayed_acks_sent;
   unacked_in_order_ = 0;
   ++counters_.acks_sent;
@@ -377,7 +363,7 @@ void TcpEndpoint::try_send() {
     std::vector<std::uint8_t> payload = util::BufferPool::global().acquire(chunk);
     payload.assign(send_buf_.begin() + offset, send_buf_.begin() + offset + chunk);
     // Data segments carry the current ACK; any pending delayed ACK rides out.
-    cancel_delayed_ack();
+    delack_timer_.cancel();
     unacked_in_order_ = 0;
     snd_nxt_ += chunk;
     sender_(h, std::move(payload));
@@ -399,23 +385,18 @@ void TcpEndpoint::try_send() {
 }
 
 void TcpEndpoint::arm_rto() {
-  if (rto_token_ != 0) return;
+  if (rto_timer_.armed()) return;
   if (current_rto_.is_zero()) current_rto_ = behavior_.initial_rto;
-  const std::uint64_t gen = ++rto_generation_;
-  rto_token_ = env_.schedule(current_rto_, [this, gen] { rto_fire(gen); });
+  rto_timer_.arm(current_rto_, [this] { rto_fire(); });
 }
 
 void TcpEndpoint::cancel_rto() {
-  if (rto_token_ == 0) return;
-  env_.cancel(rto_token_);
-  rto_token_ = 0;
-  ++rto_generation_;
+  if (!rto_timer_.armed()) return;
+  rto_timer_.cancel();
   current_rto_ = behavior_.initial_rto;
 }
 
-void TcpEndpoint::rto_fire(std::uint64_t generation) {
-  if (generation != rto_generation_ || rto_token_ == 0) return;
-  rto_token_ = 0;
+void TcpEndpoint::rto_fire() {
   if (snd_una_ == snd_nxt_ && state_ != TcpState::kSynRcvd) return;  // nothing outstanding
   ++retransmit_count_;
   if (retransmit_count_ > behavior_.max_retransmits) {
@@ -475,7 +456,7 @@ void TcpEndpoint::retransmit_one() {
 }
 
 void TcpEndpoint::enter_closed() {
-  cancel_delayed_ack();
+  delack_timer_.cancel();
   cancel_rto();
   if (state_ == TcpState::kClosed) return;
   state_ = TcpState::kClosed;

@@ -153,13 +153,12 @@ class TcpEndpoint {
   void send_ack_now(bool duplicate);
   void send_rst();
   void schedule_delayed_ack();
-  void cancel_delayed_ack();
-  void delayed_ack_fire(std::uint64_t generation);
+  void delayed_ack_fire();
 
   void try_send();
   void arm_rto();
   void cancel_rto();
-  void rto_fire(std::uint64_t generation);
+  void rto_fire();
   void retransmit_one();
 
   void enter_closed();
@@ -189,15 +188,12 @@ class TcpEndpoint {
   bool fin_pending_{false};
   bool fin_sent_{false};
 
-  // Delayed ACK machinery.
+  // Delayed ACK machinery: an ACK is pending while its timer is armed.
   int unacked_in_order_{0};
-  bool ack_pending_{false};
-  std::uint64_t delack_token_{0};
-  std::uint64_t delack_generation_{0};
+  Timer delack_timer_{env_};
 
   // Retransmission.
-  std::uint64_t rto_token_{0};
-  std::uint64_t rto_generation_{0};
+  Timer rto_timer_{env_};
   util::Duration current_rto_{};
   int retransmit_count_{0};
 };

@@ -101,8 +101,8 @@ class InplaceFunction<R(Args...), Capacity> {
       return (*static_cast<Fn*>(self))(std::forward<Args>(args)...);
     };
     if constexpr (std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>) {
-      // Fast path for POD-ish captures (timer `this` + generation, plain
-      // state blocks): moves are a small memcpy and destruction is free —
+      // Fast path for POD-ish captures (a timer's `this` + its run's,
+      // plain state blocks): moves are a small memcpy and destruction is free —
       // no indirect relocate call on the scheduler's per-event path.
       trivial_bytes_ = static_cast<std::uint32_t>(sizeof(Fn));
     } else {

@@ -1,5 +1,5 @@
 // Unit tests for the discrete-event loop: ordering, ties, cancellation,
-// bounded runs.
+// bounded runs, and the tcpip::Timer protocol on top of it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -338,6 +338,89 @@ TEST(EventLoop, HookStreamsIdenticalAcrossPolicies) {
   EXPECT_EQ(heap_events, map_events);
   EXPECT_FALSE(heap_events.empty());
 }
+
+// ---------------------------------------------------------------- Timer
+
+class TimerTest : public ::testing::TestWithParam<EventLoop::QueuePolicy> {};
+
+TEST_P(TimerTest, ReArmingSupersedesThePendingCallback) {
+  EventLoop loop{GetParam()};
+  std::vector<std::uint64_t> seqs;
+  loop.set_executed_hook([&seqs](TimePoint, std::uint64_t seq) { seqs.push_back(seq); });
+  tcpip::Timer timer{loop};
+  EXPECT_FALSE(timer.armed());
+  std::vector<int> ran;
+  timer.arm(Duration::millis(5), [&ran] { ran.push_back(1); });
+  timer.arm(Duration::millis(1), [&ran] { ran.push_back(2); });
+  timer.arm(Duration::millis(3), [&ran] { ran.push_back(3); });
+  EXPECT_TRUE(timer.armed());
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run();
+  EXPECT_EQ(ran, (std::vector<int>{3}));
+  EXPECT_FALSE(timer.armed());
+  // Cancel-then-schedule: each arm() is one scheduling, and the event
+  // that runs is the last one's, at the last one's time.
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{3}));
+  EXPECT_EQ(loop.now(), TimePoint::epoch() + Duration::millis(3));
+}
+
+TEST_P(TimerTest, CancelStopsTheCallback) {
+  EventLoop loop{GetParam()};
+  tcpip::Timer timer{loop};
+  bool ran = false;
+  timer.arm(Duration::millis(1), [&ran] { ran = true; });
+  timer.cancel();
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(loop.pending(), 0u);
+  timer.cancel();  // idempotent
+  loop.run();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(loop.events_executed(), 0u);
+}
+
+TEST_P(TimerTest, DestructionStopsTheCallback) {
+  EventLoop loop{GetParam()};
+  bool ran = false;
+  {
+    tcpip::Timer timer{loop};
+    timer.arm(Duration::millis(1), [&ran] { ran = true; });
+    EXPECT_EQ(loop.pending(), 1u);
+  }
+  EXPECT_EQ(loop.pending(), 0u);
+  loop.run();
+  EXPECT_FALSE(ran);
+}
+
+TEST_P(TimerTest, CallbackMayReArmItsOwnTimer) {
+  EventLoop loop{GetParam()};
+  tcpip::Timer timer{loop};
+  // armed() as each firing sees it, before and after re-arming.
+  std::vector<std::pair<bool, bool>> seen;
+  struct Tick {
+    tcpip::Timer* timer;
+    std::vector<std::pair<bool, bool>>* seen;
+    void operator()() const {
+      const bool before = timer->armed();
+      if (seen->size() < 2) timer->arm(Duration::millis(2), *this);
+      seen->emplace_back(before, timer->armed());
+    }
+  };
+  timer.arm(Duration::millis(2), Tick{&timer, &seen});
+  loop.run();
+  EXPECT_EQ(seen, (std::vector<std::pair<bool, bool>>{{false, true}, {false, true}, {false, false}}));
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(loop.now(), TimePoint::epoch() + Duration::millis(6));
+  EXPECT_EQ(loop.events_executed(), 3u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothQueues, TimerTest,
+                         ::testing::Values(EventLoop::QueuePolicy::kIndexedHeap,
+                                           EventLoop::QueuePolicy::kReferenceMap),
+                         [](const ::testing::TestParamInfo<EventLoop::QueuePolicy>& info) {
+                           return info.param == EventLoop::QueuePolicy::kIndexedHeap
+                                      ? "IndexedHeap"
+                                      : "ReferenceMap";
+                         });
 
 }  // namespace
 }  // namespace reorder::sim

@@ -300,10 +300,14 @@ TEST(Checkpoint, AnUnreadableHeaderRejectsTheFile) {
   const std::string text = cp.serialize();
   const std::string seed = ",\"seed\":" + std::to_string(kSeed);
   const std::string rounds = ",\"rounds\":" + std::to_string(kRounds);
-  // A missing seed, a seed past u64, and a fractional round count, which
-  // must be refused rather than truncated into another plan.
+  // A missing seed, a seed past u64, and a fractional round count or one
+  // past int (2^32 + 1), which must be refused rather than truncated or
+  // wrapped into another plan.
   const std::vector<std::pair<std::string, std::string>> edits{
-      {seed, ""}, {seed, ",\"seed\":1e20"}, {rounds, ",\"rounds\":1.9"}};
+      {seed, ""},
+      {seed, ",\"seed\":1e20"},
+      {rounds, ",\"rounds\":1.9"},
+      {rounds, ",\"rounds\":4294967297"}};
   const std::string path = testing::TempDir() + "reorder_ckpt_headless.jsonl";
   for (const auto& [field, header] : edits) {
     const std::size_t at = text.find(field);
@@ -601,6 +605,21 @@ TEST(FleetMerge, TwoRunsFoldIntoTheCombinedRunsBytes) {
   std::string self_text;
   for (const report::Json& record : self) self_text += record.dump() + "\n";
   EXPECT_EQ(self_text, east);
+}
+
+TEST(FleetMerge, RoundsOutsideIntAreRejected) {
+  // A lifecycle record's round count past int's range is refused, never
+  // wrapped: 2^32 + 1 would otherwise read as a 1-round plan.
+  for (const std::string type : {"survey_begin", "survey_end"}) {
+    const SurveyEvent event{1, 1, 0, util::TimePoint::epoch()};
+    std::vector<report::Json> run{report::survey_event_json("survey_begin", event),
+                                  report::survey_event_json("survey_end", event)};
+    EXPECT_NO_THROW(merge_fleet_streams({run})) << type;
+    for (report::Json& record : run) {
+      if (record.at("type").as_string() == type) record.set("rounds", std::int64_t{4294967297});
+    }
+    EXPECT_THROW(merge_fleet_streams({run}), std::runtime_error) << type;
+  }
 }
 
 TEST(FleetMerge, TornInputIsRejected) {

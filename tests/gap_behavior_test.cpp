@@ -47,6 +47,31 @@ INSTANTIATE_TEST_SUITE_P(Sweep, GapVsHoldWindow,
                                            GapCase{5000, 0.0},     // beyond 2ms: process gone
                                            GapCase{20000, 0.0}));
 
+// A sample's paced second packet belongs to its sample. When the sample
+// classifies first (here it times out before inter_packet_gap elapses),
+// the packet is never sent, rather than landing inside a later sample.
+TEST(GapBeyondSampleTimeout, NoSecondPacketOutlivesItsSample) {
+  for (const char* technique :
+       {"single-connection", "single-connection-inorder", "dual-connection", "syn"}) {
+    TestbedConfig cfg;
+    cfg.seed = 5;
+    Testbed bed{cfg};
+    auto test = make_registered_test(bed.probe(), bed.remote_addr(), TestSpec{technique});
+    TestRunConfig run;
+    run.samples = 8;
+    run.sample_timeout = Duration::millis(100);
+    run.inter_packet_gap = Duration::millis(300);
+    const auto result = bed.run_sync(*test, run);
+    ASSERT_EQ(result.samples.size(), 8u) << technique << ": " << result.note;
+    std::vector<std::uint64_t> seconds;
+    for (const SampleResult& sample : result.samples) {
+      ASSERT_NE(sample.fwd_uid_second, 0u) << technique;
+      seconds.push_back(sample.fwd_uid_second);
+    }
+    EXPECT_EQ(bed.remote_ingress_trace().filter_uids(seconds).size(), 0u) << technique;
+  }
+}
+
 TEST(FullSuiteSession, AllFourTestsRoundRobin) {
   TestbedConfig cfg;
   cfg.seed = 7200;

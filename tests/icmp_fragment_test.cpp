@@ -4,7 +4,7 @@
 
 #include <algorithm>
 
-#include "core/ping_burst_adapter.hpp"
+#include "core/ping_burst_test.hpp"
 #include "core/test_registry.hpp"
 #include "core/testbed.hpp"
 #include "tcpip/fragment.hpp"
@@ -133,7 +133,7 @@ TEST(HostEcho, RateLimitCapsRepliesPerWindow) {
 core::PingBurstResult run_bursts(core::Testbed& bed, int burst_size, int bursts) {
   core::PingBurstOptions opts;
   opts.burst_size = burst_size;
-  auto ping = core::TestRegistry::global().create_as<core::PingBurstAdapter>(
+  auto ping = core::TestRegistry::global().create_as<core::PingBurstTest>(
       bed.probe(), bed.remote_addr(), core::TestSpec{"ping-burst", 0, opts});
   core::TestRunConfig run;
   run.samples = bursts;

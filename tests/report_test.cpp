@@ -134,6 +134,11 @@ TEST(Json, IntegerAccessorsRejectNumbersOutsideTheirRange) {
   EXPECT_EQ(Json{9007199254740992.0}.as_u64(), 9007199254740992ull);
   EXPECT_EQ(Json{-9223372036854775808.0}.as_int(), INT64_MIN);
   EXPECT_EQ(Json::u64(UINT64_MAX).as_u64(), UINT64_MAX);
+  // as_i32() refuses what would wrap: 2^32 + 1 is not 1.
+  EXPECT_THROW(Json{std::int64_t{4294967297}}.as_i32(), std::runtime_error);
+  EXPECT_THROW(Json{std::int64_t{INT32_MIN} - 1}.as_i32(), std::runtime_error);
+  EXPECT_EQ(Json{INT32_MAX}.as_i32(), INT32_MAX);
+  EXPECT_EQ(Json{INT32_MIN}.as_i32(), INT32_MIN);
 }
 
 // ------------------------------------------------------------- Jsonl

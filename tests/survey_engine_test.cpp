@@ -9,7 +9,7 @@
 #include <set>
 #include <vector>
 
-#include "core/ping_burst_adapter.hpp"
+#include "core/ping_burst_test.hpp"
 #include "core/survey_testbed.hpp"
 #include "stats/pair_difference.hpp"
 
@@ -334,12 +334,12 @@ TEST(SurveyTestbed, PingBurstRunsInOneWorldCountOnlyTheirOwnReplies) {
   cfg.targets.resize(2);
   for (SurveyTargetConfig& target : cfg.targets) target.tests = {TestSpec{"ping-burst"}};
   SurveyTestbed bed{cfg};
-  std::vector<std::unique_ptr<PingBurstAdapter>> probes;
+  std::vector<std::unique_ptr<PingBurstTest>> probes;
   std::vector<std::optional<TestRunResult>> results(2);
   TestRunConfig run;
   run.samples = 10;
   for (std::size_t i = 0; i < 2; ++i) {
-    probes.push_back(std::make_unique<PingBurstAdapter>(bed.probe(), bed.target_addr(i)));
+    probes.push_back(std::make_unique<PingBurstTest>(bed.probe(), bed.target_addr(i)));
     probes[i]->run(run, [&results, i](TestRunResult r) { results[i] = std::move(r); });
   }
   bed.loop().run();
