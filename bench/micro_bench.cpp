@@ -1,12 +1,16 @@
 // Library microbenchmarks (engineering, not from the paper): codec and
 // checksum throughput, event-loop scheduling, endpoint segment processing,
-// the reordering stages, and a full end-to-end measurement sample.
+// the reordering stages, a full end-to-end measurement sample, and the
+// survey service's canonical JSONL emission.
 //
 // The human table is google-benchmark's console reporter; alongside it a
 // JSONL artifact (one record per benchmark run) streams through the
 // report layer like every other bench binary's.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <ostream>
+#include <streambuf>
 #include <unordered_map>
 
 #include "bench_common.hpp"
@@ -29,6 +33,7 @@
 #include "trace/analyzer.hpp"
 #include "util/buffer_pool.hpp"
 #include "util/checksum.hpp"
+#include "util/random.hpp"
 
 namespace {
 
@@ -393,6 +398,67 @@ void BM_LiveSnapshot(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LiveSnapshot);
+
+/// A stream buffer that discards what it is given, counting the bytes.
+class NullBuf final : public std::streambuf {
+ public:
+  std::size_t bytes{0};
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes += static_cast<std::size_t>(n);
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    ++bytes;
+    return traits_type::not_eof(c);
+  }
+};
+
+// Canonical emission alone: a retained 64-target service over perfbench's
+// synthetic survey population (half the paths reorder; single-connection
+// and syn, 15 samples, one round) runs once and is stopped, so every
+// emit_jsonl() renders inline on this thread, into a stream that discards
+// the bytes. Items are the lines written: the sample, measurement,
+// lifecycle and metrics records survey_batch emits.
+void BM_EmitJsonl(benchmark::State& state) {
+  service::SurveyServiceConfig cfg;
+  cfg.seed = 1;
+  cfg.workers = 1;
+  cfg.run.samples = 15;
+  cfg.rounds = 1;
+  cfg.between = util::Duration::seconds(1);
+  service::SurveyService service{cfg};
+  util::Rng population{1};
+  std::vector<core::SurveyTargetConfig> fleet;
+  for (int i = 0; i < 64; ++i) {
+    core::SurveyTargetConfig target;
+    target.name = "host-" + std::to_string(i);
+    if (population.bernoulli(0.5)) {
+      const double fwd = std::min(0.35, population.exponential(0.08));
+      target.forward.swap_probability = fwd;
+      target.reverse.swap_probability = fwd * population.uniform(0.1, 0.6);
+    }
+    target.remote.behavior.immediate_ack_on_hole_fill = true;
+    target.tests = {core::TestSpec{"single-connection"}, core::TestSpec{"syn"}};
+    fleet.push_back(std::move(target));
+  }
+  service.admit(std::move(fleet));
+  service.drain();
+  service.stop();
+
+  NullBuf discard;
+  std::ostream out{&discard};
+  std::size_t lines = 0;
+  for (auto _ : state) {
+    report::JsonlWriter writer{out};
+    service.emit_jsonl(writer);
+    lines += writer.lines_written();
+  }
+  benchmark::DoNotOptimize(discard.bytes);
+  state.SetItemsProcessed(static_cast<std::int64_t>(lines));
+}
+BENCHMARK(BM_EmitJsonl);
 
 // ----------------------------------------------------------------- monitor
 

@@ -13,10 +13,11 @@ namespace reorder::core {
 
 namespace {
 
-/// Checksum a record body by its rendering. dump() is a pure function of
-/// construction order, which the codec fixes, so the checksum is stable
-/// across processes — and fnv1a64 is already this repo's on-disk hash
-/// (the fault-injector site hash documents the constants).
+/// Checksum a record body by its rendering. The rendering is a pure
+/// function of the record, whose field order the codec fixes, so the
+/// checksum is stable across processes — and fnv1a64 is already this
+/// repo's on-disk hash (the fault-injector site hash documents the
+/// constants).
 std::string body_crc(std::string_view body) {
   const std::uint64_t h = util::fnv1a64(body);
   char buf[17];
@@ -24,13 +25,17 @@ std::string body_crc(std::string_view body) {
   return std::string{buf};
 }
 
-/// The record line for the body rendered as `body`: the bytes dump()
-/// gives {"type":"shard_done","shard":..,"crc":..,"body":..}, newline
-/// included, built around the body text instead of a copy of its tree,
-/// in a buffer of exactly its size.
+/// The record line for the body rendered as `body`:
+/// {"type":"shard_done","shard":..,"crc":..,"body":..}, newline
+/// included, built around the body text, in a buffer of exactly its size.
 report::JsonlLines shard_done_line(std::size_t shard, std::string_view body) {
-  const std::string head = R"({"type":"shard_done","shard":)" + report::Json::u64(shard).dump() +
-                           R"(,"crc":")" + body_crc(body) + R"(","body":)";
+  std::string head;
+  report::JsonWriter{head}
+      .begin_object()
+      .key("type").string("shard_done")
+      .key("shard").u64(shard)
+      .key("crc").string(body_crc(body))
+      .key("body");
   std::string line;
   line.reserve(head.size() + body.size() + 2);
   line.append(head).append(body).append("}\n");
@@ -38,25 +43,25 @@ report::JsonlLines shard_done_line(std::size_t shard, std::string_view body) {
 }
 
 /// Parses a stored record line. Only render() and load() store lines,
-/// both rendered by dump(), so a failure here is a defect, not input.
+/// both rendered by JsonWriter, so a failure here is a defect, not input.
 report::Json parse_line(const report::JsonlLines& line) {
   std::optional<report::Json> parsed = report::Json::parse(line.text);
   if (!parsed) throw std::logic_error{"SurveyCheckpoint: a stored record line does not parse"};
   return std::move(*parsed);
 }
 
-report::Json sample_to_json(const SampleResult& s) {
-  report::Json j = report::Json::object();
-  j.set("fwd", to_string(s.forward));
-  j.set("rev", to_string(s.reverse));
-  j.set("started_ns", s.started.ns());
-  j.set("completed_ns", s.completed.ns());
-  j.set("gap_ns", s.gap.ns());
-  j.set("fwd_uid_first", report::Json::u64(s.fwd_uid_first));
-  j.set("fwd_uid_second", report::Json::u64(s.fwd_uid_second));
-  j.set("rev_uid_first", report::Json::u64(s.rev_uid_first));
-  j.set("rev_uid_second", report::Json::u64(s.rev_uid_second));
-  return j;
+void write_sample_json(report::JsonWriter& w, const SampleResult& s) {
+  w.begin_object()
+      .key("fwd").string(to_string(s.forward))
+      .key("rev").string(to_string(s.reverse))
+      .key("started_ns").number(s.started.ns())
+      .key("completed_ns").number(s.completed.ns())
+      .key("gap_ns").number(s.gap.ns())
+      .key("fwd_uid_first").u64(s.fwd_uid_first)
+      .key("fwd_uid_second").u64(s.fwd_uid_second)
+      .key("rev_uid_first").u64(s.rev_uid_first)
+      .key("rev_uid_second").u64(s.rev_uid_second)
+      .end_object();
 }
 
 SampleResult sample_from_json(const report::Json& j) {
@@ -73,13 +78,13 @@ SampleResult sample_from_json(const report::Json& j) {
   return s;
 }
 
-report::Json end_to_json(const SurveyEvent& e) {
-  report::Json j = report::Json::object();
-  j.set("targets", report::Json::u64(e.targets));
-  j.set("rounds", e.rounds);
-  j.set("measurements", report::Json::u64(e.measurements));
-  j.set("at_ns", e.at.ns());
-  return j;
+void write_end_json(report::JsonWriter& w, const SurveyEvent& e) {
+  w.begin_object()
+      .key("targets").u64(e.targets)
+      .key("rounds").number(e.rounds)
+      .key("measurements").u64(e.measurements)
+      .key("at_ns").number(e.at.ns())
+      .end_object();
 }
 
 /// The `shard` index a record line or body names; nullopt when absent or
@@ -105,22 +110,22 @@ SurveyEvent end_from_json(const report::Json& j) {
 
 }  // namespace
 
-report::Json measurement_to_json(const Measurement& m) {
-  report::Json j = report::Json::object();
-  j.set("target", m.target);
-  j.set("test", m.test);
-  j.set("at_ns", m.at.ns());
-  report::Json r = report::Json::object();
-  r.set("test_name", m.result.test_name);
-  r.set("admissible", m.result.admissible);
-  r.set("note", m.result.note);
-  r.set("fwd", report::to_json(m.result.forward));
-  r.set("rev", report::to_json(m.result.reverse));
-  report::Json samples = report::Json::array();
-  for (const SampleResult& s : m.result.samples) samples.push(sample_to_json(s));
-  r.set("samples", std::move(samples));
-  j.set("result", std::move(r));
-  return j;
+void write_measurement_json(report::JsonWriter& w, const Measurement& m) {
+  w.begin_object()
+      .key("target").string(m.target)
+      .key("test").string(m.test)
+      .key("at_ns").number(m.at.ns())
+      .key("result").begin_object()
+      .key("test_name").string(m.result.test_name)
+      .key("admissible").boolean(m.result.admissible)
+      .key("note").string(m.result.note)
+      .key("fwd");
+  report::write_json(w, m.result.forward);
+  w.key("rev");
+  report::write_json(w, m.result.reverse);
+  w.key("samples").begin_array();
+  for (const SampleResult& s : m.result.samples) write_sample_json(w, s);
+  w.end_array().end_object().end_object();
 }
 
 Measurement measurement_from_json(const report::Json& j) {
@@ -149,20 +154,19 @@ std::vector<std::size_t> SurveyCheckpoint::completed_shards() const {
 }
 
 SurveyCheckpoint::Record SurveyCheckpoint::render(const ShardRunResult& result, int attempts) {
-  report::Json body = report::Json::object();
-  body.set("shard", report::Json::u64(result.shard));
-  body.set("attempts", attempts);
-  body.set("end", end_to_json(result.end));
-  report::Json log = report::Json::array();
-  for (const Measurement& m : result.log) log.push(measurement_to_json(m));
-  body.set("log", std::move(log));
+  std::string body;
+  report::JsonWriter w{body};
+  w.begin_object().key("shard").u64(result.shard).key("attempts").number(attempts).key("end");
+  write_end_json(w, result.end);
+  w.key("log").begin_array();
+  for (const Measurement& m : result.log) write_measurement_json(w, m);
   // The target's metric snapshots travel as the exact `metrics` records
   // the engine would emit — the same schema restore_record consumes, so
   // checkpointing exercises no second serialization format.
-  report::Json records = report::Json::array();
-  for (report::Json& rec : result.metrics.records()) records.push(std::move(rec));
-  body.set("metrics", std::move(records));
-  return Record{result.shard, shard_done_line(result.shard, body.dump())};
+  w.end_array().key("metrics").begin_array();
+  result.metrics.write_records(w);
+  w.end_array().end_object();
+  return Record{result.shard, shard_done_line(result.shard, body)};
 }
 
 void SurveyCheckpoint::record(Record record) {
@@ -202,15 +206,17 @@ int SurveyCheckpoint::attempts(std::size_t shard) const {
 
 void SurveyCheckpoint::write_lines(report::JsonlWriter& writer) const {
   if (header_) {
-    report::Json h = report::Json::object();
-    h.set("type", "checkpoint_header");
-    h.set("shards", report::Json::u64(header_->shards));
-    h.set("targets", report::Json::u64(header_->targets));
-    h.set("rounds", header_->rounds);
-    h.set("seed", report::Json::u64(header_->seed));
-    h.set("samples", header_->samples);
-    h.set("sample_payloads", header_->sample_payloads);
-    writer.write(h);
+    writer.write_line([&](report::JsonWriter& w) {
+      w.begin_object()
+          .key("type").string("checkpoint_header")
+          .key("shards").u64(header_->shards)
+          .key("targets").u64(header_->targets)
+          .key("rounds").number(header_->rounds)
+          .key("seed").u64(header_->seed)
+          .key("samples").number(header_->samples)
+          .key("sample_payloads").boolean(header_->sample_payloads)
+          .end_object();
+    });
   }
   for (const auto& [shard, record] : shards_) writer.write_lines(record.line_);
 }

@@ -75,8 +75,9 @@ struct ShardRunResult {
 /// Full-fidelity measurement codec — unlike the emission schema (which
 /// drops packet uids and per-sample payloads are summarized), this
 /// round-trips a Measurement exactly, so a restored log replays
-/// byte-identical JSONL.
-report::Json measurement_to_json(const Measurement& m);
+/// byte-identical JSONL. The checkpoint writes it straight into a
+/// record's body; measurement_from_json reads one back from the tree.
+void write_measurement_json(report::JsonWriter& w, const Measurement& m);
 Measurement measurement_from_json(const report::Json& j);
 
 class SurveyCheckpoint {

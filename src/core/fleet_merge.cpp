@@ -15,25 +15,39 @@ namespace reorder::core {
 
 namespace {
 
-/// One measurement and its sample lines, reassembled from a stream.
+/// One measurement and its sample lines, reassembled from a stream (the
+/// records stay in the caller's input).
 struct Group {
   std::string target;
   std::string test;
   std::int64_t at_ns{0};
-  std::vector<report::Json> samples;
-  report::Json measurement;
-  bool has_measurement{false};
+  std::vector<const report::Json*> samples;
+  const report::Json* measurement{nullptr};
 };
+
+/// Writes a sample or measurement record as it came in, its `measurement`
+/// index replaced by the fleet-wide `index`.
+void write_renumbered(report::JsonWriter& w, const report::Json& record, std::size_t index) {
+  w.begin_object();
+  for (const auto& [key, value] : record.members()) {
+    w.key(key);
+    if (key == "measurement") {
+      w.number(index);
+    } else {
+      w.value(value);
+    }
+  }
+  w.end_object();
+}
 
 }  // namespace
 
-std::vector<report::Json> merge_fleet_streams(
-    const std::vector<std::vector<report::Json>>& runs) {
+report::JsonlLines merge_fleet_streams(const std::vector<std::vector<report::Json>>& runs) {
   std::vector<Group> groups;
   metrics::MetricEngine merged_metrics;
   SurveyEvent begin{};
   SurveyEvent end{};
-  std::vector<report::Json> participation_entries;
+  std::vector<const report::Json*> participation_entries;
   bool any_participation = false;
 
   for (const std::vector<report::Json>& run : runs) {
@@ -61,10 +75,9 @@ std::vector<report::Json> merge_fleet_streams(
         }
         Group& g = groups[it->second];
         if (type == "sample") {
-          g.samples.push_back(record);
+          g.samples.push_back(&record);
         } else {
-          g.measurement = record;
-          g.has_measurement = true;
+          g.measurement = &record;
           g.at_ns = record.at("at_ns").as_int();
         }
         continue;
@@ -92,7 +105,7 @@ std::vector<report::Json> merge_fleet_streams(
       if (type == "participation") {
         any_participation = true;
         for (const report::Json& entry : record.at("targets").items()) {
-          participation_entries.push_back(entry);
+          participation_entries.push_back(&entry);
         }
         continue;
       }
@@ -104,7 +117,7 @@ std::vector<report::Json> merge_fleet_streams(
   }
 
   for (const Group& g : groups) {
-    if (!g.has_measurement) {
+    if (g.measurement == nullptr) {
       throw std::runtime_error{"merge_fleet_streams: sample lines for '" + g.target + "/" +
                                g.test + "' have no measurement record (torn input?)"};
     }
@@ -117,31 +130,30 @@ std::vector<report::Json> merge_fleet_streams(
     return std::tie(a.target, a.test, a.at_ns) < std::tie(b.target, b.test, b.at_ns);
   });
 
-  std::vector<report::Json> out;
+  report::JsonlLines out;
   begin.measurements = 0;
   begin.at = util::TimePoint::epoch();
-  out.push_back(report::survey_event_json("survey_begin", begin));
+  out.append_line(
+      [&](report::JsonWriter& w) { report::write_survey_event(w, "survey_begin", begin); });
   for (std::size_t i = 0; i < groups.size(); ++i) {
-    Group& g = groups[i];
-    for (report::Json& s : g.samples) {
-      s.set("measurement", i);
-      out.push_back(std::move(s));
+    const Group& g = groups[i];
+    for (const report::Json* s : g.samples) {
+      out.append_line([&](report::JsonWriter& w) { write_renumbered(w, *s, i); });
     }
-    g.measurement.set("measurement", i);
-    out.push_back(std::move(g.measurement));
+    out.append_line([&](report::JsonWriter& w) { write_renumbered(w, *g.measurement, i); });
   }
   end.measurements = groups.size();
-  out.push_back(report::survey_event_json("survey_end", end));
+  out.append_line(
+      [&](report::JsonWriter& w) { report::write_survey_event(w, "survey_end", end); });
 
-  for (report::Json& record : merged_metrics.records()) out.push_back(std::move(record));
+  merged_metrics.append_records(out);
 
   if (any_participation) {
-    report::Json manifest = report::Json::object();
-    manifest.set("type", "participation");
-    report::Json targets = report::Json::array();
-    for (report::Json& entry : participation_entries) targets.push(std::move(entry));
-    manifest.set("targets", std::move(targets));
-    out.push_back(std::move(manifest));
+    out.append_line([&](report::JsonWriter& w) {
+      w.begin_object().key("type").string("participation").key("targets").begin_array();
+      for (const report::Json* entry : participation_entries) w.value(*entry);
+      w.end_array().end_object();
+    });
   }
   return out;
 }

@@ -16,15 +16,16 @@
 #include <vector>
 
 #include "report/json.hpp"
+#include "report/jsonl.hpp"
 
 namespace reorder::core {
 
-/// Folds the parsed canonical JSONL streams of N runs into one. Inputs
-/// must be canonical emissions (survey_begin, sample/measurement groups,
-/// survey_end, metrics records, optional participation manifest). Throws
-/// std::runtime_error on torn inputs (a sample group without its
-/// measurement record) and std::invalid_argument on schema violations.
-std::vector<report::Json> merge_fleet_streams(
-    const std::vector<std::vector<report::Json>>& runs);
+/// Folds the parsed canonical JSONL streams of N runs into one, returned
+/// as its lines. Inputs must be canonical emissions (survey_begin,
+/// sample/measurement groups, survey_end, metrics records, optional
+/// participation manifest). Throws std::runtime_error on torn inputs (a
+/// sample group without its measurement record) and
+/// std::invalid_argument on schema violations.
+report::JsonlLines merge_fleet_streams(const std::vector<std::vector<report::Json>>& runs);
 
 }  // namespace reorder::core

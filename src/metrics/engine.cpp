@@ -140,44 +140,63 @@ void MetricEngine::merge(const MetricEngine& other) {
 }
 
 report::Json MetricEngine::to_json() const {
-  report::Json j = report::Json::object();
-  for (const auto& [key, e] : entries_) {
-    report::Json entry = report::Json::object();
-    entry.set("measurements", e.measurements);
-    entry.set("admissible", e.admissible);
-    entry.set("metrics", e.suite.to_json());
-    j.set(key.first + "/" + key.second, std::move(entry));
-  }
-  return j;
+  return report::Json::rendered([&](report::JsonWriter& w) {
+    w.begin_object();
+    for (const auto& [key, e] : entries_) {
+      w.key(key.first + "/" + key.second)
+          .begin_object()
+          .key("measurements").number(e.measurements)
+          .key("admissible").number(e.admissible)
+          .key("metrics");
+      e.suite.write_json(w);
+      w.end_object();
+    }
+    w.end_object();
+  });
 }
 
-report::Json MetricEngine::record(const Key& key, const Entry& e) {
-  report::Json record = report::Json::object();
-  record.set("type", "metrics");
-  record.set("target", key.first);
-  record.set("test", key.second);
-  record.set("measurements", e.measurements);
-  record.set("admissible", e.admissible);
-  record.set("metrics", e.suite.to_json());
-  return record;
+void MetricEngine::write_record(report::JsonWriter& w, const Key& key, const Entry& e) {
+  w.begin_object()
+      .key("type").string("metrics")
+      .key("target").string(key.first)
+      .key("test").string(key.second)
+      .key("measurements").number(e.measurements)
+      .key("admissible").number(e.admissible)
+      .key("metrics");
+  e.suite.write_json(w);
+  w.end_object();
 }
 
 std::vector<report::Json> MetricEngine::records() const {
   std::vector<report::Json> out;
   out.reserve(entries_.size());
-  for (const auto& [key, e] : entries_) out.push_back(record(key, e));
+  for (const auto& [key, e] : entries_) {
+    out.push_back(report::Json::rendered([&](report::JsonWriter& w) { write_record(w, key, e); }));
+  }
   return out;
 }
 
 void MetricEngine::emit_jsonl(report::JsonlWriter& out) const {
-  for (const auto& [key, e] : entries_) out.write(record(key, e));
+  for (const auto& [key, e] : entries_) {
+    out.write_line([&](report::JsonWriter& w) { write_record(w, key, e); });
+  }
+}
+
+void MetricEngine::append_records(report::JsonlLines& out) const {
+  for (const auto& [key, e] : entries_) {
+    out.append_line([&](report::JsonWriter& w) { write_record(w, key, e); });
+  }
 }
 
 void MetricEngine::append_records(std::string_view target, report::JsonlLines& out) const {
   for (auto it = entries_.lower_bound(Key{target, ""});
        it != entries_.end() && it->first.first == target; ++it) {
-    out.append(record(it->first, it->second));
+    out.append_line([&](report::JsonWriter& w) { write_record(w, it->first, it->second); });
   }
+}
+
+void MetricEngine::write_records(report::JsonWriter& w) const {
+  for (const auto& [key, e] : entries_) write_record(w, key, e);
 }
 
 void MetricEngine::restore_record(const report::Json& record) {

@@ -83,19 +83,26 @@ class MetricEngine {
   void merge(const MetricEngine& other);
 
   /// {"<target>/<test>": {"measurements":..,"admissible":..,
-  ///   "metrics": <suite.to_json()>}, ...} in canonical key order.
+  ///   "metrics": <suite.write_json()>}, ...} in canonical key order.
   report::Json to_json() const;
 
   /// One `metrics` record per key, in canonical key order:
   ///   {"type":"metrics","target":..,"test":..,"measurements":..,
   ///    "admissible":..,"metrics":{...}}
+  /// Every rendering below writes these records through one renderer;
+  /// records() parses its bytes back into trees.
   std::vector<report::Json> records() const;
-  /// Streams records() one line at a time, never holding them all.
+  /// Streams the records one line at a time, never holding them all.
   void emit_jsonl(report::JsonlWriter& out) const;
-  /// Appends the records of `target`'s keys, in test order: records() in
-  /// chunks, for callers that render targets in canonical order on
+  /// Appends every record, one line each.
+  void append_records(report::JsonlLines& out) const;
+  /// Appends the records of `target`'s keys, in test order: the records
+  /// in chunks, for callers that render targets in canonical order on
   /// several threads (concurrent const calls are safe).
   void append_records(std::string_view target, report::JsonlLines& out) const;
+  /// Writes every record as the next value of `w` (the elements of an
+  /// array the caller opened).
+  void write_records(report::JsonWriter& w) const;
 
   /// Rebuilds one (target, test) entry from an emit_jsonl `metrics`
   /// record (suite restored via metrics::suite_from_json, bypassing the
@@ -114,7 +121,7 @@ class MetricEngine {
 
   Entry& entry(std::string_view target, std::string_view test);
   const Entry* find(const std::string& target, const std::string& test) const;
-  static report::Json record(const Key& key, const Entry& e);
+  static void write_record(report::JsonWriter& w, const Key& key, const Entry& e);
 
   SuiteFactory factory_;
   std::map<Key, Entry> entries_;

@@ -5,6 +5,10 @@
 
 namespace reorder::metrics {
 
+report::Json Metric::to_json() const {
+  return report::Json::rendered([&](report::JsonWriter& w) { write_json(w); });
+}
+
 MetricSuite& MetricSuite::add(std::unique_ptr<Metric> metric) {
   if (metric == nullptr) {
     throw std::invalid_argument{"MetricSuite::add: null metric"};
@@ -60,10 +64,17 @@ void MetricSuite::merge(const MetricSuite& other) {
   }
 }
 
+void MetricSuite::write_json(report::JsonWriter& w) const {
+  w.begin_object();
+  for (const auto& m : metrics_) {
+    w.key(m->name());
+    m->write_json(w);
+  }
+  w.end_object();
+}
+
 report::Json MetricSuite::to_json() const {
-  report::Json j = report::Json::object();
-  for (const auto& m : metrics_) j.set(std::string{m->name()}, m->to_json());
-  return j;
+  return report::Json::rendered([&](report::JsonWriter& w) { write_json(w); });
 }
 
 }  // namespace reorder::metrics

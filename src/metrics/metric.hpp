@@ -13,8 +13,10 @@
 //     under ANY contiguous split of the sample stream; sequence-level
 //     metrics merge exactly under splits at sequence boundaries (which
 //     the engine guarantees: a measurement's events publish atomically);
-//   * to_json() is a pure function of the accumulated state, so equal
+//   * write_json() is a pure function of the accumulated state, so equal
 //     states render byte-identical JSON (what the property tests check).
+//     It is each metric's one renderer: records write it straight into
+//     their line, and to_json() is its bytes parsed back into a tree.
 //
 // This is what lets per-target / per-shard accumulators from concurrent
 // SurveyEngine state machines (or from different machines entirely, via
@@ -37,7 +39,8 @@ class Metric {
  public:
   virtual ~Metric() = default;
 
-  /// Stable identifier; merge() pairs metrics by name, to_json() keys on it.
+  /// Stable identifier; merge() pairs metrics by name, a suite's
+  /// rendering keys on it.
   virtual std::string_view name() const = 0;
 
   // ------------------------------------------------- streaming updates
@@ -75,16 +78,19 @@ class Metric {
   /// Throws std::invalid_argument on a type or name mismatch.
   virtual void merge(const Metric& other) = 0;
 
-  /// JSON rendering of the current state (one object per metric; schema
-  /// documented per metric and in the README's "Metrics" section). The
-  /// rendering is LOSSLESS for closed (end_sequence'd) state: from_json
-  /// of it reproduces an accumulator whose subsequent merge() and
-  /// to_json() are bit-identical to the original's — the contract the
+  /// Writes the current state as one JSON object (schema documented per
+  /// metric and in the README's "Metrics" section). The rendering is
+  /// LOSSLESS for closed (end_sequence'd) state: from_json of it
+  /// reproduces an accumulator whose subsequent merge() and write_json()
+  /// are bit-identical to the original's — the contract the
   /// checkpoint/resume layer depends on, property-tested per metric.
-  virtual report::Json to_json() const = 0;
+  virtual void write_json(report::JsonWriter& w) const = 0;
 
-  /// Restores the accumulator from a to_json() rendering, replacing any
-  /// current state. Open-sequence scratch state is not serialized: a
+  /// write_json()'s rendering as a tree, for readers of single fields.
+  report::Json to_json() const;
+
+  /// Restores the accumulator from a write_json() rendering, replacing
+  /// any current state. Open-sequence scratch state is not serialized: a
   /// snapshot is only taken at sequence boundaries (merge() enforces
   /// this by throwing on open sequences), so restored state is closed.
   /// Throws (std::out_of_range / std::runtime_error) on schema mismatch.
@@ -152,7 +158,9 @@ class MetricSuite {
   /// compositions differ.
   void merge(const MetricSuite& other);
 
-  /// {"<metric name>": <metric.to_json()>, ...} in attachment order.
+  /// {"<metric name>": <metric.write_json()>, ...} in attachment order.
+  void write_json(report::JsonWriter& w) const;
+  /// write_json()'s rendering as a tree.
   report::Json to_json() const;
 
  private:

@@ -4,18 +4,6 @@
 
 namespace reorder::metrics {
 
-namespace {
-
-// The canonical count rendering (shared with the `measurement` JSONL
-// records), plus the derived rate for snapshot consumers.
-report::Json estimate_json(const core::ReorderEstimate& e) {
-  report::Json j = report::to_json(e);
-  if (const auto rate = e.rate()) j.set("rate", *rate);
-  return j;
-}
-
-}  // namespace
-
 // ------------------------------------------------------- PairRateMetric
 
 void PairRateMetric::observe_measurement(const core::MeasurementEvent& e) {
@@ -34,11 +22,14 @@ void PairRateMetric::merge(const Metric& other) {
   reverse_ += o.reverse_;
 }
 
-report::Json PairRateMetric::to_json() const {
-  report::Json j = report::Json::object();
-  j.set("fwd", estimate_json(forward_));
-  j.set("rev", estimate_json(reverse_));
-  return j;
+void PairRateMetric::write_json(report::JsonWriter& w) const {
+  // The canonical count rendering (shared with the `measurement` JSONL
+  // records), plus the derived rate for snapshot consumers.
+  w.begin_object().key("fwd");
+  report::write_json(w, forward_, forward_.rate());
+  w.key("rev");
+  report::write_json(w, reverse_, reverse_.rate());
+  w.end_object();
 }
 
 void PairRateMetric::from_json(const report::Json& j) {
@@ -64,15 +55,12 @@ void RateSeriesMetric::merge(const Metric& other) {
   reverse_.insert(reverse_.end(), o.reverse_.begin(), o.reverse_.end());
 }
 
-report::Json RateSeriesMetric::to_json() const {
-  report::Json fwd = report::Json::array();
-  for (const double r : forward_) fwd.push(r);
-  report::Json rev = report::Json::array();
-  for (const double r : reverse_) rev.push(r);
-  report::Json j = report::Json::object();
-  j.set("fwd", std::move(fwd));
-  j.set("rev", std::move(rev));
-  return j;
+void RateSeriesMetric::write_json(report::JsonWriter& w) const {
+  w.begin_object().key("fwd").begin_array();
+  for (const double r : forward_) w.number(r);
+  w.end_array().key("rev").begin_array();
+  for (const double r : reverse_) w.number(r);
+  w.end_array().end_object();
 }
 
 void RateSeriesMetric::from_json(const report::Json& j) {
@@ -96,21 +84,19 @@ void TimeDomainMetric::merge(const Metric& other) {
   profile_.merge(expect<TimeDomainMetric>(other, kName).profile_);
 }
 
-report::Json TimeDomainMetric::to_json() const {
-  report::Json points = report::Json::array();
+void TimeDomainMetric::write_json(report::JsonWriter& w) const {
+  w.begin_object().key("points").begin_array();
   for (const auto& p : profile_.points()) {
-    report::Json point = report::Json::object();
-    point.set("gap_ns", p.gap.ns());
-    point.set("in_order", p.estimate.in_order);
-    point.set("reordered", p.estimate.reordered);
-    point.set("ambiguous", p.estimate.ambiguous);
-    point.set("lost", p.estimate.lost);
-    if (const auto rate = p.estimate.rate()) point.set("rate", *rate);
-    points.push(std::move(point));
+    w.begin_object()
+        .key("gap_ns").number(p.gap.ns())
+        .key("in_order").number(p.estimate.in_order)
+        .key("reordered").number(p.estimate.reordered)
+        .key("ambiguous").number(p.estimate.ambiguous)
+        .key("lost").number(p.estimate.lost);
+    if (const auto rate = p.estimate.rate()) w.key("rate").number(*rate);
+    w.end_object();
   }
-  report::Json j = report::Json::object();
-  j.set("points", std::move(points));
-  return j;
+  w.end_array().end_object();
 }
 
 void TimeDomainMetric::from_json(const report::Json& j) {
@@ -136,22 +122,20 @@ void RateEcdfMetric::merge(const Metric& other) {
   forward_.merge(expect<RateEcdfMetric>(other, kName).forward_);
 }
 
-report::Json RateEcdfMetric::to_json() const {
-  report::Json j = report::Json::object();
-  j.set("count", forward_.count());
+void RateEcdfMetric::write_json(report::JsonWriter& w) const {
+  w.begin_object().key("count").number(forward_.count());
   if (!forward_.empty()) {
-    j.set("min", forward_.min());
-    j.set("p50", forward_.quantile(0.5));
-    j.set("p90", forward_.quantile(0.9));
-    j.set("max", forward_.max());
+    w.key("min").number(forward_.min())
+        .key("p50").number(forward_.quantile(0.5))
+        .key("p90").number(forward_.quantile(0.9))
+        .key("max").number(forward_.max());
   }
   // The full sample multiset, sorted — lossless (an Ecdf's queries see
   // only the sorted multiset) and a pure function of the accumulated
   // state however the stream was split across shards.
-  report::Json samples = report::Json::array();
-  for (const double r : forward_.sorted()) samples.push(r);
-  j.set("samples", std::move(samples));
-  return j;
+  w.key("samples").begin_array();
+  for (const double r : forward_.sorted()) w.number(r);
+  w.end_array().end_object();
 }
 
 void RateEcdfMetric::from_json(const report::Json& j) {
@@ -176,27 +160,27 @@ void LatencyHistogramMetric::merge(const Metric& other) {
   histogram_.merge(expect<LatencyHistogramMetric>(other, kName).histogram_);
 }
 
-report::Json LatencyHistogramMetric::to_json() const {
-  report::Json j = report::Json::object();
-  j.set("count", histogram_.count());
-  j.set("underflow", histogram_.underflow());
-  j.set("overflow", histogram_.overflow());
-  // Binning configuration + per-bin indices make the rendering lossless
-  // (bin edges alone would need a fragile float inversion to restore).
-  j.set("lo", histogram_.lo());
-  j.set("hi", histogram_.hi());
-  j.set("nbins", histogram_.bins());
-  report::Json bins = report::Json::array();
+void LatencyHistogramMetric::write_json(report::JsonWriter& w) const {
+  w.begin_object()
+      .key("count").number(histogram_.count())
+      .key("underflow").number(histogram_.underflow())
+      .key("overflow").number(histogram_.overflow())
+      // Binning configuration + per-bin indices make the rendering
+      // lossless (bin edges alone would need a fragile float inversion
+      // to restore).
+      .key("lo").number(histogram_.lo())
+      .key("hi").number(histogram_.hi())
+      .key("nbins").number(histogram_.bins())
+      .key("bins").begin_array();
   for (std::size_t i = 0; i < histogram_.bins(); ++i) {
     if (histogram_.bin_count(i) == 0) continue;
-    report::Json bin = report::Json::object();
-    bin.set("i", i);
-    bin.set("lo_us", histogram_.bin_lo(i));
-    bin.set("count", histogram_.bin_count(i));
-    bins.push(std::move(bin));
+    w.begin_object()
+        .key("i").number(i)
+        .key("lo_us").number(histogram_.bin_lo(i))
+        .key("count").number(histogram_.bin_count(i))
+        .end_object();
   }
-  j.set("bins", std::move(bins));
-  return j;
+  w.end_array().end_object();
 }
 
 void LatencyHistogramMetric::from_json(const report::Json& j) {
@@ -229,7 +213,7 @@ void LateTimeMetric::merge(const Metric& other) {
   sketch_.merge(expect<LateTimeMetric>(other, kName).sketch_);
 }
 
-report::Json LateTimeMetric::to_json() const { return sketch_.to_json(); }
+void LateTimeMetric::write_json(report::JsonWriter& w) const { sketch_.write_json(w); }
 
 void LateTimeMetric::from_json(const report::Json& j) { sketch_.from_json(j); }
 

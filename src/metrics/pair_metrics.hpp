@@ -30,7 +30,7 @@ class PairRateMetric final : public Metric {
   void observe_measurement(const core::MeasurementEvent& e) override;
   std::unique_ptr<Metric> snapshot() const override;
   void merge(const Metric& other) override;
-  report::Json to_json() const override;
+  void write_json(report::JsonWriter& w) const override;
   void from_json(const report::Json& j) override;
 
   const core::ReorderEstimate& forward() const { return forward_; }
@@ -53,7 +53,7 @@ class RateSeriesMetric final : public Metric {
   void observe_measurement(const core::MeasurementEvent& e) override;
   std::unique_ptr<Metric> snapshot() const override;
   void merge(const Metric& other) override;
-  report::Json to_json() const override;
+  void write_json(report::JsonWriter& w) const override;
   void from_json(const report::Json& j) override;
 
   const std::vector<double>& forward() const { return forward_; }
@@ -74,7 +74,7 @@ class TimeDomainMetric final : public Metric {
   void observe(const core::SampleEvent& e) override;
   std::unique_ptr<Metric> snapshot() const override;
   void merge(const Metric& other) override;
-  report::Json to_json() const override;
+  void write_json(report::JsonWriter& w) const override;
   void from_json(const report::Json& j) override;
 
   const core::TimeDomainProfile& profile() const { return profile_; }
@@ -95,7 +95,7 @@ class RateEcdfMetric final : public Metric {
   void observe_measurement(const core::MeasurementEvent& e) override;
   std::unique_ptr<Metric> snapshot() const override;
   void merge(const Metric& other) override;
-  report::Json to_json() const override;
+  void write_json(report::JsonWriter& w) const override;
   void from_json(const report::Json& j) override;
 
   const stats::Ecdf& forward() const { return forward_; }
@@ -117,7 +117,7 @@ class LatencyHistogramMetric final : public Metric {
   void observe(const core::SampleEvent& e) override;
   std::unique_ptr<Metric> snapshot() const override;
   void merge(const Metric& other) override;
-  report::Json to_json() const override;
+  void write_json(report::JsonWriter& w) const override;
   void from_json(const report::Json& j) override;
 
   const stats::Histogram& histogram() const { return histogram_; }
@@ -138,7 +138,7 @@ class LateTimeMetric final : public Metric {
   void observe(const core::SampleEvent& e) override;
   std::unique_ptr<Metric> snapshot() const override;
   void merge(const Metric& other) override;
-  report::Json to_json() const override;
+  void write_json(report::JsonWriter& w) const override;
   void from_json(const report::Json& j) override;
 
   const TailSketch& sketch() const { return sketch_; }

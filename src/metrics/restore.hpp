@@ -1,5 +1,5 @@
 // Deserialization side of the metrics library: rebuild metrics, suites,
-// and whole engines from their to_json() renderings — the layer the
+// and whole engines from their write_json() renderings — the layer the
 // checkpoint/resume path and the reorder-merge tool stand on.
 //
 // A restored accumulator is a drop-in peer of a live one: merging it and
@@ -24,8 +24,9 @@ namespace reorder::metrics {
 /// JSON and applied by its from_json.
 std::unique_ptr<Metric> make_metric(std::string_view name);
 
-/// Rebuilds a suite from MetricSuite::to_json() output: one member per
-/// JSON key, in key order, each restored via its from_json.
+/// Rebuilds a suite from a parsed MetricSuite::write_json() rendering:
+/// one member per JSON key, in key order, each restored via its
+/// from_json.
 MetricSuite suite_from_json(const report::Json& j);
 
 }  // namespace reorder::metrics

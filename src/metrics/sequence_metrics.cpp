@@ -173,18 +173,19 @@ void SequenceExtentMetric::merge(const Metric& other) {
   extent_tail_.merge(o.extent_tail_);
 }
 
-report::Json SequenceExtentMetric::to_json() const {
-  report::Json j = report::Json::object();
-  j.set("sequences", sequences_);
-  j.set("packets", packets_);
-  j.set("reordered", reordered_);
-  j.set("ratio", ratio());
-  j.set("max_extent", static_cast<std::uint64_t>(max_extent_));
-  j.set("mean_extent", mean_extent());
-  j.set("extent_sum", report::Json::u64(extent_sum_));
-  j.set("inversions", report::Json::u64(inversions_));
-  j.set("extent_tail", extent_tail_.to_json());
-  return j;
+void SequenceExtentMetric::write_json(report::JsonWriter& w) const {
+  w.begin_object()
+      .key("sequences").number(sequences_)
+      .key("packets").number(packets_)
+      .key("reordered").number(reordered_)
+      .key("ratio").number(ratio())
+      .key("max_extent").number(max_extent_)
+      .key("mean_extent").number(mean_extent())
+      .key("extent_sum").u64(extent_sum_)
+      .key("inversions").u64(inversions_)
+      .key("extent_tail");
+  extent_tail_.write_json(w);
+  w.end_object();
 }
 
 void SequenceExtentMetric::from_json(const report::Json& j) {
@@ -302,19 +303,15 @@ void NReorderingMetric::merge(const Metric& other) {
   for (const auto& [n, count] : o.density_) density_[n] += count;
 }
 
-report::Json NReorderingMetric::to_json() const {
-  report::Json j = report::Json::object();
-  j.set("packets", packets_);
-  j.set("reordered_fraction", reordered_fraction());
-  report::Json density = report::Json::array();
+void NReorderingMetric::write_json(report::JsonWriter& w) const {
+  w.begin_object()
+      .key("packets").number(packets_)
+      .key("reordered_fraction").number(reordered_fraction())
+      .key("density").begin_array();
   for (const auto& [n, count] : density_) {
-    report::Json d = report::Json::object();
-    d.set("n", n);
-    d.set("count", count);
-    density.push(std::move(d));
+    w.begin_object().key("n").number(n).key("count").number(count).end_object();
   }
-  j.set("density", std::move(density));
-  return j;
+  w.end_array().end_object();
 }
 
 void NReorderingMetric::from_json(const report::Json& j) {
@@ -364,22 +361,19 @@ void ReorderDensityMetric::merge(const Metric& other) {
   for (const auto& [d, count] : o.density_) density_[d] += count;
 }
 
-report::Json ReorderDensityMetric::to_json() const {
-  report::Json j = report::Json::object();
-  j.set("threshold", threshold_);
-  j.set("packets", packets_);
-  report::Json density = report::Json::array();
+void ReorderDensityMetric::write_json(report::JsonWriter& w) const {
+  w.begin_object()
+      .key("threshold").number(threshold_)
+      .key("packets").number(packets_)
+      .key("density").begin_array();
   for (const auto& [d, count] : density_) {
-    report::Json entry = report::Json::object();
-    entry.set("displacement", d);
-    entry.set("count", count);
+    w.begin_object().key("displacement").number(d).key("count").number(count);
     if (packets_ > 0) {
-      entry.set("density", static_cast<double>(count) / static_cast<double>(packets_));
+      w.key("density").number(static_cast<double>(count) / static_cast<double>(packets_));
     }
-    density.push(std::move(entry));
+    w.end_object();
   }
-  j.set("density", std::move(density));
-  return j;
+  w.end_array().end_object();
 }
 
 void ReorderDensityMetric::from_json(const report::Json& j) {
@@ -440,22 +434,19 @@ void BufferDensityMetric::merge(const Metric& other) {
   for (const auto& [occ, count] : o.density_) density_[occ] += count;
 }
 
-report::Json BufferDensityMetric::to_json() const {
-  report::Json j = report::Json::object();
-  j.set("packets", packets_);
-  j.set("max_occupancy", max_occupancy_);
-  report::Json density = report::Json::array();
+void BufferDensityMetric::write_json(report::JsonWriter& w) const {
+  w.begin_object()
+      .key("packets").number(packets_)
+      .key("max_occupancy").number(max_occupancy_)
+      .key("density").begin_array();
   for (const auto& [occ, count] : density_) {
-    report::Json entry = report::Json::object();
-    entry.set("occupancy", occ);
-    entry.set("count", count);
+    w.begin_object().key("occupancy").number(occ).key("count").number(count);
     if (packets_ > 0) {
-      entry.set("density", static_cast<double>(count) / static_cast<double>(packets_));
+      w.key("density").number(static_cast<double>(count) / static_cast<double>(packets_));
     }
-    density.push(std::move(entry));
+    w.end_object();
   }
-  j.set("density", std::move(density));
-  return j;
+  w.end_array().end_object();
 }
 
 void BufferDensityMetric::from_json(const report::Json& j) {

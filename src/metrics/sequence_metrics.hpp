@@ -132,7 +132,7 @@ class SequenceExtentMetric final : public Metric {
   void end_sequence() override;
   std::unique_ptr<Metric> snapshot() const override;
   void merge(const Metric& other) override;
-  report::Json to_json() const override;
+  void write_json(report::JsonWriter& w) const override;
   void from_json(const report::Json& j) override;
 
   std::uint64_t packets() const { return packets_; }
@@ -186,7 +186,7 @@ class NReorderingMetric final : public Metric {
   void end_sequence() override;
   std::unique_ptr<Metric> snapshot() const override;
   void merge(const Metric& other) override;
-  report::Json to_json() const override;
+  void write_json(report::JsonWriter& w) const override;
   void from_json(const report::Json& j) override;
 
   std::uint64_t packets() const { return packets_; }
@@ -222,7 +222,7 @@ class ReorderDensityMetric final : public Metric {
   void end_sequence() override;
   std::unique_ptr<Metric> snapshot() const override;
   void merge(const Metric& other) override;
-  report::Json to_json() const override;
+  void write_json(report::JsonWriter& w) const override;
   void from_json(const report::Json& j) override;
 
   std::uint64_t packets() const { return packets_; }
@@ -248,7 +248,7 @@ class BufferDensityMetric final : public Metric {
   void end_sequence() override;
   std::unique_ptr<Metric> snapshot() const override;
   void merge(const Metric& other) override;
-  report::Json to_json() const override;
+  void write_json(report::JsonWriter& w) const override;
   void from_json(const report::Json& j) override;
 
   std::uint64_t packets() const { return packets_; }

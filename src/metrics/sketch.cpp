@@ -67,26 +67,26 @@ void TailSketch::merge(const TailSketch& other) {
   count_ += other.count_;
 }
 
-report::Json TailSketch::to_json() const {
-  report::Json j = report::Json::object();
-  j.set("count", count_);
-  j.set("min", min());
-  j.set("max", max_);
-  j.set("mean", mean());
-  j.set("p50", quantile(0.50));
-  j.set("p90", quantile(0.90));
-  j.set("p99", quantile(0.99));
-  j.set("sum", report::Json::u64(sum_));
-  report::Json buckets = report::Json::array();
+void TailSketch::write_json(report::JsonWriter& w) const {
+  w.begin_object()
+      .key("count").number(count_)
+      .key("min").number(min())
+      .key("max").number(max_)
+      .key("mean").number(mean())
+      .key("p50").number(quantile(0.50))
+      .key("p90").number(quantile(0.90))
+      .key("p99").number(quantile(0.99))
+      .key("sum").u64(sum_)
+      .key("buckets").begin_array();
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     if (buckets_[i] == 0) continue;
-    report::Json pair = report::Json::array();
-    pair.push(static_cast<std::uint64_t>(i));
-    pair.push(report::Json::u64(buckets_[i]));
-    buckets.push(std::move(pair));
+    w.begin_array().number(i).u64(buckets_[i]).end_array();
   }
-  j.set("buckets", std::move(buckets));
-  return j;
+  w.end_array().end_object();
+}
+
+report::Json TailSketch::to_json() const {
+  return report::Json::rendered([&](report::JsonWriter& w) { write_json(w); });
 }
 
 void TailSketch::from_json(const report::Json& j) {

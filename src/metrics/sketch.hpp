@@ -43,9 +43,11 @@ class TailSketch {
   ///  "sum":..,"buckets":[[index,count],..]} (all zero/empty if empty).
   /// The sparse bucket array + sum make the rendering lossless: from_json
   /// of it rebuilds a bit-identical sketch (quantiles are derived).
+  void write_json(report::JsonWriter& w) const;
+  /// write_json()'s rendering as a tree.
   report::Json to_json() const;
 
-  /// Restores the sketch from a to_json() rendering, replacing any
+  /// Restores the sketch from a write_json() rendering, replacing any
   /// current state. Throws on schema mismatch, and std::runtime_error on
   /// a bucket index past the largest value's bucket.
   void from_json(const report::Json& j);

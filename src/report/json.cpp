@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 
@@ -15,76 +14,8 @@ namespace {
   throw std::runtime_error{std::string{"Json: value is not "} + wanted};
 }
 
-void dump_string(const std::string& s, std::string& out) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void dump_number(double d, std::string& out) {
-  if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 9.0e15) {
-    out += std::to_string(static_cast<std::int64_t>(d));
-    return;
-  }
-  if (!std::isfinite(d)) {  // JSON has no inf/nan; emit null
-    out += "null";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  out += buf;
-}
-
-// Appends `v`'s compact rendering to `out`: one buffer for the whole
-// tree, so a nested value is written in place, never copied up a level.
-void dump_value(const Json& v, std::string& out) {
-  switch (v.type()) {
-    case Json::Type::kNull: out += "null"; break;
-    case Json::Type::kBool: out += v.as_bool() ? "true" : "false"; break;
-    case Json::Type::kNumber: dump_number(v.as_double(), out); break;
-    case Json::Type::kString: dump_string(v.as_string(), out); break;
-    case Json::Type::kArray: {
-      out += '[';
-      bool first = true;
-      for (const auto& item : v.items()) {
-        if (!first) out += ',';
-        first = false;
-        dump_value(item, out);
-      }
-      out += ']';
-      break;
-    }
-    case Json::Type::kObject: {
-      out += '{';
-      bool first = true;
-      for (const auto& [k, member] : v.members()) {
-        if (!first) out += ',';
-        first = false;
-        dump_string(k, out);
-        out += ':';
-        dump_value(member, out);
-      }
-      out += '}';
-      break;
-    }
-  }
-}
+/// The largest count a double holds exactly: Json::u64's number range.
+constexpr std::uint64_t kExactDoubleMax = 1ull << 53;
 
 // ------------------------------------------------------------- parsing
 
@@ -144,6 +75,34 @@ struct Parser {
     return Json{d};
   }
 
+  /// The four hex digits of a \u escape.
+  bool hex4(std::uint32_t& code) {
+    if (pos + 4 > text.size()) return false;
+    const auto* begin = text.data() + pos;
+    const auto [ptr, ec] = std::from_chars(begin, begin + 4, code, 16);
+    if (ec != std::errc{} || ptr != begin + 4) return false;
+    pos += 4;
+    return true;
+  }
+
+  static void append_utf8(std::uint32_t code, std::string& out) {
+    if (code < 0x80) {
+      out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      out += static_cast<char>(0xC0 | (code >> 6));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+      out += static_cast<char>(0xE0 | (code >> 12));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      out += static_cast<char>(0xF0 | (code >> 18));
+      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    }
+  }
+
   std::optional<std::string> string_body() {
     if (!eat('"')) return std::nullopt;
     std::string out;
@@ -166,23 +125,19 @@ struct Parser {
         case 'b': out += '\b'; break;
         case 'f': out += '\f'; break;
         case 'u': {
-          if (pos + 4 > text.size()) return std::nullopt;
-          unsigned int code = 0;
-          const auto* begin = text.data() + pos;
-          const auto [ptr, ec] = std::from_chars(begin, begin + 4, code, 16);
-          if (ec != std::errc{} || ptr != begin + 4) return std::nullopt;
-          pos += 4;
-          // Basic-multilingual-plane only; encode as UTF-8.
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
+          std::uint32_t code = 0;
+          if (!hex4(code)) return std::nullopt;
+          if (code >= 0xDC00 && code <= 0xDFFF) return std::nullopt;  // a low half alone
+          if (code >= 0xD800 && code <= 0xDBFF) {
+            // A high surrogate names a code point past the basic plane only
+            // with the escaped low surrogate that must follow it.
+            std::uint32_t low = 0;
+            if (!match("\\u") || !hex4(low) || low < 0xDC00 || low > 0xDFFF) {
+              return std::nullopt;
+            }
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
           }
+          append_utf8(code, out);
           break;
         }
         default: return std::nullopt;
@@ -260,7 +215,6 @@ int Json::as_i32() const {
 }
 
 Json Json::u64(std::uint64_t v) {
-  constexpr std::uint64_t kExactDoubleMax = 1ull << 53;
   if (v <= kExactDoubleMax) return Json{v};
   return Json{std::to_string(v)};
 }
@@ -345,8 +299,14 @@ const std::vector<std::pair<std::string, Json>>& Json::members() const {
 
 std::string Json::dump() const {
   std::string out;
-  dump_value(*this, out);
+  JsonWriter{out}.value(*this);
   return out;
+}
+
+Json Json::parse_rendered(std::string_view text) {
+  std::optional<Json> parsed = parse(text);
+  if (!parsed) throw std::logic_error{"Json: a rendering does not parse"};
+  return std::move(*parsed);
 }
 
 std::optional<Json> Json::parse(std::string_view text) {
@@ -356,6 +316,90 @@ std::optional<Json> Json::parse(std::string_view text) {
   p.skip_ws();
   if (p.pos != text.size()) return std::nullopt;  // trailing junk
   return v;
+}
+
+// ---------------------------------------------------------- JsonWriter
+
+JsonWriter& JsonWriter::null() {
+  separate();
+  out_ += "null";
+  comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::boolean(bool b) {
+  separate();
+  out_ += b ? "true" : "false";
+  comma_ = true;
+  return *this;
+}
+
+void JsonWriter::quoted_escaped(std::string_view s, char tail) {
+  separate();
+  out_ += '"';
+  // Copies each run of bytes that need no escape in one append.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (!needs_escape(s[i])) continue;
+    out_.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\r': out_ += "\\r"; break;
+      case '\t': out_ += "\\t"; break;
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out_.append(escape, sizeof escape);
+      }
+    }
+  }
+  out_.append(s.data() + run, s.size() - run);
+  out_ += '"';
+  if (tail != '\0') out_ += tail;
+}
+
+JsonWriter& JsonWriter::number(double d) {
+  if (!std::isfinite(d)) return null();
+  if (d == std::floor(d) && std::fabs(d) < static_cast<double>(kIntegerLimit)) {
+    return integer(static_cast<std::int64_t>(d));
+  }
+  separate();
+  // Exactly printf's "%.17g" (the standard defines to_chars with a
+  // precision by it), without the format-string parse.
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general, 17).ptr;
+  out_.append(buf, end);
+  comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::u64(std::uint64_t v) {
+  if (v <= kExactDoubleMax) return number(v);
+  char digits[24];
+  const auto end = std::to_chars(digits, digits + sizeof digits, v).ptr;
+  return string(std::string_view{digits, static_cast<std::size_t>(end - digits)});
+}
+
+JsonWriter& JsonWriter::value(const Json& v) {
+  switch (v.type()) {
+    case Json::Type::kNull: return null();
+    case Json::Type::kBool: return boolean(v.as_bool());
+    case Json::Type::kNumber: return number(v.as_double());
+    case Json::Type::kString: return string(v.as_string());
+    case Json::Type::kArray:
+      begin_array();
+      for (const Json& item : v.items()) value(item);
+      return end_array();
+    case Json::Type::kObject:
+      begin_object();
+      for (const auto& [k, member] : v.members()) key(k).value(member);
+      return end_object();
+  }
+  return *this;
 }
 
 }  // namespace reorder::report

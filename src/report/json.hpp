@@ -1,19 +1,140 @@
-// A minimal JSON value — just enough for the report layer's machine-
-// readable emitters (JSON Lines) and their round-trip tests. No external
-// dependency: objects preserve insertion order (stable emitter output),
-// numbers are doubles with an integer fast path, dump() is compact
-// single-line (one value per JSONL line), parse() accepts standard JSON.
+// JSON for the report layer, in two parts with one job each:
+//
+//   * JsonWriter appends compact JSON straight into a string. It is the
+//     one place this code decides JSON bytes: every record a survey, its
+//     checkpoint and the metrics layer write goes through it, the hot ones
+//     (sample, measurement, metrics, shard_done) with no tree in between.
+//   * Json is the model for parsing: parse() accepts standard JSON into a
+//     tree whose objects keep insertion order. Its dump() is a walk over
+//     JsonWriter, so a tree and a direct rendering of the same fields give
+//     the same bytes. No external dependency.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
 namespace reorder::report {
+
+class Json;
+
+/// Compact single-line JSON appended to a caller-owned string. The byte
+/// rules, which every renderer in this code shares:
+///   * a finite number that is integral and below 9e15 in magnitude
+///     prints as an integer (-0 as 0); any other finite number as
+///     printf's "%.17g", which reads back as the same double; a
+///     non-finite one as null, since JSON has no inf or nan;
+///   * u64() carries a 64-bit count losslessly: a number up to 2^53, a
+///     decimal string above it, where a double would round it;
+///   * strings escape the quote, backslash, newline, carriage return and
+///     tab by name and every other byte below 0x20 as \u00XX; every other
+///     byte, 0x7f and UTF-8 included, is copied as it is.
+/// The writer places the commas: open and close containers, give each
+/// object member its key(), and write values in order.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string& out) : out_{out} {}
+
+  // The calls every record makes many times per line are inline: each
+  // ends in at most one append to the string.
+  JsonWriter& begin_object() { return open('{'); }
+  JsonWriter& end_object() { return close('}'); }
+  JsonWriter& begin_array() { return open('['); }
+  JsonWriter& end_array() { return close(']'); }
+  /// An object member's key; the next value written is its value.
+  JsonWriter& key(std::string_view k) {
+    quoted(k, ':');
+    comma_ = false;
+    return *this;
+  }
+
+  JsonWriter& null();
+  JsonWriter& boolean(bool b);
+  JsonWriter& string(std::string_view s) {
+    quoted(s, '\0');
+    comma_ = true;
+    return *this;
+  }
+  JsonWriter& number(double d);
+  /// An integer, by the same rule as the double it converts to.
+  template <std::integral T>
+    requires(!std::same_as<T, bool>)
+  JsonWriter& number(T v) {
+    if constexpr (std::is_signed_v<T>) {
+      if (v > -kIntegerLimit && v < kIntegerLimit) return integer(v);
+    } else {
+      if (v < static_cast<std::uint64_t>(kIntegerLimit)) return integer(v);
+    }
+    return number(static_cast<double>(v));
+  }
+  /// Json::u64's lossless carrier.
+  JsonWriter& u64(std::uint64_t v);
+  /// A whole tree (what Json::dump() writes).
+  JsonWriter& value(const Json& v);
+
+ private:
+  /// Below this magnitude an integer prints as one; at and above it, as
+  /// the double it converts to.
+  static constexpr std::int64_t kIntegerLimit = 9'000'000'000'000'000;
+
+  /// A comma when a value or key follows another in its container.
+  void separate() {
+    if (comma_) out_ += ',';
+  }
+  JsonWriter& open(char bracket) {
+    separate();
+    out_ += bracket;
+    comma_ = false;
+    return *this;
+  }
+  JsonWriter& close(char bracket) {
+    out_ += bracket;
+    comma_ = true;
+    return *this;
+  }
+  /// An integer below kIntegerLimit in magnitude.
+  template <typename T>
+  JsonWriter& integer(T v) {
+    char buf[24];
+    char* end = buf;
+    if (comma_) *end++ = ',';
+    end = std::to_chars(end, buf + sizeof buf, v).ptr;
+    out_.append(buf, end);
+    comma_ = true;
+    return *this;
+  }
+  /// A comma when one is due, then `s` quoted and escaped, then `tail`
+  /// unless it is '\0'.
+  void quoted(std::string_view s, char tail) {
+    for (const char c : s) {
+      if (needs_escape(c)) return quoted_escaped(s, tail);
+    }
+    const std::size_t at = out_.size();
+    out_.resize(at + s.size() + 2 + (comma_ ? 1 : 0) + (tail != '\0' ? 1 : 0));
+    char* p = out_.data() + at;
+    if (comma_) *p++ = ',';
+    *p++ = '"';
+    if (!s.empty()) std::memcpy(p, s.data(), s.size());  // an empty view's data may be null
+    p += s.size();
+    *p++ = '"';
+    if (tail != '\0') *p = tail;
+  }
+  void quoted_escaped(std::string_view s, char tail);
+  static bool needs_escape(char c) {
+    return static_cast<unsigned char>(c) < 0x20 || c == '"' || c == '\\';
+  }
+
+  std::string& out_;
+  bool comma_{false};
+};
 
 class Json {
  public:
@@ -84,8 +205,20 @@ class Json {
   const std::vector<Json>& items() const;
   const std::vector<std::pair<std::string, Json>>& members() const;
 
-  /// Compact single-line rendering (stable member order).
+  /// Compact single-line rendering (stable member order), through
+  /// JsonWriter.
   std::string dump() const;
+
+  /// The tree of the one value `write(JsonWriter&)` renders: how a type
+  /// whose one renderer is a JsonWriter still offers a tree, by parsing
+  /// its bytes. Throws std::logic_error when they do not parse.
+  template <typename Write>
+  static Json rendered(Write&& write) {
+    std::string text;
+    JsonWriter w{text};
+    write(w);
+    return parse_rendered(text);
+  }
 
   /// Deepest array/object nesting parse() accepts. The parser recurses
   /// once per level, so a bound keeps one hostile line from overflowing
@@ -93,10 +226,14 @@ class Json {
   static constexpr int kMaxDepth = 128;
 
   /// Parses one JSON document; empty on malformed input, trailing junk or
-  /// nesting deeper than kMaxDepth.
+  /// nesting deeper than kMaxDepth. A \u escape decodes to UTF-8, a
+  /// surrogate pair to its one code point; a lone or reversed surrogate
+  /// is malformed.
   static std::optional<Json> parse(std::string_view text);
 
  private:
+  static Json parse_rendered(std::string_view text);
+
   struct Array {
     std::vector<Json> items;
   };

@@ -12,16 +12,8 @@
 
 namespace reorder::report {
 
-void JsonlLines::append(const Json& value) {
-  text += value.dump();
-  text += '\n';
-  ++count;
-}
-
 void JsonlWriter::write(const Json& value) {
-  JsonlLines line;
-  line.append(value);
-  write_lines(line);
+  write_line([&](JsonWriter& w) { w.value(value); });
 }
 
 void JsonlWriter::write_lines(const JsonlLines& lines) {

@@ -1,6 +1,7 @@
 // JSON Lines emission and ingestion: one compact JSON value per line —
 // the machine-readable side of every bench artifact (BENCH_*.jsonl) and
-// the wire format of the streaming JsonlResultSink.
+// the wire format of the streaming JsonlResultSink. Lines are rendered by
+// JsonWriter, from a tree (write) or directly (append_line, write_line).
 #pragma once
 
 #include <iosfwd>
@@ -22,8 +23,15 @@ struct JsonlLines {
   std::string text;
   std::size_t count{0};
 
-  /// Appends `value` as one line.
-  void append(const Json& value);
+  /// Appends one line: the one value `write(JsonWriter&)` renders, with
+  /// no tree in between.
+  template <typename Write>
+  void append_line(Write&& write) {
+    JsonWriter w{text};
+    write(w);
+    text += '\n';
+    ++count;
+  }
 };
 
 /// Writes one value per line to a caller-owned stream. Stream failure is
@@ -34,8 +42,16 @@ class JsonlWriter {
   explicit JsonlWriter(std::ostream& out) : out_{out} {}
 
   void write(const Json& value);
-  /// Writes lines rendered elsewhere, counting each one; write() is the
-  /// one-line case.
+  /// Writes the one line `write(JsonWriter&)` renders (see
+  /// JsonlLines::append_line).
+  template <typename Write>
+  void write_line(Write&& write) {
+    JsonlLines line;
+    line.append_line(write);
+    write_lines(line);
+  }
+  /// Writes lines rendered elsewhere, counting each one; write() and
+  /// write_line() are the one-line cases.
   void write_lines(const JsonlLines& lines);
   std::size_t lines_written() const { return lines_; }
 

@@ -2,63 +2,65 @@
 
 namespace reorder::report {
 
-Json survey_event_json(const char* type, const core::SurveyEvent& e) {
-  Json j = Json::object();
-  j.set("type", type);
-  j.set("targets", e.targets);
-  j.set("rounds", e.rounds);
-  j.set("measurements", e.measurements);
-  j.set("at_ns", e.at.ns());
+void write_survey_event(JsonWriter& w, const char* type, const core::SurveyEvent& e) {
+  w.begin_object()
+      .key("type").string(type)
+      .key("targets").number(e.targets)
+      .key("rounds").number(e.rounds)
+      .key("measurements").number(e.measurements)
+      .key("at_ns").number(e.at.ns());
   if (std::string_view{type} == "survey_end") {
     // The fleet-accounting tail: `targets` above counts participants;
     // degraded runs name their absentees so participants + failed_targets
     // always account for the configured fleet.
-    j.set("degraded", e.degraded);
-    j.set("failed_shards", e.failed_shards);
-    Json failed = Json::array();
-    for (const auto& name : e.failed_targets) failed.push(name);
-    j.set("failed_targets", std::move(failed));
+    w.key("degraded").boolean(e.degraded).key("failed_shards").number(e.failed_shards);
+    w.key("failed_targets").begin_array();
+    for (const auto& name : e.failed_targets) w.string(name);
+    w.end_array();
   }
-  return j;
+  w.end_object();
 }
 
-Json to_json(const core::ReorderEstimate& estimate) {
-  Json j = Json::object();
-  j.set("in_order", estimate.in_order);
-  j.set("reordered", estimate.reordered);
-  j.set("ambiguous", estimate.ambiguous);
-  j.set("lost", estimate.lost);
-  return j;
+void write_json(JsonWriter& w, const core::ReorderEstimate& estimate, std::optional<double> rate) {
+  w.begin_object()
+      .key("in_order").number(estimate.in_order)
+      .key("reordered").number(estimate.reordered)
+      .key("ambiguous").number(estimate.ambiguous)
+      .key("lost").number(estimate.lost);
+  if (rate) w.key("rate").number(*rate);
+  w.end_object();
 }
 
-Json to_json(const core::SampleEvent& e) {
-  Json j = Json::object();
-  j.set("type", "sample");
-  j.set("target", e.target);
-  j.set("test", e.test);
-  j.set("measurement", e.measurement_index);
-  j.set("sample", e.sample_index);
-  j.set("fwd", core::to_string(e.sample.forward));
-  j.set("rev", core::to_string(e.sample.reverse));
-  j.set("gap_ns", e.sample.gap.ns());
-  j.set("started_ns", e.sample.started.ns());
-  j.set("completed_ns", e.sample.completed.ns());
-  return j;
+void write_json(JsonWriter& w, const core::SampleEvent& e) {
+  w.begin_object()
+      .key("type").string("sample")
+      .key("target").string(e.target)
+      .key("test").string(e.test)
+      .key("measurement").number(e.measurement_index)
+      .key("sample").number(e.sample_index)
+      .key("fwd").string(core::to_string(e.sample.forward))
+      .key("rev").string(core::to_string(e.sample.reverse))
+      .key("gap_ns").number(e.sample.gap.ns())
+      .key("started_ns").number(e.sample.started.ns())
+      .key("completed_ns").number(e.sample.completed.ns())
+      .end_object();
 }
 
-Json to_json(const core::MeasurementEvent& e) {
-  Json j = Json::object();
-  j.set("type", "measurement");
-  j.set("target", e.target);
-  j.set("test", e.test);
-  j.set("measurement", e.measurement_index);
-  j.set("at_ns", e.at.ns());
-  j.set("admissible", e.result.admissible);
-  j.set("samples", e.result.samples.size());
-  j.set("note", e.result.note);
-  j.set("fwd", to_json(e.result.forward));
-  j.set("rev", to_json(e.result.reverse));
-  return j;
+void write_json(JsonWriter& w, const core::MeasurementEvent& e) {
+  w.begin_object()
+      .key("type").string("measurement")
+      .key("target").string(e.target)
+      .key("test").string(e.test)
+      .key("measurement").number(e.measurement_index)
+      .key("at_ns").number(e.at.ns())
+      .key("admissible").boolean(e.result.admissible)
+      .key("samples").number(e.result.samples.size())
+      .key("note").string(e.result.note)
+      .key("fwd");
+  write_json(w, e.result.forward);
+  w.key("rev");
+  write_json(w, e.result.reverse);
+  w.end_object();
 }
 
 core::ReorderEstimate estimate_from_json(const Json& j) {
@@ -71,19 +73,19 @@ core::ReorderEstimate estimate_from_json(const Json& j) {
 }
 
 void JsonlResultSink::on_survey_begin(const core::SurveyEvent& e) {
-  out_.write(survey_event_json("survey_begin", e));
+  out_.write_line([&](JsonWriter& w) { write_survey_event(w, "survey_begin", e); });
 }
 
 void JsonlResultSink::on_sample(const core::SampleEvent& e) {
-  out_.write(to_json(e));
+  out_.write_line([&](JsonWriter& w) { write_json(w, e); });
 }
 
 void JsonlResultSink::on_measurement(const core::MeasurementEvent& e) {
-  out_.write(to_json(e));
+  out_.write_line([&](JsonWriter& w) { write_json(w, e); });
 }
 
 void JsonlResultSink::on_survey_end(const core::SurveyEvent& e) {
-  out_.write(survey_event_json("survey_end", e));
+  out_.write_line([&](JsonWriter& w) { write_survey_event(w, "survey_end", e); });
 }
 
 void NarratingSink::on_survey_begin(const core::SurveyEvent& e) {

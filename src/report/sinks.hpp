@@ -3,24 +3,29 @@
 // JsonlResultSink is the canonical machine-readable consumer: every
 // survey event becomes one JSON object per line, written as it arrives
 // (streaming — nothing is buffered until "the end"). The line schema is
-// documented in the README ("JSONL schema") and kept parseable back into
-// estimates by the helpers below, which the golden round-trip tests use.
+// documented in the README ("JSONL schema"). Each record has one
+// renderer below, writing through a JsonWriter with no tree: the sink,
+// the survey service's emission and reorder-merge all call it. Counts
+// read back into estimates with estimate_from_json, which the golden
+// round-trip tests use.
 //
-//   {"type":"survey_begin","targets":3,"rounds":4,"at_ns":0}
-//   {"type":"sample","target":"host-0","test":"syn","measurement":0,
-//    "sample":2,"fwd":"reordered","rev":"in-order","gap_ns":0,
-//    "started_ns":..,"completed_ns":..}
-//   {"type":"measurement","target":"host-0","test":"syn","measurement":0,
-//    "at_ns":0,"admissible":true,"samples":15,"note":"",
-//    "fwd":{"in_order":13,"reordered":2,"ambiguous":0,"lost":0},
-//    "rev":{...}}
-//   {"type":"survey_end","targets":3,"rounds":4,"measurements":24,...}
+//   {"type":"survey_begin","targets":200,"rounds":1,"measurements":0,"at_ns":0}
+//   {"type":"sample","target":"host-100","test":"syn","measurement":7,
+//    "sample":6,"fwd":"reordered","rev":"in-order","gap_ns":0,
+//    "started_ns":3780571760,"completed_ns":3800592560}
+//   {"type":"measurement","target":"host-100","test":"syn","measurement":7,
+//    "at_ns":3540468080,"admissible":true,"samples":15,"note":"",
+//    "fwd":{"in_order":14,"reordered":1,"ambiguous":0,"lost":0},
+//    "rev":{"in_order":15,"reordered":0,"ambiguous":0,"lost":0}}
+//   {"type":"survey_end","targets":200,"rounds":1,"measurements":400,
+//    "at_ns":7090865200,"degraded":false,"failed_shards":0,"failed_targets":[]}
 //
 // Rates are deliberately not stored — they are derivable from the counts,
 // and re-deriving them is exactly what the round-trip test checks.
 #pragma once
 
 #include <cstdio>
+#include <optional>
 
 #include "core/result_sink.hpp"
 #include "report/jsonl.hpp"
@@ -107,16 +112,21 @@ class JsonlResultSink final : public core::ResultSink {
 
 // ------------------------------------------- event <-> JSON conversions
 
-Json to_json(const core::ReorderEstimate& estimate);
-Json to_json(const core::SampleEvent& e);
-Json to_json(const core::MeasurementEvent& e);
+/// {"in_order":..,"reordered":..,"ambiguous":..,"lost":..}: the counts
+/// as the measurement records and the checkpoint carry them. `rate`, when
+/// set, is appended as a last member (the pair_rate metric's form).
+void write_json(JsonWriter& w, const core::ReorderEstimate& estimate,
+                std::optional<double> rate = std::nullopt);
+/// The `sample` record.
+void write_json(JsonWriter& w, const core::SampleEvent& e);
+/// The `measurement` record.
+void write_json(JsonWriter& w, const core::MeasurementEvent& e);
+/// The survey_begin / survey_end record (`type` selects which; survey_end
+/// carries the degraded-mode accounting tail). Offline tools
+/// (reorder-merge) write their lifecycle records through it too.
+void write_survey_event(JsonWriter& w, const char* type, const core::SurveyEvent& e);
 
-/// The survey_begin / survey_end line (`type` selects which; survey_end
-/// carries the degraded-mode accounting tail). Exposed so offline tools
-/// (reorder-merge) emit byte-identical lifecycle records.
-Json survey_event_json(const char* type, const core::SurveyEvent& e);
-
-/// Rebuilds an estimate from a to_json(ReorderEstimate) object.
+/// Rebuilds an estimate from a write_json(ReorderEstimate) object.
 /// Throws (std::out_of_range / std::runtime_error) on schema mismatch.
 core::ReorderEstimate estimate_from_json(const Json& j);
 

@@ -40,9 +40,11 @@ class LinesSink final : public core::ResultSink {
  public:
   explicit LinesSink(report::JsonlLines& out) : out_{out} {}
 
-  void on_sample(const core::SampleEvent& e) override { out_.append(report::to_json(e)); }
+  void on_sample(const core::SampleEvent& e) override {
+    out_.append_line([&](report::JsonWriter& w) { report::write_json(w, e); });
+  }
   void on_measurement(const core::MeasurementEvent& e) override {
-    out_.append(report::to_json(e));
+    out_.append_line([&](report::JsonWriter& w) { report::write_json(w, e); });
   }
 
  private:
@@ -607,8 +609,9 @@ void SurveyService::emit_jsonl(report::JsonlWriter& out) {
     throw std::logic_error{"SurveyService: emit_jsonl() needs retain_results"};
   }
   const core::SurveyEvent end = survey_end_locked();
-  out.write(report::survey_event_json(
-      "survey_begin", core::SurveyEvent{end.targets, config_.rounds, 0, util::TimePoint::epoch()}));
+  const core::SurveyEvent begin{end.targets, config_.rounds, 0, util::TimePoint::epoch()};
+  out.write_line(
+      [&](report::JsonWriter& w) { report::write_survey_event(w, "survey_begin", begin); });
   // The canonical walk: done targets by name, each log already in (test,
   // at) order, cut into chunks that know their first measurement's index.
   std::vector<const AdmittedTarget*> walk;
@@ -639,7 +642,8 @@ void SurveyService::emit_jsonl(report::JsonlWriter& out) {
         }
       },
       out);
-  out.write(report::survey_event_json("survey_end", end));
+  out.write_line(
+      [&](report::JsonWriter& w) { report::write_survey_event(w, "survey_end", end); });
   // Every metric key names a done target (one world per target, restored
   // records checked at admission), so the same walk is canonical key order.
   write_in_order(
@@ -651,17 +655,16 @@ void SurveyService::emit_jsonl(report::JsonlWriter& out) {
       },
       out);
   if (end.degraded) {
-    report::Json manifest = report::Json::object();
-    manifest.set("type", "participation");
-    report::Json targets = report::Json::array();
-    for (const auto& [index, target] : targets_) {
-      report::Json t = report::Json::object();
-      t.set("target", target.name);
-      t.set("participated", target.state != AdmittedTarget::State::kFailed);
-      targets.push(std::move(t));
-    }
-    manifest.set("targets", std::move(targets));
-    out.write(manifest);
+    out.write_line([&](report::JsonWriter& w) {
+      w.begin_object().key("type").string("participation").key("targets").begin_array();
+      for (const auto& [index, target] : targets_) {
+        w.begin_object()
+            .key("target").string(target.name)
+            .key("participated").boolean(target.state != AdmittedTarget::State::kFailed)
+            .end_object();
+      }
+      w.end_array().end_object();
+    });
   }
 }
 

@@ -214,7 +214,8 @@ TEST(Checkpoint, MeasurementCodecIsFullFidelity) {
   service.drain();
   ASSERT_FALSE(service.measurements().empty());
   for (const Measurement& m : service.measurements()) {
-    const Measurement back = measurement_from_json(measurement_to_json(m));
+    const Measurement back = measurement_from_json(report::Json::rendered(
+        [&](report::JsonWriter& w) { write_measurement_json(w, m); }));
     EXPECT_EQ(back.target, m.target);
     EXPECT_EQ(back.test, m.test);
     EXPECT_EQ(back.at.ns(), m.at.ns());
@@ -594,16 +595,12 @@ TEST(FleetMerge, TwoRunsFoldIntoTheCombinedRunsBytes) {
   const std::string west = run_slice(2, 4);
   const std::string combined = run_slice(0, 4);
 
-  const std::vector<report::Json> merged = merge_fleet_streams(
-      {report::read_jsonl_text(east), report::read_jsonl_text(west)});
-  std::string merged_text;
-  for (const report::Json& record : merged) merged_text += record.dump() + "\n";
+  const std::string merged_text =
+      merge_fleet_streams({report::read_jsonl_text(east), report::read_jsonl_text(west)}).text;
   EXPECT_EQ(merged_text, combined);
 
   // And the fold is idempotent: merging one run reproduces it.
-  const std::vector<report::Json> self = merge_fleet_streams({report::read_jsonl_text(east)});
-  std::string self_text;
-  for (const report::Json& record : self) self_text += record.dump() + "\n";
+  const std::string self_text = merge_fleet_streams({report::read_jsonl_text(east)}).text;
   EXPECT_EQ(self_text, east);
 }
 
@@ -612,8 +609,11 @@ TEST(FleetMerge, RoundsOutsideIntAreRejected) {
   // wrapped: 2^32 + 1 would otherwise read as a 1-round plan.
   for (const std::string type : {"survey_begin", "survey_end"}) {
     const SurveyEvent event{1, 1, 0, util::TimePoint::epoch()};
-    std::vector<report::Json> run{report::survey_event_json("survey_begin", event),
-                                  report::survey_event_json("survey_end", event)};
+    const auto lifecycle = [&](const char* name) {
+      return report::Json::rendered(
+          [&](report::JsonWriter& w) { report::write_survey_event(w, name, event); });
+    };
+    std::vector<report::Json> run{lifecycle("survey_begin"), lifecycle("survey_end")};
     EXPECT_NO_THROW(merge_fleet_streams({run})) << type;
     for (report::Json& record : run) {
       if (record.at("type").as_string() == type) record.set("rounds", std::int64_t{4294967297});

@@ -1,15 +1,19 @@
-// Tests for the report layer: the JSON value (dump/parse round-trips,
-// over every record type a survey and its checkpoint write too), the
-// table emitter, the streaming JsonlResultSink, and the golden round-trip
-// the benches rely on — JSONL written during a survey, parsed back,
-// reproducing the aggregate rates exactly.
+// Tests for the report layer: the JSON writer's bytes (pinned as literals,
+// and against printf over a million doubles), the JSON value (dump/parse
+// round-trips, over every record type a survey and its checkpoint write
+// too), the table emitter, the streaming JsonlResultSink, and the golden
+// round-trip the benches rely on — JSONL written during a survey, parsed
+// back, reproducing the aggregate rates exactly.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -23,6 +27,7 @@
 #include "report/table.hpp"
 #include "service/survey_service.hpp"
 #include "util/fault_injector.hpp"
+#include "util/shard_seeder.hpp"
 
 namespace reorder::report {
 namespace {
@@ -139,6 +144,156 @@ TEST(Json, IntegerAccessorsRejectNumbersOutsideTheirRange) {
   EXPECT_THROW(Json{std::int64_t{INT32_MIN} - 1}.as_i32(), std::runtime_error);
   EXPECT_EQ(Json{INT32_MAX}.as_i32(), INT32_MAX);
   EXPECT_EQ(Json{INT32_MIN}.as_i32(), INT32_MIN);
+}
+
+TEST(Json, ParseJoinsSurrogatePairsAndRefusesLoneHalves) {
+  // An escaped code point past the basic plane is one 4-byte UTF-8
+  // sequence, so an escaped and a raw spelling of one name are one name.
+  const auto pair = Json::parse("\"\\ud83d\\ude00\"");
+  ASSERT_TRUE(pair.has_value());
+  EXPECT_EQ(pair->as_string(), "\xF0\x9F\x98\x80");
+  EXPECT_EQ(Json::parse("\"host-\\ud83d\\ude00\"")->as_string(),
+            Json::parse("\"host-\xF0\x9F\x98\x80\"")->as_string());
+  const auto edges = Json::parse("\"\\ud800\\udc00\\udbff\\udfff\"");
+  ASSERT_TRUE(edges.has_value());
+  EXPECT_EQ(edges->as_string(), "\xF0\x90\x80\x80\xF4\x8F\xBF\xBF");
+  // Basic-plane escapes around the surrogate range keep their 3 bytes.
+  EXPECT_EQ(Json::parse("\"\\ud7ff\\ue000\"")->as_string(), "\xED\x9F\xBF\xEE\x80\x80");
+  // A half without its partner is not a character: refused, never
+  // encoded as invalid UTF-8.
+  for (const char* bad : {"\"\\ud800\"", "\"\\udc00\"", "\"\\ude00\\ud83d\"", "\"\\ud83dx\"",
+                          "\"\\ud83d\\u0041\"", "\"\\ud83d\\ud83d\"", "\"\\ud83d\\\"",
+                          "\"\\ud83d\\u12\""}) {
+    EXPECT_FALSE(Json::parse(bad).has_value()) << bad;
+  }
+}
+
+// --------------------------------------------------------- JsonWriter
+
+/// What JsonWriter renders for one value.
+template <typename Write>
+std::string written(Write&& write) {
+  std::string out;
+  JsonWriter w{out};
+  write(w);
+  return out;
+}
+
+TEST(JsonWriter, NumbersKeepTheTreeDumpsBytes) {
+  // Each literal is what Json::dump() printed before JsonWriter existed:
+  // the integer form below 9e15, "%.17g" at and above it and for every
+  // fraction, null for what JSON cannot spell.
+  const std::vector<std::pair<double, std::string>> cases = {
+      {0.0, "0"},
+      {-0.0, "0"},
+      {9e15 - 1, "8999999999999999"},
+      {-(9e15 - 1), "-8999999999999999"},
+      {9e15, "9000000000000000"},
+      {-9e15, "-9000000000000000"},
+      {9007199254740992.0, "9007199254740992"},
+      {1e16, "10000000000000000"},
+      {9223372036854775808.0, "9.2233720368547758e+18"},
+      {0.1, "0.10000000000000001"},
+      {1.0 / 3, "0.33333333333333331"},
+      {5e-324, "4.9406564584124654e-324"},
+      {DBL_MAX, "1.7976931348623157e+308"},
+      {std::nan(""), "null"},
+      {std::numeric_limits<double>::infinity(), "null"},
+      {-std::numeric_limits<double>::infinity(), "null"},
+  };
+  for (const auto& [d, want] : cases) {
+    EXPECT_EQ(Json{d}.dump(), want) << want;
+    EXPECT_EQ(written([&](JsonWriter& w) { w.number(d); }), want) << want;
+  }
+  // Integers follow the rule of the double they convert to.
+  EXPECT_EQ(written([](JsonWriter& w) { w.number(std::int64_t{9'000'000'000'000'000}); }),
+            "9000000000000000");
+  EXPECT_EQ(written([](JsonWriter& w) { w.number(std::int64_t{INT64_MAX}); }),
+            "9.2233720368547758e+18");
+  EXPECT_EQ(written([](JsonWriter& w) { w.number(std::uint64_t{UINT64_MAX}); }),
+            "1.8446744073709552e+19");
+  EXPECT_EQ(Json{std::uint64_t{UINT64_MAX}}.dump(), "1.8446744073709552e+19");
+  // u64 is lossless: a number up to 2^53, a decimal string past it.
+  EXPECT_EQ(Json::u64(9007199254740992ull).dump(), "9007199254740992");
+  EXPECT_EQ(Json::u64(9007199254740993ull).dump(), "\"9007199254740993\"");
+  EXPECT_EQ(written([](JsonWriter& w) { w.u64(9007199254740993ull); }), "\"9007199254740993\"");
+  EXPECT_EQ(written([](JsonWriter& w) { w.u64(UINT64_MAX); }), "\"18446744073709551615\"");
+}
+
+TEST(JsonWriter, StringsKeepTheTreeDumpsEscapes) {
+  std::string control;
+  for (int c = 1; c < 0x20; ++c) control += static_cast<char>(c);
+  const std::string control_escaped =
+      "\"\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\t\\n\\u000b\\u000c\\r"
+      "\\u000e\\u000f\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018\\u0019"
+      "\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f\"";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {control, control_escaped},
+      {std::string{"a\0b", 3}, "\"a\\u0000b\""},
+      {"\"\\\x7f", "\"\\\"\\\\\x7f\""},
+      {"h\xC3\xA9llo \xE2\x82\xAC \xF0\x9F\x98\x80",
+       "\"h\xC3\xA9llo \xE2\x82\xAC \xF0\x9F\x98\x80\""},
+      {"", "\"\""},
+  };
+  for (const auto& [s, want] : cases) {
+    EXPECT_EQ(Json{s}.dump(), want);
+    EXPECT_EQ(written([&](JsonWriter& w) { w.string(s); }), want);
+    // And the parser reads each one back to the same bytes.
+    EXPECT_EQ(Json::parse(want)->as_string(), s);
+  }
+  // Keys escape by the same rule.
+  EXPECT_EQ(written([](JsonWriter& w) { w.begin_object().key("a\"b").null().end_object(); }),
+            "{\"a\\\"b\":null}");
+}
+
+TEST(JsonWriter, PlacesCommasInNestedContainers) {
+  const std::string text = written([](JsonWriter& w) {
+    w.begin_object().key("a").begin_array().number(1).begin_array().end_array();
+    w.begin_object().end_object().string("x").end_array();
+    w.key("b").begin_object().key("c").boolean(false).key("d").null().end_object();
+    w.key("e").number(0.5).end_object();
+  });
+  EXPECT_EQ(text, R"({"a":[1,[],{},"x"],"b":{"c":false,"d":null},"e":0.5})");
+  EXPECT_EQ(Json::parse(text)->dump(), text);
+  // A rendering that is not one value is a defect rendered() reports.
+  EXPECT_THROW(Json::rendered([](JsonWriter& w) { w.number(1).number(2); }), std::logic_error);
+}
+
+TEST(JsonWriter, FractionsMatchPrintfOverAMillionSeededDoubles) {
+  // to_chars with a precision is defined as printf's conversion; check
+  // that this library's agrees with "%.17g" where the writer uses it.
+  // A quarter of the draws are raw bit patterns (every exponent, NaNs and
+  // subnormals included); the rest are what the records carry: rates of
+  // small counts, fractions in [0, 1), and integers on both sides of the
+  // 9e15 switch to "%.17g".
+  constexpr std::uint64_t kDraws = 1'000'000;
+  std::size_t fractions = 0;
+  std::string got;
+  char want[32];
+  for (std::uint64_t i = 0; i < kDraws; ++i) {
+    const std::uint64_t bits = util::splitmix64(0x5eed0000 + i);
+    double d = 0;
+    switch (i % 4) {
+      case 0: std::memcpy(&d, &bits, sizeof d); break;
+      case 1:
+        d = static_cast<double>(bits & 0xFFFF) / static_cast<double>(1 + ((bits >> 16) & 0xFFFF));
+        break;
+      case 2: d = static_cast<double>(bits >> 11) * 0x1p-53; break;
+      default: d = static_cast<double>(bits >> 10); break;
+    }
+    if (!std::isfinite(d)) {
+      std::snprintf(want, sizeof want, "null");
+    } else if (d == std::floor(d) && std::fabs(d) < 9e15) {
+      std::snprintf(want, sizeof want, "%lld", static_cast<long long>(d));
+    } else {
+      std::snprintf(want, sizeof want, "%.17g", d);
+      ++fractions;
+    }
+    got.clear();
+    JsonWriter{got}.number(d);
+    ASSERT_EQ(got, want) << "draw " << i;
+  }
+  EXPECT_GT(fractions, kDraws / 2);
 }
 
 // ------------------------------------------------------------- Jsonl
@@ -346,6 +501,45 @@ TEST(Json, EveryRecordTheSurveyAndItsCheckpointWriteRoundTrips) {
   EXPECT_EQ(types, (std::set<std::string>{"checkpoint_header", "measurement", "metrics",
                                           "participation", "sample", "service_snapshot",
                                           "shard_done", "survey_begin", "survey_end"}));
+}
+
+TEST(JsonlResultSink, ADegradedSurveyEndAndItsParticipationKeepTheirBytes) {
+  // No CLI run degrades, so the output-identity comparison never sees
+  // these two records: their bytes, as the tree renderer wrote them, are
+  // pinned here. The absentee's name needs an escape.
+  core::SurveyTargetConfig ok;
+  ok.name = "ok";
+  ok.forward.swap_probability = 0.2;
+  ok.remote.behavior.immediate_ack_on_hole_fill = true;
+  ok.tests = {core::TestSpec{"syn"}};
+  core::SurveyTargetConfig failing;
+  failing.name = "fail\"ing";
+  util::FaultInjector faults{17};
+  faults.arm({"shard/1/run", util::FaultInjector::Mode::kThrow, 1.0, 0, true});
+  service::SurveyServiceConfig cfg;
+  cfg.seed = 5;
+  cfg.workers = 1;
+  cfg.run.samples = 4;
+  cfg.engine.faults = &faults;
+  cfg.retry.max_attempts = 1;
+  service::SurveyService service{cfg};
+  service.admit({ok, failing});
+  service.drain();
+
+  std::ostringstream text;
+  JsonlWriter writer{text};
+  service.emit_jsonl(writer);
+  std::map<std::string, std::string> by_type;
+  std::istringstream lines{text.str()};
+  for (std::string line; std::getline(lines, line);) {
+    by_type[Json::parse(line)->at("type").as_string()] = line;
+  }
+  EXPECT_EQ(by_type["survey_end"],
+            R"({"type":"survey_end","targets":1,"rounds":1,"measurements":1,"at_ns":1160069120,)"
+            R"("degraded":true,"failed_shards":1,"failed_targets":["fail\"ing"]})");
+  EXPECT_EQ(by_type["participation"],
+            R"({"type":"participation","targets":[{"target":"ok","participated":true},)"
+            R"({"target":"fail\"ing","participated":false}]})");
 }
 
 // ----------------------------------------------------------- builders

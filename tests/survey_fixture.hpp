@@ -137,10 +137,7 @@ inline Reference single_loop_reference(std::vector<core::SurveyTargetConfig> fle
   engine.metrics().emit_jsonl(writer);
 
   Reference out;
-  for (const report::Json& record :
-       core::merge_fleet_streams({report::read_jsonl_text(live.str())})) {
-    out.jsonl += record.dump() + "\n";
-  }
+  out.jsonl = core::merge_fleet_streams({report::read_jsonl_text(live.str())}).text;
   out.snapshots = snapshot_dump(engine.metrics());
   out.end = end.end;
   return out;

@@ -49,7 +49,11 @@ std::vector<core::SurveyTargetConfig> many_targets() {
 /// uids included: equal texts are equal logs, field for field.
 std::string full_fidelity(const std::vector<core::Measurement>& log) {
   std::string out;
-  for (const core::Measurement& m : log) out += core::measurement_to_json(m).dump() + "\n";
+  for (const core::Measurement& m : log) {
+    report::JsonWriter w{out};
+    core::write_measurement_json(w, m);
+    out += '\n';
+  }
   return out;
 }
 

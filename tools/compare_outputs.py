@@ -5,10 +5,13 @@ Usage: tools/compare_outputs.py BASE_BUILD HEAD_BUILD
 
 Runs a fixed list of deterministic commands from each build directory:
 the nine paper benches, the examples whose output is a pure function of
-their flags, and the survey runtimes with a fixed population, JSONL
-artifacts and a checkpoint file. line_rate runs too, but only its
-`monitor` and `sequences` records are compared: its stdout and its
-`ingest` record carry wall-clock rates and spin-wait counts.
+their flags, the survey runtimes with a fixed population, JSONL
+artifacts and checkpoint files (a full one and a --lean one, whose
+records carry no sample payloads), and reorder-merge over survey_fleet's
+artifact, so the offline merge's records are compared too. line_rate
+runs too, but only its `monitor` and `sequences` records are compared:
+its stdout and its `ingest` record carry wall-clock rates and spin-wait
+counts.
 micro_bench prints nothing but timings and is left out.
 
 Every command runs in a fresh directory of its own, one tree per side,
@@ -42,6 +45,8 @@ TIMEOUT_S = 600
 SURVEY_POPULATION = ["--targets=24", "--rounds=2", "--samples=10", "--seed=11"]
 
 # (label, binary, arguments). Labels name the per-command directory.
+# Commands run in this order, so an argument may name an earlier
+# command's output on the same side as ../<label>/<file>.
 COMMANDS = [
     ("fig5_cdf", "fig5_cdf", []),
     ("fig6_timeseries", "fig6_timeseries", []),
@@ -63,6 +68,9 @@ COMMANDS = [
     ("survey_fleet", "survey_fleet", SURVEY_POPULATION + ["--jsonl=fleet.jsonl"]),
     ("survey_service", "survey_service",
      SURVEY_POPULATION + ["--workers=1", "--jsonl=service.jsonl", "--checkpoint=service.ckpt"]),
+    ("survey_service_lean", "survey_service",
+     SURVEY_POPULATION + ["--lean", "--workers=1", "--checkpoint=lean.ckpt"]),
+    ("reorder_merge", "reorder-merge", ["--out=merged.jsonl", "../survey_fleet/fleet.jsonl"]),
 ]
 
 STDOUT_NAME = "<stdout>"

@@ -41,18 +41,16 @@ int main(int argc, char** argv) {
     for (const std::string& path : flags.positional()) {
       runs.push_back(report::read_jsonl_file(path));
     }
-    const std::vector<report::Json> merged = core::merge_fleet_streams(runs);
+    const report::JsonlLines merged = core::merge_fleet_streams(runs);
 
     if (out_path.empty()) {
-      for (const report::Json& record : merged) {
-        std::printf("%s\n", record.dump().c_str());
-      }
+      std::fwrite(merged.text.data(), 1, merged.text.size(), stdout);
     } else {
       // Crash-safe emission: the artifact appears only complete.
       report::AtomicJsonlFile file{out_path};
-      for (const report::Json& record : merged) file.writer().write(record);
+      file.writer().write_lines(merged);
       file.commit();
-      std::fprintf(stderr, "reorder-merge: %zu records from %zu runs -> %s\n", merged.size(),
+      std::fprintf(stderr, "reorder-merge: %zu records from %zu runs -> %s\n", merged.count,
                    runs.size(), out_path.c_str());
     }
     return 0;
