@@ -11,6 +11,8 @@
 //   $ quickstart [--swap-prob=0.1] [--samples=50] [--seed=1] [--jsonl=run.jsonl]
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "core/result_sink.hpp"
 #include "core/test_registry.hpp"
@@ -66,10 +68,14 @@ int main(int argc, char** argv) {
                                                   {"95% CI", report::Align::kLeft}}};
   const auto add_row = [&table](const char* dir, const core::ReorderEstimate& e) {
     const auto ci = e.proportion();
+    // Appended in order: gcc 12 at -O3 misreads `"[" + fixed(...)` (an
+    // insert at the front) as an overlapping copy (-Wrestrict).
+    std::string interval = "[";
+    interval.append(report::fixed(ci.lower, 3)).append(", ");
+    interval.append(report::fixed(ci.upper, 3)).append("]");
     table.row({dir, report::integer(e.in_order), report::integer(e.reordered),
                report::integer(e.ambiguous), report::integer(e.lost),
-               report::fixed(e.rate_or(0.0), 3),
-               "[" + report::fixed(ci.lower, 3) + ", " + report::fixed(ci.upper, 3) + "]"});
+               report::fixed(e.rate_or(0.0), 3), std::move(interval)});
   };
   add_row("forward", result.forward);
   add_row("reverse", result.reverse);

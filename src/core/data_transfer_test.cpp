@@ -35,13 +35,11 @@ struct DataTransferTest::Run {
   std::uint32_t max_end_rel{0};           ///< highest byte received (rel)
   bool fin_seen{false};
 
-  tcpip::Timer stall_timer{host.env()};
+  sim::Timer stall_timer{host.loop()};
 
   Run(probe::ProbeHost& h, DataTransferOptions o, TestRunConfig c,
       std::function<void(TestRunResult)> d)
       : host{h}, options{o}, config{c}, done{std::move(d)} {}
-
-  tcpip::Environment& env() { return host.env(); }
 
   void bump_stall_timer() {
     stall_timer.arm(options.stall_timeout, [this] { finish("transfer stalled"); });
@@ -77,7 +75,7 @@ struct DataTransferTest::Run {
       const std::uint32_t rel = pkt.tcp.seq - conn->rcv_base();
       const auto end_rel = rel + static_cast<std::uint32_t>(pkt.payload.size());
       if (seen_seq.emplace(rel, true).second) {
-        arrivals.push_back(SegmentSeen{rel, pkt.uid, env().now()});
+        arrivals.push_back(SegmentSeen{rel, pkt.uid, host.loop().now()});
         if (tcpip::seq_gt(end_rel, max_end_rel)) max_end_rel = end_rel;
         bump_stall_timer();
       }

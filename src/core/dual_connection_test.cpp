@@ -54,16 +54,14 @@ struct DualConnectionTest::Run {
   };
   std::vector<AckSeen> acks;
 
-  tcpip::Timer timer{host.env()};  ///< the current phase's one timeout
+  sim::Timer timer{host.loop()};  ///< the current phase's one timeout
   /// The current sample's second packet, waiting out inter_packet_gap;
   /// classifying the sample cancels it.
-  tcpip::Timer gap_timer{host.env()};
+  sim::Timer gap_timer{host.loop()};
 
   Run(probe::ProbeHost& h, DualConnectionOptions o, TestRunConfig c,
       std::function<void(TestRunResult)> d)
       : host{h}, options{o}, config{c}, done{std::move(d)} {}
-
-  tcpip::Environment& env() { return host.env(); }
 
   void start(tcpip::Ipv4Address target, std::uint16_t port) {
     for (int i = 0; i < 2; ++i) {
@@ -144,13 +142,13 @@ struct DualConnectionTest::Run {
     phase = Phase::kMeasure;
     acks.clear();
     sample = SampleResult{};
-    sample.started = env().now();
+    sample.started = host.loop().now();
     sample.gap = config.inter_packet_gap;
 
     auto first = conns[0]->build_data_rel(1, kProbeByte);
     auto second = conns[1]->build_data_rel(1, kProbeByte);
-    first.uid = env().next_packet_uid();
-    second.uid = env().next_packet_uid();
+    first.uid = host.loop().next_packet_uid();
+    second.uid = host.loop().next_packet_uid();
     sample.fwd_uid_first = first.uid;
     sample.fwd_uid_second = second.uid;
     conns[0]->send_raw(std::move(first));
@@ -201,7 +199,7 @@ struct DualConnectionTest::Run {
   void classify() {
     timer.cancel();
     gap_timer.cancel();
-    sample.completed = env().now();
+    sample.completed = host.loop().now();
     Ordering fwd = Ordering::kLost;
     Ordering rev = Ordering::kLost;
     // Need one ACK from each connection; two from the same connection

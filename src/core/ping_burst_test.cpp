@@ -23,7 +23,7 @@ struct PingBurstTest::Run {
   std::vector<std::uint16_t> arrival;  // reply sequences in arrival order
   bool burst_open{false};
   bool finished{false};
-  tcpip::Timer timer{host.env()};  ///< the burst timeout, then the spacing
+  sim::Timer timer{host.loop()};  ///< the burst timeout, then the spacing
 
   Run(probe::ProbeHost& h, tcpip::Ipv4Address t, PingBurstOptions o)
       : host{h}, target{t}, options{o} {}

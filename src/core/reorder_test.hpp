@@ -14,7 +14,7 @@ namespace reorder::core {
 ///
 /// A test owns its one current run, and the run owns everything it put
 /// into the world: its connections, flow registrations and pending
-/// events. A run's pending events are its tcpip::Timers, which cancel
+/// events. A run's pending events are its sim::Timers, which cancel
 /// when the run ends. So the test must not outlive the probe host and
 /// event loop it was built on.
 class ReorderTest {

@@ -3,7 +3,6 @@
 #include <array>
 
 #include "tcpip/seq.hpp"
-#include "util/logging.hpp"
 
 namespace reorder::core {
 
@@ -49,17 +48,15 @@ struct SingleConnectionTest::Run {
   };
   std::vector<AckSeen> acks;
 
-  tcpip::Timer timer{host.env()};  ///< the current phase's one timeout
+  sim::Timer timer{host.loop()};  ///< the current phase's one timeout
   /// The current sample's second packet, waiting out inter_packet_gap;
   /// classifying the sample cancels it.
-  tcpip::Timer gap_timer{host.env()};
+  sim::Timer gap_timer{host.loop()};
   int aux_attempts{0};
 
   Run(probe::ProbeHost& h, SingleConnectionOptions o, TestRunConfig c,
       std::function<void(TestRunResult)> d)
       : host{h}, options{o}, config{c}, done{std::move(d)} {}
-
-  tcpip::Environment& env() { return host.env(); }
 
   void start(tcpip::Ipv4Address target, std::uint16_t port) {
     conn = std::make_unique<probe::ProbeConnection>(host, host.make_flow(target, port),
@@ -149,7 +146,7 @@ struct SingleConnectionTest::Run {
     phase = Phase::kMeasure;
     acks.clear();
     sample = SampleResult{};
-    sample.started = env().now();
+    sample.started = host.loop().now();
     sample.gap = config.inter_packet_gap;
 
     const std::array<std::uint8_t, 1> low{0x01};
@@ -158,8 +155,8 @@ struct SingleConnectionTest::Run {
                                         : conn->build_data_rel(base, low);
     auto second = options.reversed_order ? conn->build_data_rel(base, low)
                                          : conn->build_data_rel(base + 2, high);
-    first.uid = env().next_packet_uid();
-    second.uid = env().next_packet_uid();
+    first.uid = host.loop().next_packet_uid();
+    second.uid = host.loop().next_packet_uid();
     sample.fwd_uid_first = first.uid;
     sample.fwd_uid_second = second.uid;
     conn->send_raw(std::move(first));
@@ -211,7 +208,7 @@ struct SingleConnectionTest::Run {
   void classify() {
     timer.cancel();
     gap_timer.cancel();
-    sample.completed = env().now();
+    sample.completed = host.loop().now();
     // Map the observed ACK pattern to verdicts. Offsets: 0 = hole dup-ack
     // ("ack 1" in the paper's figure), 2 = post-hole-fill ("ack 2"/"ack 3"),
     // 3 = everything ("ack 4").

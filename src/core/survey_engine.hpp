@@ -119,7 +119,7 @@ class SurveyEngine {
 
  private:
   struct Target {
-    explicit Target(tcpip::Environment& env) : watchdog{env} {}
+    explicit Target(sim::EventLoop& loop) : watchdog{loop} {}
 
     std::string name;
     std::vector<std::unique_ptr<ReorderTest>> tests;
@@ -130,7 +130,7 @@ class SurveyEngine {
     /// generation it belongs to and only the live generation counts.
     std::uint64_t generation{0};
     bool measurement_open{false};
-    tcpip::Timer watchdog;  ///< the open measurement's give-up deadline
+    sim::Timer watchdog;  ///< the open measurement's give-up deadline
     /// Instant past which the open measurement may no longer publish: the
     /// watchdog records the timeout, and any completion arriving later is
     /// abandoned-run residue that must not reach the sinks.

@@ -45,10 +45,8 @@ void pin_global_identity(SurveyTargetConfig& target, std::size_t global_index,
   if (!target.reverse_path_tag) target.reverse_path_tag = seeds.reverse_tag;
 }
 
-SurveyTestbed::SurveyTestbed(SurveyTestbedConfig config) : loop_{config.scheduler} {
-  socket_ = std::make_unique<probe::SimRawSocket>(loop_, config.probe_addr);
-  probe_ = std::make_unique<probe::ProbeHost>(loop_, *socket_);
-
+SurveyTestbed::SurveyTestbed(SurveyTestbedConfig config)
+    : loop_{config.scheduler}, probe_{loop_, config.probe_addr} {
   for (std::size_t index = 0; index < config.targets.size(); ++index) {
     auto net = std::make_unique<TargetNet>();
     net->config = std::move(config.targets[index]);
@@ -101,7 +99,7 @@ SurveyTestbed::SurveyTestbed(SurveyTestbedConfig config) : loop_{config.schedule
     net->reverse_handles = build_measurement_path(
         loop_, net->reverse, target.reverse, config.seed, *target.reverse_path_tag,
         traces ? &traces->probe_ingress : nullptr, "probe-ingress");
-    net->reverse.terminate([this](tcpip::Packet pkt) { socket_->deliver(std::move(pkt)); });
+    net->reverse.terminate([this](tcpip::Packet pkt) { probe_.deliver(std::move(pkt)); });
     const auto reverse_entry = net->reverse.entry();
     for (auto& host : net->hosts) host->set_transmit(reverse_entry);
 
@@ -112,7 +110,7 @@ SurveyTestbed::SurveyTestbed(SurveyTestbedConfig config) : loop_{config.schedule
     targets_.push_back(std::move(net));
   }
 
-  socket_->set_transmit([this](tcpip::Packet pkt) {
+  probe_.set_transmit([this](tcpip::Packet pkt) {
     const auto it = routes_.find(pkt.ip.dst.value());
     if (it == routes_.end()) return;  // destination unreachable: drop
     it->second->forward.entry()(std::move(pkt));
@@ -121,7 +119,7 @@ SurveyTestbed::SurveyTestbed(SurveyTestbedConfig config) : loop_{config.schedule
 
 void SurveyTestbed::populate(SurveyEngine& engine) {
   for (const auto& target : targets_) {
-    engine.add_target(target->config.name, *probe_, target->config.address,
+    engine.add_target(target->config.name, probe_, target->config.address,
                       target->config.tests);
   }
 }

@@ -24,7 +24,6 @@
 #include "netsim/load_balancer.hpp"
 #include "netsim/path.hpp"
 #include "probe/probe_host.hpp"
-#include "probe/raw_socket.hpp"
 #include "tcpip/host.hpp"
 #include "trace/trace.hpp"
 
@@ -113,7 +112,7 @@ class SurveyTestbed {
   SurveyTestbed& operator=(const SurveyTestbed&) = delete;
 
   sim::EventLoop& loop() { return loop_; }
-  probe::ProbeHost& probe() { return *probe_; }
+  probe::ProbeHost& probe() { return probe_; }
 
   std::size_t target_count() const { return targets_.size(); }
   const std::string& target_name(std::size_t i) const { return targets_.at(i)->config.name; }
@@ -157,8 +156,7 @@ class SurveyTestbed {
   };
 
   sim::EventLoop loop_;
-  std::unique_ptr<probe::SimRawSocket> socket_;
-  std::unique_ptr<probe::ProbeHost> probe_;
+  probe::ProbeHost probe_;
   std::vector<std::unique_ptr<TargetNet>> targets_;
   /// Destination address -> forward-path owner.
   std::map<std::uint32_t, TargetNet*> routes_;

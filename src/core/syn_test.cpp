@@ -47,10 +47,10 @@ struct SynTest::Run {
   /// The flow routes to this run: registered and not yet classified.
   bool flow_open{false};
 
-  tcpip::Timer timer{host.env()};  ///< the sample timeout, then the spacing
+  sim::Timer timer{host.loop()};  ///< the sample timeout, then the spacing
   /// The current sample's second SYN, waiting out inter_packet_gap;
   /// classifying the sample cancels it.
-  tcpip::Timer gap_timer{host.env()};
+  sim::Timer gap_timer{host.loop()};
 
   Run(probe::ProbeHost& h, tcpip::Ipv4Address t, std::uint16_t p, SynTestOptions o,
       TestRunConfig c, std::function<void(TestRunResult)> d)
@@ -59,8 +59,6 @@ struct SynTest::Run {
   ~Run() {
     if (flow_open) host.unregister_flow(flow.addr);
   }
-
-  tcpip::Environment& env() { return host.env(); }
 
   void next_sample() {
     if (finished) return;
@@ -77,7 +75,7 @@ struct SynTest::Run {
     // Jitter the ISS per sample so remote stale state can never collide.
     flow.iss1 = options.iss + static_cast<std::uint32_t>(sample_index) * 131'072;
     flow.iss2 = flow.iss1 + options.syn_offset;
-    flow.sample.started = env().now();
+    flow.sample.started = host.loop().now();
     flow.sample.gap = config.inter_packet_gap;
 
     host.register_flow(flow.addr, [this](const tcpip::Packet& pkt) { on_packet(pkt); });
@@ -86,8 +84,8 @@ struct SynTest::Run {
     const probe::PacketFactory factory{flow.addr};
     auto syn1 = factory.syn(flow.iss1, options.advertised_mss, options.advertised_window);
     auto syn2 = factory.syn(flow.iss2, options.advertised_mss, options.advertised_window);
-    syn1.uid = env().next_packet_uid();
-    syn2.uid = env().next_packet_uid();
+    syn1.uid = host.loop().next_packet_uid();
+    syn2.uid = host.loop().next_packet_uid();
     flow.sample.fwd_uid_first = syn1.uid;
     flow.sample.fwd_uid_second = syn2.uid;
     host.send(std::move(syn1));
@@ -108,7 +106,7 @@ struct SynTest::Run {
     r.uid = pkt.uid;
     r.seq = pkt.tcp.seq;
     r.ack = pkt.tcp.ack;
-    r.at = env().now();
+    r.at = host.loop().now();
     if (pkt.tcp.is_syn() && pkt.tcp.is_ack()) {
       r.is_synack = true;
     } else if (pkt.tcp.is_rst() || (pkt.tcp.is_ack() && pkt.payload.empty())) {
@@ -131,7 +129,7 @@ struct SynTest::Run {
     Flow& f = flow;
     timer.cancel();
     gap_timer.cancel();
-    f.sample.completed = env().now();
+    f.sample.completed = host.loop().now();
 
     const Flow::Reply* synack = nullptr;
     for (const auto& r : f.replies) {
@@ -221,7 +219,7 @@ struct SynTest::Run {
       const std::uint32_t fin_at = pkt.tcp.seq + static_cast<std::uint32_t>(pkt.payload.size());
       h->send(reply.ack(our_next + 1, fin_at + 1, window));
     });
-    env().schedule(options.close_linger, [h, addr] { h->unregister_flow(addr); });
+    host.loop().schedule(options.close_linger, [h, addr] { h->unregister_flow(addr); });
   }
 
   void finish() {

@@ -41,19 +41,41 @@ double TailSketch::mean() const {
   return count_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(count_);
 }
 
+std::uint64_t TailSketch::rank(double q) const {
+  q = std::clamp(q, 0.0, 1.0);
+  const auto r = static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count_)));
+  return std::clamp<std::uint64_t>(r, 1, count_);
+}
+
 std::uint64_t TailSketch::quantile(double q) const {
   if (count_ == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
   // Nearest-rank: the smallest bucket whose cumulative count reaches
   // ceil(q * count), with rank clamped to [1, count].
-  std::uint64_t rank = static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count_)));
-  rank = std::clamp<std::uint64_t>(rank, 1, count_);
+  const std::uint64_t target = rank(q);
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     seen += buckets_[i];
-    if (seen >= rank) return bucket_floor(i);
+    if (seen >= target) return bucket_floor(i);
   }
   return bucket_floor(buckets_.empty() ? 0 : buckets_.size() - 1);
+}
+
+std::array<std::uint64_t, 3> TailSketch::tail_quantiles() const {
+  std::array<std::uint64_t, 3> out{};
+  if (count_ == 0) return out;
+  // The ranks ascend with q, so one walk stops where each of quantile()'s
+  // own scans from bucket 0 would, and falls back as it does.
+  const std::array<std::uint64_t, 3> ranks{rank(0.50), rank(0.90), rank(0.99)};
+  std::size_t next = 0;
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < buckets_.size() && next < ranks.size(); ++i) {
+    seen += buckets_[i];
+    for (; next < ranks.size() && seen >= ranks[next]; ++next) out[next] = bucket_floor(i);
+  }
+  for (; next < ranks.size(); ++next) {
+    out[next] = bucket_floor(buckets_.empty() ? 0 : buckets_.size() - 1);
+  }
+  return out;
 }
 
 void TailSketch::merge(const TailSketch& other) {
@@ -68,14 +90,15 @@ void TailSketch::merge(const TailSketch& other) {
 }
 
 void TailSketch::write_json(report::JsonWriter& w) const {
+  const auto [p50, p90, p99] = tail_quantiles();
   w.begin_object()
       .key("count").number(count_)
       .key("min").number(min())
       .key("max").number(max_)
       .key("mean").number(mean())
-      .key("p50").number(quantile(0.50))
-      .key("p90").number(quantile(0.90))
-      .key("p99").number(quantile(0.99))
+      .key("p50").number(p50)
+      .key("p90").number(p90)
+      .key("p99").number(p99)
       .key("sum").u64(sum_)
       .key("buckets").begin_array();
   for (std::size_t i = 0; i < buckets_.size(); ++i) {

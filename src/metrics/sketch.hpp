@@ -14,6 +14,7 @@
 // quantiles (values below kSubBuckets are exact).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -55,6 +56,10 @@ class TailSketch {
  private:
   static std::size_t bucket_index(std::uint64_t value);
   static std::uint64_t bucket_floor(std::size_t index);
+  /// quantile()'s nearest rank of q, in [1, count()]; needs count() > 0.
+  std::uint64_t rank(double q) const;
+  /// quantile() at p50, p90 and p99 in one cumulative pass.
+  std::array<std::uint64_t, 3> tail_quantiles() const;
 
   std::vector<std::uint64_t> buckets_;
   std::uint64_t count_{0};

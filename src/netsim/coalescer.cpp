@@ -7,7 +7,7 @@ namespace reorder::sim {
 
 InterruptCoalescer::InterruptCoalescer(EventLoop& loop, InterruptCoalescerConfig config,
                                        util::Rng rng)
-    : loop_{loop}, config_{config}, rng_{rng} {
+    : config_{config}, rng_{rng}, window_timer_{loop} {
   if (config_.max_frames == 0) config_.max_frames = 1;
   held_.reserve(config_.max_frames);
 }
@@ -19,19 +19,11 @@ void InterruptCoalescer::accept(tcpip::Packet pkt) {
     flush();
     return;
   }
-  if (held_.size() == 1) {
-    timer_token_ = loop_.schedule(config_.window, [this] {
-      timer_token_ = 0;
-      flush();
-    });
-  }
+  if (held_.size() == 1) window_timer_.arm(config_.window, [this] { flush(); });
 }
 
 void InterruptCoalescer::flush() {
-  if (timer_token_ != 0) {
-    loop_.cancel(timer_token_);
-    timer_token_ = 0;
-  }
+  window_timer_.cancel();
   if (held_.empty()) return;
   // Intra-burst local shuffle: each adjacent pair swaps independently and
   // a swapped pair is skipped, so no frame moves more than one position —

@@ -44,11 +44,10 @@ class InterruptCoalescer final : public Stage {
  private:
   void flush();
 
-  EventLoop& loop_;
   InterruptCoalescerConfig config_;
   util::Rng rng_;
   std::vector<tcpip::Packet> held_;
-  std::uint64_t timer_token_{0};
+  Timer window_timer_;  ///< flushes the open window when it closes
   std::uint64_t frames_seen_{0};
   std::uint64_t bursts_flushed_{0};
   std::uint64_t swaps_applied_{0};

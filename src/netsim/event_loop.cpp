@@ -83,28 +83,13 @@ void EventLoop::purge_top() {
 
 // --- scheduling ------------------------------------------------------------
 
-std::uint64_t EventLoop::push(util::TimePoint at, tcpip::Callback&& fn) {
-  if (at < now_) at = now_;
-  if (policy_ == QueuePolicy::kReferenceMap) {
-    const Key key{at.ns(), next_seq_++};
-    ++live_;
-    const std::uint64_t token = next_token_++;
-    map_queue_.emplace(key, std::make_pair(token, std::move(fn)));
-    by_token_.emplace(token, key);
-    return token;
-  }
-  const std::uint32_t slot = alloc_slot();
-  fns_[slot] = std::move(fn);
-  return arm_slot(at, slot);
-}
-
-std::uint64_t EventLoop::schedule(util::Duration delay, tcpip::Callback fn) {
-  if (delay.is_negative()) delay = util::Duration::nanos(0);
-  return push(now_ + delay, std::move(fn));
-}
-
-std::uint64_t EventLoop::schedule_at(util::TimePoint at, tcpip::Callback fn) {
-  return push(at, std::move(fn));
+std::uint64_t EventLoop::push(util::TimePoint at, Callback&& fn) {
+  const Key key{at.ns(), next_seq_++};
+  ++live_;
+  const std::uint64_t token = next_token_++;
+  map_queue_.emplace(key, std::make_pair(token, std::move(fn)));
+  by_token_.emplace(token, key);
+  return token;
 }
 
 void EventLoop::cancel(std::uint64_t token) {
@@ -150,7 +135,7 @@ bool EventLoop::pop_and_run() {
     const std::uint64_t seq = top.seq_slot >> kSlotBits;
     if (meta_[slot].live_seq != seq) continue;  // lazily cancelled
     now_ = util::TimePoint::from_ns(top.at_ns);
-    tcpip::Callback fn = std::move(fns_[slot]);
+    Callback fn = std::move(fns_[slot]);
     free_slot(slot);
     --live_;
     ++executed_;

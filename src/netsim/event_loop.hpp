@@ -1,17 +1,20 @@
-// Discrete-event simulation core. Single-threaded; events run in timestamp
-// order with FIFO tie-breaking, which makes every experiment bit-for-bit
-// reproducible from its seeds.
+// Discrete-event simulation core: the one clock and scheduler that the
+// protocol stacks (tcpip), the probe and every netsim stage run on.
+// Single-threaded; events run in timestamp order with FIFO tie-breaking,
+// which makes every experiment bit-for-bit reproducible from its seeds.
 //
 // The scheduler is an indexed 4-ary min-heap keyed by (timestamp, seq) over
 // a slot array with an intrusive freelist: steady-state schedule/pop/cancel
 // touches no allocator once the heap and slot vectors have grown to the
-// simulation's high-water mark. Callbacks are tcpip::Callback
-// (util::InplaceFunction), so captures — including whole packets in flight
-// between netsim stages — live inside the slot array. Tokens carry the
-// event's sequence number over its slot index, so a token can always prove
-// it still names the event it was issued for. Cancellation is lazy:
-// cancel() invalidates the slot's live tag and drops the capture
-// immediately; the orphaned heap entry is skipped when it surfaces.
+// simulation's high-water mark. Callbacks are sim::Callback
+// (util::InplaceFunction), constructed straight into their slot, so
+// captures — including whole packets in flight between netsim stages —
+// live inside the slot array. Tokens carry the event's sequence number
+// over its slot index, so a token can always prove it still names the
+// event it was issued for. Cancellation is lazy: cancel() invalidates the
+// slot's live tag and drops the capture immediately; the orphaned heap
+// entry is skipped when it surfaces. A cancellable pending event is held
+// by a sim::Timer (below), which owns it: destroying the timer cancels it.
 //
 // The previous std::map implementation is retained behind
 // QueuePolicy::kReferenceMap as a differential-testing oracle (the
@@ -20,21 +23,32 @@
 // scheduling microbenchmarks.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "tcpip/env.hpp"
+#include "util/inplace_function.hpp"
 #include "util/time.hpp"
 
 namespace reorder::sim {
 
-/// The simulation clock and scheduler. Implements tcpip::Environment so
-/// protocol stacks can arm timers without knowing about the simulator.
-class EventLoop final : public tcpip::Environment {
+/// Capacity of a scheduled callback's inline capture buffer. Sized for the
+/// largest hot-path capture: a netsim stage forwarding lambda carrying a
+/// whole tcpip::Packet by value (headers + payload vector + metadata), with
+/// headroom for a Timer's callback (the timer's own pointer plus its
+/// callable: a pointer to the run or endpoint, or a paced packet). Compile-
+/// time enforced — an oversized capture fails the static_assert in
+/// InplaceFunction rather than silently allocating.
+inline constexpr std::size_t kCallbackCapacity = 192;
+
+/// Deferred-execution callback: move-only, never heap-allocates its capture.
+using Callback = util::InplaceFunction<void(), kCallbackCapacity>;
+
+/// The simulation clock and scheduler.
+class EventLoop {
  public:
   enum class QueuePolicy {
     kIndexedHeap,   ///< allocation-free indexed heap (the default)
@@ -44,32 +58,33 @@ class EventLoop final : public tcpip::Environment {
   EventLoop() = default;
   explicit EventLoop(QueuePolicy policy) : policy_{policy} {}
 
-  util::TimePoint now() const override { return now_; }
+  util::TimePoint now() const { return now_; }
   QueuePolicy policy() const { return policy_; }
 
-  /// Schedules `fn` at now() + delay (delay clamped to >= 0).
-  std::uint64_t schedule(util::Duration delay, tcpip::Callback fn) override;
-
-  /// Schedules `fn` at an absolute time (clamped to >= now()).
-  std::uint64_t schedule_at(util::TimePoint at, tcpip::Callback fn);
-
-  /// Concrete-caller fast paths: the callable is constructed directly in
-  /// its scheduler slot (no intermediate Callback move) and the call is
-  /// non-virtual. Overload resolution prefers these for raw lambdas; code
-  /// holding only a tcpip::Environment& still goes through the virtual.
+  /// Schedules `f` at now() + delay (delay clamped to >= 0). The callable
+  /// is constructed directly in its scheduler slot. Returns a token for
+  /// cancel(); tokens are never zero, so 0 can mean "nothing pending".
   template <class F>
-    requires(!std::is_same_v<std::remove_cvref_t<F>, tcpip::Callback>)
   std::uint64_t schedule(util::Duration delay, F&& f) {
     if (delay.is_negative()) delay = util::Duration::nanos(0);
     return emplace_event(now_ + delay, std::forward<F>(f));
   }
+
+  /// Schedules `f` at an absolute time (clamped to >= now()).
   template <class F>
-    requires(!std::is_same_v<std::remove_cvref_t<F>, tcpip::Callback>)
   std::uint64_t schedule_at(util::TimePoint at, F&& f) {
     return emplace_event(at, std::forward<F>(f));
   }
 
-  void cancel(std::uint64_t token) override;
+  /// Cancels a scheduled event; no-op if it already ran or was cancelled,
+  /// and for the "nothing pending" token 0.
+  void cancel(std::uint64_t token);
+
+  /// Allocates a packet uid, unique within this loop's world and never
+  /// zero. Uids tie sample packets to trace captures (ground truth), so
+  /// they number the world's own packets only: the same world draws the
+  /// same uids whatever thread runs it and whatever ran before.
+  std::uint64_t next_packet_uid() { return ++packet_uids_; }
 
   /// Runs every pending event (including ones scheduled while running).
   /// Returns the number of events executed.
@@ -129,8 +144,8 @@ class EventLoop final : public tcpip::Environment {
 
   /// (timestamp, seq_slot) as one 128-bit key: a single branch-friendly
   /// compare in the sift loops instead of two data-dependent ones.
-  /// Timestamps are never negative (push clamps to now() and the epoch is
-  /// 0), so the uint64 reinterpretation preserves order.
+  /// Timestamps are never negative (emplace_event clamps to now() and the
+  /// epoch is 0), so the uint64 reinterpretation preserves order.
   static unsigned __int128 key_of(const HeapEntry& e) {
     return (static_cast<unsigned __int128>(static_cast<std::uint64_t>(e.at_ns)) << 64) |
            e.seq_slot;
@@ -153,15 +168,14 @@ class EventLoop final : public tcpip::Environment {
     friend auto operator<=>(const Key&, const Key&) = default;
   };
 
-  std::uint64_t push(util::TimePoint at, tcpip::Callback&& fn);
+  /// Inserts into the reference map queue.
+  std::uint64_t push(util::TimePoint at, Callback&& fn);
   bool pop_and_run();
 
   template <class F>
   std::uint64_t emplace_event(util::TimePoint at, F&& f) {
-    if (policy_ == QueuePolicy::kReferenceMap) {
-      return push(at, tcpip::Callback{std::forward<F>(f)});
-    }
     if (at < now_) at = now_;
+    if (policy_ == QueuePolicy::kReferenceMap) return push(at, Callback{std::forward<F>(f)});
     const std::uint32_t slot = alloc_slot();
     fns_[slot].emplace(std::forward<F>(f));
     return arm_slot(at, slot);
@@ -189,12 +203,51 @@ class EventLoop final : public tcpip::Environment {
 
   std::vector<HeapEntry> heap_;
   std::vector<SlotMeta> meta_;
-  std::vector<tcpip::Callback> fns_;  ///< parallel to meta_
+  std::vector<Callback> fns_;  ///< parallel to meta_
   std::uint32_t free_head_{kNilSlot};
 
   std::uint64_t next_token_{1};
-  std::map<Key, std::pair<std::uint64_t, tcpip::Callback>> map_queue_;
+  std::map<Key, std::pair<std::uint64_t, Callback>> map_queue_;
   std::map<std::uint64_t, Key> by_token_;
+
+  std::uint64_t packet_uids_{0};
+};
+
+/// At most one pending event on an EventLoop — the one timer every
+/// protocol state machine, probe run and netsim stage holds its pending
+/// event in. arm() cancels the pending event, then schedules `fn`, so only
+/// the last armed callback ever runs; the timer disarms before `fn` runs,
+/// so `fn` may re-arm it. Destroying the timer cancels what it holds, so
+/// the loop must outlive it. The scheduled event captures the timer's
+/// address: a Timer never moves.
+class Timer {
+ public:
+  explicit Timer(EventLoop& loop) : loop_{&loop} {}
+  ~Timer() { cancel(); }
+
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+  /// `fn` is a template parameter, never a std::function, so a capture of
+  /// plain pointers stays trivially copyable inside the Callback.
+  template <class F>
+  void arm(util::Duration delay, F fn) {
+    cancel();
+    token_ = loop_->schedule(delay, [this, fn = std::move(fn)]() mutable {
+      token_ = 0;
+      fn();
+    });
+  }
+
+  void cancel() {
+    if (token_ != 0) loop_->cancel(std::exchange(token_, 0));
+  }
+
+  bool armed() const { return token_ != 0; }
+
+ private:
+  EventLoop* loop_;
+  std::uint64_t token_{0};  ///< 0 when nothing is pending
 };
 
 }  // namespace reorder::sim

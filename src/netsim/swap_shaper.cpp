@@ -5,15 +5,14 @@
 namespace reorder::sim {
 
 SwapShaper::SwapShaper(EventLoop& loop, SwapShaperConfig config, util::Rng rng)
-    : loop_{loop}, config_{config}, rng_{rng} {}
+    : config_{config}, rng_{rng}, hold_timer_{loop} {}
 
 void SwapShaper::accept(tcpip::Packet pkt) {
   ++packets_seen_;
   if (held_.has_value()) {
     // Successor arrived: emit it first, then the held packet — the pair is
     // exchanged. A held packet is never held twice.
-    loop_.cancel(hold_token_);
-    hold_token_ = 0;
+    hold_timer_.cancel();
     tcpip::Packet first = std::move(pkt);
     tcpip::Packet second = std::move(*held_);
     held_.reset();
@@ -24,7 +23,7 @@ void SwapShaper::accept(tcpip::Packet pkt) {
   }
   if (rng_.bernoulli(config_.swap_probability)) {
     held_ = std::move(pkt);
-    hold_token_ = loop_.schedule(config_.max_hold, [this] { release_held(); });
+    hold_timer_.arm(config_.max_hold, [this] { release_held(); });
     return;
   }
   emit(std::move(pkt));
@@ -33,7 +32,6 @@ void SwapShaper::accept(tcpip::Packet pkt) {
 void SwapShaper::release_held() {
   if (!held_.has_value()) return;
   ++holds_timed_out_;
-  hold_token_ = 0;
   tcpip::Packet p = std::move(*held_);
   held_.reset();
   emit(std::move(p));

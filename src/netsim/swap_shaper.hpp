@@ -42,11 +42,10 @@ class SwapShaper final : public Stage {
  private:
   void release_held();
 
-  EventLoop& loop_;
   SwapShaperConfig config_;
   util::Rng rng_;
   std::optional<tcpip::Packet> held_;
-  std::uint64_t hold_token_{0};
+  Timer hold_timer_;  ///< releases the held packet if no successor comes
   std::uint64_t swaps_completed_{0};
   std::uint64_t holds_timed_out_{0};
   std::uint64_t packets_seen_{0};

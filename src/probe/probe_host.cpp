@@ -2,14 +2,25 @@
 
 namespace reorder::probe {
 
-ProbeHost::ProbeHost(tcpip::Environment& env, RawSocket& socket, std::uint16_t first_ephemeral)
-    : env_{env}, socket_{socket}, first_ephemeral_{first_ephemeral} {
-  socket_.set_receive_handler([this](const tcpip::Packet& pkt) { on_receive(pkt); });
+ProbeHost::ProbeHost(sim::EventLoop& loop, tcpip::Ipv4Address address,
+                     std::uint16_t first_ephemeral)
+    : loop_{loop}, address_{address}, first_ephemeral_{first_ephemeral} {}
+
+void ProbeHost::send(tcpip::Packet pkt) {
+  if (pkt.uid == 0) pkt.uid = loop_.next_packet_uid();
+  pkt.first_sent = loop_.now();
+  if (transmit_) transmit_(std::move(pkt));
+}
+
+void ProbeHost::deliver(tcpip::Packet pkt) {
+  if (pkt.ip.dst != address_) return;
+  dispatch(pkt);
+  tcpip::recycle(std::move(pkt));
 }
 
 FlowAddr ProbeHost::make_flow(tcpip::Ipv4Address remote, std::uint16_t remote_port) {
   FlowAddr addr;
-  addr.local = socket_.local_address();
+  addr.local = address_;
   std::uint16_t& next_port = next_port_.try_emplace(remote, first_ephemeral_).first->second;
   addr.local_port = next_port++;
   if (next_port == 0) next_port = 40000;  // wrapped the ephemeral range
@@ -30,7 +41,7 @@ void ProbeHost::register_icmp(tcpip::Ipv4Address remote, Handler handler) {
 
 void ProbeHost::unregister_icmp(tcpip::Ipv4Address remote) { icmp_.erase(remote); }
 
-void ProbeHost::on_receive(const tcpip::Packet& pkt) {
+void ProbeHost::dispatch(const tcpip::Packet& pkt) {
   if (pkt.is_icmp()) {
     const auto it = icmp_.find(pkt.ip.src);
     if (it != icmp_.end()) {

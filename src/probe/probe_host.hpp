@@ -1,28 +1,45 @@
-// The measurement process on the probe machine: owns the raw socket,
-// allocates ephemeral ports, and demultiplexes incoming packets to
-// registered flows — the user-level equivalent of sting's packet filter.
+// The measurement process on the probe machine: sting's user-level packet
+// access, bound to the simulator. It sends and receives arbitrary TCP
+// segments without a kernel stack in the way, allocates ephemeral ports,
+// and demultiplexes incoming packets to registered flows — the user-level
+// equivalent of sting's packet filter.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 
+#include "netsim/event_loop.hpp"
 #include "probe/packet_factory.hpp"
-#include "probe/raw_socket.hpp"
-#include "tcpip/env.hpp"
 
 namespace reorder::probe {
 
 class ProbeHost {
  public:
-  ProbeHost(tcpip::Environment& env, RawSocket& socket, std::uint16_t first_ephemeral = 40000);
+  ProbeHost(sim::EventLoop& loop, tcpip::Ipv4Address address,
+            std::uint16_t first_ephemeral = 40000);
 
   ProbeHost(const ProbeHost&) = delete;
   ProbeHost& operator=(const ProbeHost&) = delete;
 
-  tcpip::Environment& env() { return env_; }
-  RawSocket& socket() { return socket_; }
-  tcpip::Ipv4Address address() const { return socket_.local_address(); }
+  sim::EventLoop& loop() { return loop_; }
+  tcpip::Ipv4Address address() const { return address_; }
+
+  /// Wires the probe's egress; every packet send() transmits flows here.
+  void set_transmit(std::function<void(tcpip::Packet)> transmit) {
+    transmit_ = std::move(transmit);
+  }
+
+  /// Transmits one crafted packet toward the network, stamping its send
+  /// time and, unless the caller pre-assigned one, a fresh uid
+  /// (measurement code records the uids of its sample packets for
+  /// ground-truth validation).
+  void send(tcpip::Packet pkt);
+
+  /// Network-side ingress: a packet arriving at the probe machine. One
+  /// addressed elsewhere is dropped; the rest reach their handler by const
+  /// ref and die here, their payload buffer going back to the pool.
+  void deliver(tcpip::Packet pkt);
 
   /// Builds a flow address toward `remote:port` on a fresh local port.
   /// Each remote has its own port sequence, so the ports a target's flows
@@ -46,13 +63,11 @@ class ProbeHost {
   /// Packets that match no registered flow (e.g. stray RSTs).
   Handler unmatched_handler;
 
-  void send(tcpip::Packet pkt) { socket_.send(std::move(pkt)); }
-
   std::size_t registered_flows() const { return flows_.size(); }
   std::size_t registered_icmp() const { return icmp_.size(); }
 
  private:
-  void on_receive(const tcpip::Packet& pkt);
+  void dispatch(const tcpip::Packet& pkt);
 
   struct FlowKey {
     std::uint32_t remote_addr;
@@ -64,8 +79,9 @@ class ProbeHost {
     return FlowKey{addr.remote.value(), addr.remote_port, addr.local_port};
   }
 
-  tcpip::Environment& env_;
-  RawSocket& socket_;
+  sim::EventLoop& loop_;
+  tcpip::Ipv4Address address_;
+  std::function<void(tcpip::Packet)> transmit_;
   std::uint16_t first_ephemeral_;
   std::map<tcpip::Ipv4Address, std::uint16_t> next_port_;  ///< per remote
   std::map<FlowKey, Handler> flows_;

@@ -1,7 +1,6 @@
 #include "probe/prober.hpp"
 
 #include "tcpip/seq.hpp"
-#include "util/logging.hpp"
 
 namespace reorder::probe {
 

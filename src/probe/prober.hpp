@@ -107,7 +107,7 @@ class ProbeConnection {
 
   std::function<void(bool)> connect_done_;
   std::function<void()> close_done_;
-  tcpip::Timer timer_{host_.env()};  ///< SYN retries, then the close timeout
+  sim::Timer timer_{host_.loop()};  ///< SYN retries, then the close timeout
   bool registered_{true};
 };
 

@@ -538,11 +538,9 @@ void SurveyService::stop() {
     checkpoint_thread_.join();
   }
   if (pool_) {
-    // Join BEFORE caching stats: a worker bumps its executed counter
-    // after the job returns, and drain() unblocks inside the job, so
-    // stats read pre-join can lag by the in-flight increment. The join
-    // runs outside the lock (a worker may be waiting on it); the retired
-    // pool is published under it, for snapshot() and scheduler_stats().
+    // The join runs outside the lock (a worker may be waiting on it); the
+    // retired pool is published under it, for snapshot() and
+    // scheduler_stats().
     pool_->shutdown();
     std::lock_guard lock{admission_mu_};
     final_workers_ = pool_->size();

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "util/buffer_pool.hpp"
-#include "util/logging.hpp"
 
 namespace reorder::tcpip {
 
@@ -17,8 +16,8 @@ std::vector<std::uint8_t> make_object(std::size_t size) {
   return out;
 }
 
-Host::Host(Environment& env, HostConfig config)
-    : env_{env},
+Host::Host(sim::EventLoop& loop, HostConfig config)
+    : loop_{loop},
       config_{std::move(config)},
       ipid_{make_ipid_generator(config_.ipid_policy, config_.seed * 7919 + 13,
                                 config_.ipid_initial)},
@@ -64,7 +63,7 @@ void Host::handle_icmp(const Packet& pkt) {
   if (!config_.respond_to_ping) return;
   if (!pkt.icmp.has_value() || pkt.icmp->type != IcmpType::kEchoRequest) return;
   if (config_.ping_rate_limit_per_sec > 0) {
-    const util::TimePoint now = env_.now();
+    const util::TimePoint now = loop_.now();
     if ((now - ping_window_start_) >= util::Duration::seconds(1)) {
       ping_window_start_ = now;
       ping_window_count_ = 0;
@@ -84,8 +83,8 @@ void Host::handle_icmp(const Packet& pkt) {
   // Echo semantics: the payload is reflected (into a recycled buffer).
   reply.payload = util::BufferPool::global().acquire(pkt.payload.size());
   reply.payload.assign(pkt.payload.begin(), pkt.payload.end());
-  reply.uid = env_.next_packet_uid();
-  reply.first_sent = env_.now();
+  reply.uid = loop_.next_packet_uid();
+  reply.first_sent = loop_.now();
   ++counters_.echo_replies;
   ++counters_.packets_out;
   if (transmit_) transmit_(reply);
@@ -97,7 +96,7 @@ void Host::accept_connection(const Packet& pkt) {
   // wraps mid-test (documented simulator simplification).
   const auto iss = static_cast<std::uint32_t>(rng_.below(1u << 30));
   auto ep = std::make_unique<TcpEndpoint>(
-      env_, config_.behavior, key, iss,
+      loop_, config_.behavior, key, iss,
       [this, key](TcpHeader h, std::vector<std::uint8_t> payload) {
         send_segment(key, h, std::move(payload));
       });
@@ -143,7 +142,7 @@ void Host::attach_app(TcpEndpoint& ep, const ListenerConfig& listener) {
 void Host::schedule_reap(const ConnKey& key) {
   // Destroying the endpoint inside one of its own callbacks would be a
   // use-after-free; defer to the next event-loop turn.
-  env_.schedule(util::Duration::nanos(0), [this, key] { endpoints_.erase(key); });
+  loop_.schedule(util::Duration::nanos(0), [this, key] { endpoints_.erase(key); });
 }
 
 void Host::send_segment(const ConnKey& key, TcpHeader header, std::vector<std::uint8_t> payload) {
@@ -155,8 +154,8 @@ void Host::send_segment(const ConnKey& key, TcpHeader header, std::vector<std::u
   pkt.ip.dont_fragment = config_.ipid_policy == IpidPolicy::kConstantZero;
   pkt.tcp = header;
   pkt.payload = std::move(payload);
-  pkt.uid = env_.next_packet_uid();
-  pkt.first_sent = env_.now();
+  pkt.uid = loop_.next_packet_uid();
+  pkt.first_sent = loop_.now();
   ++counters_.packets_out;
   if (transmit_) transmit_(std::move(pkt));
 }
@@ -179,8 +178,8 @@ void Host::send_rst_for(const Packet& pkt) {
     rst.tcp.seq = 0;
     rst.tcp.ack = pkt.tcp.seq + pkt.seq_len();
   }
-  rst.uid = env_.next_packet_uid();
-  rst.first_sent = env_.now();
+  rst.uid = loop_.next_packet_uid();
+  rst.first_sent = loop_.now();
   ++counters_.packets_out;
   if (transmit_) transmit_(std::move(rst));
 }

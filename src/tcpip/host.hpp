@@ -10,7 +10,7 @@
 #include <memory>
 #include <string>
 
-#include "tcpip/env.hpp"
+#include "netsim/event_loop.hpp"
 #include "tcpip/ipid.hpp"
 #include "tcpip/packet.hpp"
 #include "tcpip/tcp_endpoint.hpp"
@@ -69,7 +69,7 @@ struct HostCounters {
 
 class Host {
  public:
-  Host(Environment& env, HostConfig config);
+  Host(sim::EventLoop& loop, HostConfig config);
 
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
@@ -96,7 +96,7 @@ class Host {
   void send_rst_for(const Packet& pkt);
   void schedule_reap(const ConnKey& key);
 
-  Environment& env_;
+  sim::EventLoop& loop_;
   HostConfig config_;
   std::function<void(Packet)> transmit_;
   std::unique_ptr<IpidGenerator> ipid_;

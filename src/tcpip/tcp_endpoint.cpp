@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/buffer_pool.hpp"
-#include "util/logging.hpp"
 
 namespace reorder::tcpip {
 
@@ -38,16 +37,17 @@ std::uint16_t clamp_window(std::uint32_t w) {
 }
 }  // namespace
 
-TcpEndpoint::TcpEndpoint(Environment& env, TcpBehavior behavior, ConnKey key, std::uint32_t iss,
-                         SegmentSender sender)
-    : env_{env},
-      behavior_{behavior},
+TcpEndpoint::TcpEndpoint(sim::EventLoop& loop, TcpBehavior behavior, ConnKey key,
+                         std::uint32_t iss, SegmentSender sender)
+    : behavior_{behavior},
       key_{key},
       sender_{std::move(sender)},
       iss_{iss},
       snd_una_{iss},
       snd_nxt_{iss},
-      peer_mss_{behavior.default_mss} {}
+      peer_mss_{behavior.default_mss},
+      delack_timer_{loop},
+      rto_timer_{loop} {}
 
 TcpEndpoint::~TcpEndpoint() {
   for (auto& [seq, buf] : reassembly_) util::BufferPool::global().release(std::move(buf));
@@ -400,8 +400,6 @@ void TcpEndpoint::rto_fire() {
   if (snd_una_ == snd_nxt_ && state_ != TcpState::kSynRcvd) return;  // nothing outstanding
   ++retransmit_count_;
   if (retransmit_count_ > behavior_.max_retransmits) {
-    util::log_debug("endpoint %u: giving up after %d retransmits", key_.local_port,
-                    retransmit_count_ - 1);
     enter_closed();
     return;
   }

@@ -20,7 +20,7 @@
 #include <span>
 #include <vector>
 
-#include "tcpip/env.hpp"
+#include "netsim/event_loop.hpp"
 #include "tcpip/packet.hpp"
 #include "tcpip/seq.hpp"
 
@@ -100,7 +100,7 @@ class TcpEndpoint {
   /// Sends a finished TCP header + payload; the host wraps it in IP.
   using SegmentSender = std::function<void(TcpHeader, std::vector<std::uint8_t>)>;
 
-  TcpEndpoint(Environment& env, TcpBehavior behavior, ConnKey key, std::uint32_t iss,
+  TcpEndpoint(sim::EventLoop& loop, TcpBehavior behavior, ConnKey key, std::uint32_t iss,
               SegmentSender sender);
   ~TcpEndpoint();
 
@@ -163,7 +163,6 @@ class TcpEndpoint {
 
   void enter_closed();
 
-  Environment& env_;
   TcpBehavior behavior_;
   ConnKey key_;
   SegmentSender sender_;
@@ -190,10 +189,10 @@ class TcpEndpoint {
 
   // Delayed ACK machinery: an ACK is pending while its timer is armed.
   int unacked_in_order_{0};
-  Timer delack_timer_{env_};
+  sim::Timer delack_timer_;
 
   // Retransmission.
-  Timer rto_timer_{env_};
+  sim::Timer rto_timer_;
   util::Duration current_rto_{};
   int retransmit_count_{0};
 };

@@ -129,8 +129,11 @@ void WorkStealingPool::worker_loop(std::size_t index) {
     }
     std::packaged_task<void()> task;
     if (try_pop_own(self, task) || try_steal(index, task)) {
-      task();  // exceptions land in the packaged_task's future
+      // Counted when taken, before it runs: a job's own completion may
+      // wake a reader of stats() (a drain that unblocks inside the last
+      // job), which must already see the job.
       self.executed.fetch_add(1, std::memory_order_relaxed);
+      task();  // exceptions land in the packaged_task's future
       continue;
     }
     if (stopping_.load(std::memory_order_acquire)) {

@@ -47,9 +47,8 @@ class WorkStealingPool {
   ~WorkStealingPool();
 
   /// Drains and joins the workers now, idempotently. After shutdown()
-  /// returns, stats() reflects every job ever submitted — the counter lag
-  /// of a job whose future resolved before its worker bumped `executed`
-  /// is gone. submit() is no longer allowed.
+  /// returns, stats() reflects every job ever submitted. submit() is no
+  /// longer allowed.
   void shutdown();
 
   WorkStealingPool(const WorkStealingPool&) = delete;
@@ -70,6 +69,9 @@ class WorkStealingPool {
   /// per-worker vectors are indexed by worker.
   struct Stats {
     std::uint64_t submitted{0};
+    /// Jobs a worker took to run, counted before each runs: anything the
+    /// job signals on completion (its future, a drain it ends) already
+    /// sees it counted.
     std::uint64_t executed{0};
     /// Jobs a worker took from another worker's deque.
     std::uint64_t stolen{0};

@@ -1,5 +1,5 @@
 // Unit tests for the discrete-event loop: ordering, ties, cancellation,
-// bounded runs, and the tcpip::Timer protocol on top of it.
+// bounded runs, and the sim::Timer protocol on top of it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -347,7 +347,7 @@ TEST_P(TimerTest, ReArmingSupersedesThePendingCallback) {
   EventLoop loop{GetParam()};
   std::vector<std::uint64_t> seqs;
   loop.set_executed_hook([&seqs](TimePoint, std::uint64_t seq) { seqs.push_back(seq); });
-  tcpip::Timer timer{loop};
+  sim::Timer timer{loop};
   EXPECT_FALSE(timer.armed());
   std::vector<int> ran;
   timer.arm(Duration::millis(5), [&ran] { ran.push_back(1); });
@@ -366,7 +366,7 @@ TEST_P(TimerTest, ReArmingSupersedesThePendingCallback) {
 
 TEST_P(TimerTest, CancelStopsTheCallback) {
   EventLoop loop{GetParam()};
-  tcpip::Timer timer{loop};
+  sim::Timer timer{loop};
   bool ran = false;
   timer.arm(Duration::millis(1), [&ran] { ran = true; });
   timer.cancel();
@@ -382,7 +382,7 @@ TEST_P(TimerTest, DestructionStopsTheCallback) {
   EventLoop loop{GetParam()};
   bool ran = false;
   {
-    tcpip::Timer timer{loop};
+    sim::Timer timer{loop};
     timer.arm(Duration::millis(1), [&ran] { ran = true; });
     EXPECT_EQ(loop.pending(), 1u);
   }
@@ -393,11 +393,11 @@ TEST_P(TimerTest, DestructionStopsTheCallback) {
 
 TEST_P(TimerTest, CallbackMayReArmItsOwnTimer) {
   EventLoop loop{GetParam()};
-  tcpip::Timer timer{loop};
+  sim::Timer timer{loop};
   // armed() as each firing sees it, before and after re-arming.
   std::vector<std::pair<bool, bool>> seen;
   struct Tick {
-    tcpip::Timer* timer;
+    sim::Timer* timer;
     std::vector<std::pair<bool, bool>>* seen;
     void operator()() const {
       const bool before = timer->armed();

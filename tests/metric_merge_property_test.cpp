@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -257,6 +258,44 @@ TEST(MetricMergeProperty, StatsAccumulatorsMergeExactly) {
 
   stats::Histogram other{0.0, 5.0, 20};
   EXPECT_THROW(whole_hist.merge(other), std::invalid_argument);
+}
+
+// A sketch's record reads its p50, p90 and p99 from one cumulative pass;
+// each must be what quantile() reports alone.
+TEST(MetricMergeProperty, SketchTailQuantilesMatchQuantile) {
+  constexpr std::uint64_t kTop = std::numeric_limits<std::uint64_t>::max();
+  std::vector<metrics::TailSketch> sketches(5);  // [0] stays empty
+  sketches[1].add(7);
+  for (int k = 0; k < 64; ++k) {  // both sides of every power-of-two edge
+    const std::uint64_t edge = std::uint64_t{1} << k;
+    sketches[2].add(edge - 1);
+    sketches[2].add(edge);
+    sketches[2].add(edge + 1);
+  }
+  sketches[3].add(kTop);
+  for (int i = 0; i < 98; ++i) sketches[4].add(static_cast<std::uint64_t>(i % 3));
+  sketches[4].add(kTop);
+  sketches[4].add(kTop);
+  // Restored records whose count exceeds their buckets: every scan runs
+  // off the end and falls back to the last bucket (or bucket 0).
+  for (const char* text : {R"({"count":5,"min":40,"max":40,"sum":40,"buckets":[[36,1]]})",
+                           R"({"count":2,"min":0,"max":0,"sum":0,"buckets":[]})"}) {
+    sketches.emplace_back().from_json(*report::Json::parse(text));
+  }
+  util::Rng rng{4242};
+  for (int n = 0; n < 300; ++n) {
+    metrics::TailSketch& sketch = sketches.emplace_back();
+    const std::uint64_t size = 1 + rng.below(200);
+    for (std::uint64_t i = 0; i < size; ++i) sketch.add(rng.next() >> rng.below(64));
+  }
+
+  for (std::size_t i = 0; i < sketches.size(); ++i) {
+    const metrics::TailSketch& sketch = sketches[i];
+    const report::Json j = sketch.to_json();
+    EXPECT_EQ(j.at("p50").as_double(), static_cast<double>(sketch.quantile(0.50))) << i;
+    EXPECT_EQ(j.at("p90").as_double(), static_cast<double>(sketch.quantile(0.90))) << i;
+    EXPECT_EQ(j.at("p99").as_double(), static_cast<double>(sketch.quantile(0.99))) << i;
+  }
 }
 
 }  // namespace

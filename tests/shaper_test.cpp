@@ -1,10 +1,11 @@
-// Tests for the reordering processes: the dummynet-style SwapShaper and
-#include <cmath>
-// the striped multi-link model.
+// Tests for the reordering processes: the dummynet-style SwapShaper, the
+// interrupt coalescer's pending window and the striped multi-link model.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
+#include "netsim/coalescer.hpp"
 #include "netsim/event_loop.hpp"
 #include "netsim/striped_link.hpp"
 #include "netsim/swap_shaper.hpp"
@@ -92,6 +93,36 @@ TEST(SwapShaper, NeverHoldsTwoPackets) {
   loop.run();
   // p=1.0: (2,1), (4,3), (6,5) — strict pairwise exchange.
   EXPECT_EQ(cap.order, (std::vector<std::uint64_t>{2, 1, 4, 3, 6, 5}));
+}
+
+// A stage owns its pending event: destroying the stage cancels it, so the
+// loop never runs it on the destroyed stage.
+TEST(SwapShaper, DestroyingItCancelsTheHeldPacketsRelease) {
+  EventLoop loop;
+  Capture cap;
+  {
+    SwapShaper shaper{loop, SwapShaperConfig{1.0, Duration::millis(10)}, util::Rng{1}};
+    shaper.connect(cap.sink());
+    shaper.accept(make_packet(1));  // held: its release is pending
+    EXPECT_EQ(loop.pending(), 1u);
+  }
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_EQ(loop.run(), 0u);
+  EXPECT_TRUE(cap.order.empty());
+}
+
+TEST(InterruptCoalescer, DestroyingItCancelsTheOpenWindow) {
+  EventLoop loop;
+  Capture cap;
+  {
+    InterruptCoalescer coalescer{loop, InterruptCoalescerConfig{}, util::Rng{1}};
+    coalescer.connect(cap.sink());
+    coalescer.accept(make_packet(1));  // opens the window: its flush is pending
+    EXPECT_EQ(loop.pending(), 1u);
+  }
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_EQ(loop.run(), 0u);
+  EXPECT_TRUE(cap.order.empty());
 }
 
 TEST(SwapShaper, SetProbabilityAtRuntime) {

@@ -722,6 +722,20 @@ TEST(SurveyService, StopRetiresTheServiceButKeepsResultsReadable) {
   EXPECT_EQ(service.scheduler_stats().executed, 9u);
 }
 
+// drain() wakes inside the last job, as that job's completion lands: the
+// counters read right after it must already include that job.
+TEST(SurveyService, ADrainedServiceCountsEveryJobItRan) {
+  SurveyService service{service_config(1)};
+  for (std::uint64_t jobs = 1; jobs <= 20; ++jobs) {
+    core::SurveyTargetConfig target;
+    target.tests = {core::TestSpec{"syn"}};
+    service.admit(target);
+    service.drain();
+    EXPECT_EQ(service.snapshot().jobs_executed, jobs);
+    EXPECT_EQ(service.scheduler_stats().executed, jobs);
+  }
+}
+
 TEST(SurveyService, ChunkedEmissionMatchesTheReferenceOnThePoolAndAfterStop) {
   const Reference& ref = many_reference();
   const std::size_t targets = many_targets().size();
