@@ -16,6 +16,7 @@
 #include "bench_common.hpp"
 #include "ingest/parallel_pipeline.hpp"
 #include "ingest/pipeline.hpp"
+#include "core/survey_testbed.hpp"
 #include "core/test_registry.hpp"
 #include "core/testbed.hpp"
 #include "metrics/engine.hpp"
@@ -209,7 +210,7 @@ void BM_SwapShaperStream(benchmark::State& state) {
   shaper.connect([&](tcpip::Packet) { ++sink_count; });
   tcpip::Packet pkt;
   for (auto _ : state) {
-    shaper.accept(pkt);
+    shaper.accept(tcpip::Packet{pkt});
     if ((state.iterations() & 0xff) == 0) loop.run();
   }
   loop.run();
@@ -324,6 +325,36 @@ void BM_FullMeasurementSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 20);
 }
 BENCHMARK(BM_FullMeasurementSample)->Unit(benchmark::kMillisecond);
+
+// One survey_batch target, whole: perfbench's synthetic population (the
+// reordering half of it: a swap shaper each way), single-connection then
+// syn at 15 samples, one round — built, run and torn down as the survey
+// service runs each admitted target as its own world. Items are
+// measurements. The only row over the SYN test, world build and teardown.
+void BM_SurveyTargetWorld(benchmark::State& state) {
+  core::SurveyTargetConfig target;
+  target.name = "host-0";
+  target.forward.swap_probability = 0.08;
+  target.reverse.swap_probability = 0.03;
+  target.remote.behavior.immediate_ack_on_hole_fill = true;
+  target.tests = {core::TestSpec{"single-connection"}, core::TestSpec{"syn"}};
+  core::pin_global_identity(target, 0, 1);
+  core::TestRunConfig run;
+  run.samples = 15;
+  std::size_t measurements = 0;
+  for (auto _ : state) {
+    core::SurveyTestbedConfig world;
+    world.seed = 1;
+    world.targets.push_back(target);
+    core::SurveyTestbed bed{std::move(world)};
+    core::SurveyEngine engine{bed.loop()};
+    bed.populate(engine);
+    measurements += engine.run(run, /*rounds=*/1, util::Duration::seconds(1)).size();
+  }
+  benchmark::DoNotOptimize(measurements);
+  state.SetItemsProcessed(static_cast<std::int64_t>(measurements));
+}
+BENCHMARK(BM_SurveyTargetWorld);
 
 // Parallel fleet scaling: the survey service's admit-to-drain cycle over
 // a fixed 8-target fleet on {1, 2, 4} work-stealing workers, one world

@@ -1,5 +1,6 @@
 #include "core/single_connection_test.hpp"
 
+#include <algorithm>
 #include <array>
 
 #include "tcpip/seq.hpp"
@@ -311,6 +312,7 @@ void SingleConnectionTest::run(const TestRunConfig& config,
                                std::function<void(TestRunResult)> done) {
   run_ = std::make_unique<Run>(host_, options_, config, std::move(done));
   run_->result.test_name = name();
+  run_->result.samples.reserve(static_cast<std::size_t>(std::max(0, config.samples)));
   run_->start(target_, port_);
 }
 

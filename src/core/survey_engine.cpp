@@ -6,11 +6,15 @@
 
 namespace reorder::core {
 
+namespace {
+metrics::SuiteFactory suite_factory_of(const SurveyEngine::Options& options) {
+  return options.suite_factory ? options.suite_factory
+                               : metrics::SuiteFactory{&metrics::default_suite};
+}
+}  // namespace
+
 SurveyEngine::SurveyEngine(sim::EventLoop& loop, Options options)
-    : loop_{loop},
-      options_{std::move(options)},
-      metrics_{options_.suite_factory ? options_.suite_factory
-                                      : metrics::SuiteFactory{&metrics::default_suite}} {
+    : loop_{loop}, options_{std::move(options)}, metrics_{suite_factory_of(options_)} {
   sinks_.add(metrics_sink_);
 }
 
@@ -166,6 +170,13 @@ std::vector<Measurement> SurveyEngine::release_measurements() {
     throw std::logic_error{"SurveyEngine: cannot release the log while a survey is running"};
   }
   return std::exchange(measurements_, {});
+}
+
+metrics::MetricEngine SurveyEngine::release_metrics() {
+  if (running()) {
+    throw std::logic_error{"SurveyEngine: cannot release the metrics while a survey is running"};
+  }
+  return std::exchange(metrics_, metrics::MetricEngine{suite_factory_of(options_)});
 }
 
 const std::vector<Measurement>& SurveyEngine::run(const TestRunConfig& config, int rounds,

@@ -117,6 +117,11 @@ class SurveyEngine {
   /// survey is running.
   std::vector<Measurement> release_measurements();
 
+  /// Moves the metric engine out (an empty one takes its place), so a
+  /// finished world's metrics reach the merge without being copied. Must
+  /// not be called while a survey is running.
+  metrics::MetricEngine release_metrics();
+
  private:
   struct Target {
     explicit Target(sim::EventLoop& loop) : watchdog{loop} {}

@@ -82,7 +82,7 @@ SurveyTestbed::SurveyTestbed(SurveyTestbedConfig config)
     net->forward_handles = build_measurement_path(
         loop_, net->forward, target.forward, config.seed, *target.forward_path_tag,
         traces ? &traces->remote_ingress : nullptr, "remote-ingress");
-    net->forward.terminate([net = net.get()](tcpip::Packet pkt) {
+    net->forward.terminate([net = net.get()](tcpip::Packet&& pkt) {
       if (net->balancer) {
         net->balancer->receive(pkt);
       } else {
@@ -99,7 +99,7 @@ SurveyTestbed::SurveyTestbed(SurveyTestbedConfig config)
     net->reverse_handles = build_measurement_path(
         loop_, net->reverse, target.reverse, config.seed, *target.reverse_path_tag,
         traces ? &traces->probe_ingress : nullptr, "probe-ingress");
-    net->reverse.terminate([this](tcpip::Packet pkt) { probe_.deliver(std::move(pkt)); });
+    net->reverse.terminate([this](tcpip::Packet&& pkt) { probe_.deliver(std::move(pkt)); });
     const auto reverse_entry = net->reverse.entry();
     for (auto& host : net->hosts) host->set_transmit(reverse_entry);
 
@@ -110,10 +110,10 @@ SurveyTestbed::SurveyTestbed(SurveyTestbedConfig config)
     targets_.push_back(std::move(net));
   }
 
-  probe_.set_transmit([this](tcpip::Packet pkt) {
+  probe_.set_transmit([this](tcpip::Packet&& pkt) {
     const auto it = routes_.find(pkt.ip.dst.value());
     if (it == routes_.end()) return;  // destination unreachable: drop
-    it->second->forward.entry()(std::move(pkt));
+    it->second->forward.send(std::move(pkt));
   });
 }
 

@@ -1,5 +1,7 @@
 #include "core/syn_test.hpp"
 
+#include <algorithm>
+
 #include "probe/packet_factory.hpp"
 #include "tcpip/seq.hpp"
 
@@ -70,7 +72,10 @@ struct SynTest::Run {
   }
 
   void begin_sample() {
+    std::vector<Flow::Reply> replies = std::move(flow.replies);
     flow = Flow{};
+    replies.clear();
+    flow.replies = std::move(replies);  // keeps its capacity across samples
     flow.addr = host.make_flow(target, port);
     // Jitter the ISS per sample so remote stale state can never collide.
     flow.iss1 = options.iss + static_cast<std::uint32_t>(sample_index) * 131'072;
@@ -199,8 +204,10 @@ struct SynTest::Run {
   /// Completes the three-way handshake with whichever ISS the remote
   /// accepted, then FINs. The remote's discard service closes in turn; the
   /// flow's new handler acknowledges its FIN. After `close_linger` the
-  /// flow is torn down regardless. The close holds the host, the flow
-  /// address, its FIN's sequence number and the window, never the run.
+  /// flow is torn down regardless. The close holds the host, its FIN's
+  /// sequence number and the window, never the run; the handler reads
+  /// the flow's address off the FIN, so it fits std::function's local
+  /// buffer.
   void polite_close(const probe::FlowAddr& addr, const Flow::Reply* synack) {
     if (synack == nullptr) {
       host.unregister_flow(addr);
@@ -212,10 +219,11 @@ struct SynTest::Run {
     host.send(factory.ack(our_next, remote_next, options.advertised_window));
     host.send(factory.fin(our_next, remote_next, options.advertised_window));
     probe::ProbeHost* const h = &host;
-    host.register_flow(addr, [h, addr, our_next, window = options.advertised_window](
+    host.register_flow(addr, [h, our_next, window = options.advertised_window](
                                  const tcpip::Packet& pkt) {
       if (!pkt.tcp.is_fin()) return;
-      const probe::PacketFactory reply{addr};
+      const probe::PacketFactory reply{probe::FlowAddr{pkt.ip.dst, pkt.tcp.dst_port, pkt.ip.src,
+                                                       pkt.tcp.src_port}};
       const std::uint32_t fin_at = pkt.tcp.seq + static_cast<std::uint32_t>(pkt.payload.size());
       h->send(reply.ack(our_next + 1, fin_at + 1, window));
     });
@@ -236,6 +244,7 @@ struct SynTest::Run {
 void SynTest::run(const TestRunConfig& config, std::function<void(TestRunResult)> done) {
   run_ = std::make_unique<Run>(host_, target_, port_, options_, config, std::move(done));
   run_->result.test_name = name();
+  run_->result.samples.reserve(static_cast<std::size_t>(std::max(0, config.samples)));
   run_->next_sample();
 }
 

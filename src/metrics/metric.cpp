@@ -40,7 +40,10 @@ void MetricSuite::observe_arrival(std::uint32_t send_index) {
   for (auto& m : metrics_) m->observe_arrival(send_index);
 }
 
-void MetricSuite::observe_arrivals(const std::uint32_t* send_indices, std::size_t count) {
+// Cache-line aligned, like every batch entry point of the ingest path, so
+// its speed does not move with the size of unrelated code linked before it.
+[[gnu::aligned(64)]] void MetricSuite::observe_arrivals(const std::uint32_t* send_indices,
+                                                      std::size_t count) {
   for (auto& m : metrics_) m->observe_arrivals(send_indices, count);
 }
 

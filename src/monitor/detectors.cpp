@@ -30,7 +30,10 @@ bool DetectorSuite::observe_arrival(std::uint32_t send_index) {
   return flagged;
 }
 
-void DetectorSuite::observe_arrivals(const std::uint32_t* send_indices, std::size_t count) {
+// Cache-line aligned, like every batch entry point of the ingest path, so
+// its speed does not move with the size of unrelated code linked before it.
+[[gnu::aligned(64)]] void DetectorSuite::observe_arrivals(const std::uint32_t* send_indices,
+                                                        std::size_t count) {
   for (auto& d : detectors_) d->observe_arrivals(send_indices, count);
 }
 

@@ -12,7 +12,7 @@ InterruptCoalescer::InterruptCoalescer(EventLoop& loop, InterruptCoalescerConfig
   held_.reserve(config_.max_frames);
 }
 
-void InterruptCoalescer::accept(tcpip::Packet pkt) {
+void InterruptCoalescer::accept(tcpip::Packet&& pkt) {
   ++frames_seen_;
   held_.push_back(std::move(pkt));
   if (held_.size() >= config_.max_frames) {

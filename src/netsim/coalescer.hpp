@@ -33,7 +33,7 @@ class InterruptCoalescer final : public Stage {
  public:
   InterruptCoalescer(EventLoop& loop, InterruptCoalescerConfig config, util::Rng rng);
 
-  void accept(tcpip::Packet pkt) override;
+  void accept(tcpip::Packet&& pkt) override;
   std::string name() const override { return "interrupt-coalescer"; }
 
   std::uint64_t frames_seen() const { return frames_seen_; }

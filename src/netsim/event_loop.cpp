@@ -5,6 +5,12 @@
 
 namespace reorder::sim {
 
+EventLoop::EventLoop(QueuePolicy policy) : policy_{policy} {
+  if (policy_ != QueuePolicy::kIndexedHeap) return;
+  heap_.reserve(kSlotsPerBlock);
+  meta_.reserve(kSlotsPerBlock);
+}
+
 // --- indexed-heap internals ------------------------------------------------
 
 std::uint32_t EventLoop::alloc_slot() {
@@ -13,72 +19,64 @@ std::uint32_t EventLoop::alloc_slot() {
     free_head_ = meta_[index].next_free;
     return index;
   }
+  const auto index = static_cast<std::uint32_t>(meta_.size());
+  if (index % kSlotsPerBlock == 0) {
+    fn_blocks_.push_back(std::make_unique<Callback[]>(kSlotsPerBlock));
+  }
   meta_.emplace_back();
-  fns_.emplace_back();
-  return static_cast<std::uint32_t>(meta_.size() - 1);
+  return index;
 }
 
 void EventLoop::free_slot(std::uint32_t index) {
-  fns_[index].reset();
+  fn_at(index).reset();
   SlotMeta& meta = meta_[index];
-  meta.live_seq = 0;  // invalidates any heap entry still pointing here
+  meta.live_seq = 0;  // invalidates every token naming this slot
   meta.next_free = free_head_;
   free_head_ = index;
 }
 
-// Both sift directions move a hole instead of swapping entries: one store
-// per level rather than three.
-void EventLoop::heap_push(HeapEntry entry) {
-  heap_.push_back(entry);  // grows storage; the value is overwritten below
-  std::size_t hole = heap_.size() - 1;
-  while (hole > 0) {
-    const std::size_t parent = (hole - 1) / 4;
-    if (!entry_less(entry, heap_[parent])) break;
-    heap_[hole] = heap_[parent];
-    hole = parent;
-  }
-  heap_[hole] = entry;
-}
-
-EventLoop::HeapEntry EventLoop::heap_pop_top() {
-  const HeapEntry top = heap_.front();
-  const HeapEntry last = heap_.back();
-  heap_.pop_back();
+// Walks the hole down to a leaf along min-children without comparing
+// against `entry` (a re-placed tail entry is near-maximal, so the textbook
+// per-level comparison almost never terminates early), then bubbles
+// `entry` up from there — usually zero or one step. Both directions move
+// the hole instead of swapping entries: one store per level rather than
+// three, plus the moved slot's heap_pos.
+void EventLoop::heap_place(std::size_t hole, HeapEntry entry) {
+  HeapEntry* const heap = heap_.data();
+  SlotMeta* const meta = meta_.data();
   const std::size_t n = heap_.size();
-  if (n == 0) return top;
-  // Bottom-up sift: walk the hole to a leaf along min-children without
-  // comparing against `last` (the tail entry is near-maximal, so the
-  // textbook per-level comparison almost never terminates early), then
-  // bubble `last` up from the leaf — usually zero or one step.
-  std::size_t hole = 0;
+  const auto fill = [heap, meta](std::size_t at, const HeapEntry& e) {
+    heap[at] = e;
+    meta[e.seq_slot & kSlotMask].heap_pos = static_cast<std::uint32_t>(at);
+  };
   for (;;) {
     const std::size_t first_child = 4 * hole + 1;
     if (first_child >= n) break;
     std::size_t best = first_child;
+    auto best_key = key_of(heap[first_child]);
     const std::size_t last_child = std::min(first_child + 4, n);
     for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (entry_less(heap_[c], heap_[best])) best = c;
+      const auto key = key_of(heap[c]);
+      best = key < best_key ? c : best;
+      best_key = key < best_key ? key : best_key;
     }
-    heap_[hole] = heap_[best];
+    fill(hole, heap[best]);
     hole = best;
   }
-  const auto key = key_of(last);
+  const auto key = key_of(entry);
   while (hole > 0) {
     const std::size_t parent = (hole - 1) / 4;
-    if (key_of(heap_[parent]) <= key) break;
-    heap_[hole] = heap_[parent];
+    if (key_of(heap[parent]) <= key) break;
+    fill(hole, heap[parent]);
     hole = parent;
   }
-  heap_[hole] = last;
-  return top;
+  fill(hole, entry);
 }
 
-void EventLoop::purge_top() {
-  while (!heap_.empty() &&
-         meta_[heap_.front().seq_slot & kSlotMask].live_seq !=
-             (heap_.front().seq_slot >> kSlotBits)) {
-    heap_pop_top();
-  }
+void EventLoop::heap_erase(std::size_t pos) {
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) heap_place(pos, last);
 }
 
 // --- scheduling ------------------------------------------------------------
@@ -101,14 +99,9 @@ void EventLoop::cancel(std::uint64_t token) {
     --live_;
     return;
   }
+  if (!pending_slot(token)) return;
   const auto slot = static_cast<std::uint32_t>(token & kSlotMask);
-  const std::uint64_t seq = token >> kSlotBits;
-  // seq 0 never names an event (free slots hold live_seq == 0, and real
-  // seqs start at 1) — without this guard, cancelling the "no timer
-  // armed" sentinel 0 would double-free slot 0.
-  if (seq == 0 || slot >= meta_.size() || meta_[slot].live_seq != seq) return;
-  // Lazy cancellation: release the capture and retire the slot now; the
-  // heap entry goes stale (live_seq mismatch) and is skipped on pop.
+  heap_erase(meta_[slot].heap_pos);
   free_slot(slot);
   --live_;
 }
@@ -128,21 +121,20 @@ bool EventLoop::pop_and_run() {
     fn();
     return true;
   }
-  for (;;) {
-    if (heap_.empty()) return false;
-    const HeapEntry top = heap_pop_top();
-    const auto slot = static_cast<std::uint32_t>(top.seq_slot & kSlotMask);
-    const std::uint64_t seq = top.seq_slot >> kSlotBits;
-    if (meta_[slot].live_seq != seq) continue;  // lazily cancelled
-    now_ = util::TimePoint::from_ns(top.at_ns);
-    Callback fn = std::move(fns_[slot]);
-    free_slot(slot);
-    --live_;
-    ++executed_;
-    if (hook_) hook_(now_, seq);
-    fn();
-    return true;
-  }
+  if (heap_.empty()) return false;
+  const HeapEntry top = heap_.front();
+  heap_erase(0);
+  const auto slot = static_cast<std::uint32_t>(top.seq_slot & kSlotMask);
+  now_ = util::TimePoint::from_ns(top.at_ns);
+  // No longer pending (a cancel of its token is a no-op), but the slot is
+  // freed only once the callback, which runs in place, returns.
+  meta_[slot].live_seq = 0;
+  --live_;
+  ++executed_;
+  if (hook_) hook_(now_, top.seq_slot >> kSlotBits);
+  fn_at(slot)();
+  free_slot(slot);
+  return true;
 }
 
 std::uint64_t EventLoop::run() {
@@ -153,49 +145,12 @@ std::uint64_t EventLoop::run() {
 
 std::uint64_t EventLoop::run_until(util::TimePoint deadline) {
   std::uint64_t n = 0;
-  for (;;) {
-    std::int64_t next_at;
-    if (policy_ == QueuePolicy::kReferenceMap) {
-      if (map_queue_.empty()) break;
-      next_at = map_queue_.begin()->first.at_ns;
-    } else {
-      purge_top();
-      if (heap_.empty()) break;
-      next_at = heap_.front().at_ns;
-    }
-    if (next_at > deadline.ns()) break;
+  std::int64_t at = 0;
+  while (next_at(at) && at <= deadline.ns()) {
     if (pop_and_run()) ++n;
   }
   if (now_ < deadline) now_ = deadline;
   return n;
-}
-
-bool EventLoop::run_while(util::TimePoint deadline, const std::function<bool()>& keep_going) {
-  while (keep_going()) {
-    std::int64_t next_at;
-    if (policy_ == QueuePolicy::kReferenceMap) {
-      if (map_queue_.empty()) {
-        // Queue drained before the deadline: the clock still advances to
-        // the deadline, exactly as run_until's would.
-        if (now_ < deadline) now_ = deadline;
-        return false;
-      }
-      next_at = map_queue_.begin()->first.at_ns;
-    } else {
-      purge_top();
-      if (heap_.empty()) {
-        if (now_ < deadline) now_ = deadline;
-        return false;
-      }
-      next_at = heap_.front().at_ns;
-    }
-    if (next_at > deadline.ns()) {
-      now_ = deadline;
-      return false;
-    }
-    pop_and_run();
-  }
-  return true;
 }
 
 }  // namespace reorder::sim

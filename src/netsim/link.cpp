@@ -13,35 +13,45 @@ util::Duration LinkStage::serialization_time(std::size_t bytes) const {
   return util::Duration::from_seconds_f(seconds);
 }
 
-void LinkStage::accept(tcpip::Packet pkt) {
-  if (in_queue_ >= params_.queue_limit_packets) {
+util::Duration LinkStage::serialization_of(std::size_t bytes) {
+  SerializationMemo& memo = memo_[bytes % memo_.size()];
+  if (memo.bytes != bytes) memo = SerializationMemo{bytes, serialization_time(bytes)};
+  return memo.time;
+}
+
+void LinkStage::accept(tcpip::Packet&& pkt) {
+  if (in_flight_.size() >= params_.queue_limit_packets) {
     ++dropped_;
     return;
   }
   const util::TimePoint now = loop_.now();
-  const util::Duration ser = serialization_time(pkt.wire_size());
+  const util::Duration ser = serialization_of(pkt.wire_size());
   const util::TimePoint start = busy_until_ > now ? busy_until_ : now;
-  const util::TimePoint done = start + ser;
-  busy_until_ = done;
-  ++in_queue_;
-  const util::TimePoint arrive = done + params_.propagation;
-  loop_.schedule_at(arrive, [this, p = std::move(pkt)]() mutable {
-    --in_queue_;
-    ++forwarded_;
-    emit(std::move(p));
+  busy_until_ = start + ser;
+  in_flight_.push(std::move(pkt));
+  loop_.schedule_at(busy_until_ + params_.propagation, [this] { deliver(); });
+}
+
+void LinkStage::deliver() {
+  ++forwarded_;
+  emit(std::move(in_flight_.front()));
+  in_flight_.pop();
+}
+
+void DelayStage::accept(tcpip::Packet&& pkt) {
+  in_flight_.push(std::move(pkt));
+  loop_.schedule(delay_, [this] {
+    emit(std::move(in_flight_.front()));
+    in_flight_.pop();
   });
 }
 
-void DelayStage::accept(tcpip::Packet pkt) {
-  loop_.schedule(delay_, [this, p = std::move(pkt)]() mutable { emit(std::move(p)); });
-}
-
-void JitterStage::accept(tcpip::Packet pkt) {
+void JitterStage::accept(tcpip::Packet&& pkt) {
   const auto extra = util::Duration::nanos(rng_.between(lo_.ns(), hi_.ns()));
   loop_.schedule(extra, [this, p = std::move(pkt)]() mutable { emit(std::move(p)); });
 }
 
-void LossStage::accept(tcpip::Packet pkt) {
+void LossStage::accept(tcpip::Packet&& pkt) {
   if (rng_.bernoulli(p_)) {
     ++dropped_;
     return;

@@ -2,6 +2,7 @@
 // drop-tail queue), a fixed delay, uniform jitter, and Bernoulli loss.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "netsim/event_loop.hpp"
@@ -23,11 +24,16 @@ struct LinkParams {
 /// FIFO store-and-forward link. Never reorders; contributes serialization
 /// delay (the effect behind the paper's §IV-C observation that 1500-byte
 /// data packets see less reordering than 40-byte probe packets).
+///
+/// A link delivers in accept order: its busy time never falls, its
+/// propagation is constant, and the loop breaks time ties by seq. So it
+/// holds its in-flight packets itself, and each delivery event captures
+/// only the link and takes the oldest.
 class LinkStage final : public Stage {
  public:
   LinkStage(EventLoop& loop, LinkParams params);
 
-  void accept(tcpip::Packet pkt) override;
+  void accept(tcpip::Packet&& pkt) override;
   std::string name() const override { return "link"; }
 
   /// Serialization time for `bytes` at this link's bandwidth.
@@ -37,24 +43,37 @@ class LinkStage final : public Stage {
   std::uint64_t dropped() const { return dropped_; }
 
  private:
+  void deliver();
+  /// serialization_time(bytes), memoized per wire size: a flow's packets
+  /// come in a handful of sizes.
+  util::Duration serialization_of(std::size_t bytes);
+
+  struct SerializationMemo {
+    std::size_t bytes{0};
+    util::Duration time{};
+  };
+
   EventLoop& loop_;
   LinkParams params_;
   util::TimePoint busy_until_;
-  std::size_t in_queue_{0};
+  PacketFifo in_flight_;
   std::uint64_t forwarded_{0};
   std::uint64_t dropped_{0};
+  std::array<SerializationMemo, 8> memo_{};  ///< indexed by bytes % 8
 };
 
-/// Adds a constant delay; order-preserving.
+/// Adds a constant delay; order-preserving, so, like LinkStage, it holds
+/// its in-flight packets itself.
 class DelayStage final : public Stage {
  public:
   DelayStage(EventLoop& loop, util::Duration delay) : loop_{loop}, delay_{delay} {}
-  void accept(tcpip::Packet pkt) override;
+  void accept(tcpip::Packet&& pkt) override;
   std::string name() const override { return "delay"; }
 
  private:
   EventLoop& loop_;
   util::Duration delay_;
+  PacketFifo in_flight_;
 };
 
 /// Adds an independent uniform random delay in [lo, hi] per packet. This is
@@ -64,7 +83,7 @@ class JitterStage final : public Stage {
  public:
   JitterStage(EventLoop& loop, util::Duration lo, util::Duration hi, util::Rng rng)
       : loop_{loop}, lo_{lo}, hi_{hi}, rng_{rng} {}
-  void accept(tcpip::Packet pkt) override;
+  void accept(tcpip::Packet&& pkt) override;
   std::string name() const override { return "jitter"; }
 
  private:
@@ -78,7 +97,7 @@ class JitterStage final : public Stage {
 class LossStage final : public Stage {
  public:
   LossStage(double p, util::Rng rng) : p_{p}, rng_{rng} {}
-  void accept(tcpip::Packet pkt) override;
+  void accept(tcpip::Packet&& pkt) override;
   std::string name() const override { return "loss"; }
 
   std::uint64_t dropped() const { return dropped_; }

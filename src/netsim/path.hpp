@@ -12,7 +12,7 @@
 namespace reorder::sim {
 
 /// Owns an ordered chain of stages. Build with emplace<T>(...), then call
-/// terminate() with the destination's sink; entry() injects packets.
+/// terminate() with the destination's sink; send() injects packets.
 class Path {
  public:
   Path() = default;
@@ -26,30 +26,30 @@ class Path {
   T& emplace(Args&&... args) {
     auto stage = std::make_unique<T>(std::forward<Args>(args)...);
     T& ref = *stage;
-    if (!stages_.empty()) {
-      Stage* prev = stages_.back().get();
-      prev->connect([&ref](tcpip::Packet pkt) { ref.accept(std::move(pkt)); });
-    }
+    if (!stages_.empty()) stages_.back()->connect(ref);
     stages_.push_back(std::move(stage));
     return ref;
   }
 
   /// Connects the last stage to the destination. With no stages the path
-  /// is a wire: entry() forwards straight to the terminal sink.
+  /// is a wire: send() forwards straight to the terminal sink.
   void terminate(PacketSink sink) {
     terminal_ = std::move(sink);
     if (!stages_.empty()) stages_.back()->connect(terminal_);
   }
 
-  /// The sink feeding this path's first element.
-  PacketSink entry() {
-    if (stages_.empty()) {
-      return [this](tcpip::Packet pkt) {
-        if (terminal_) terminal_(std::move(pkt));
-      };
+  /// Injects one packet into this path's first element.
+  void send(tcpip::Packet&& pkt) {
+    if (!stages_.empty()) {
+      stages_.front()->accept(std::move(pkt));
+    } else if (terminal_) {
+      terminal_(std::move(pkt));
     }
-    Stage* first = stages_.front().get();
-    return [first](tcpip::Packet pkt) { first->accept(std::move(pkt)); };
+  }
+
+  /// A sink that send()s into this path, which must outlive it.
+  PacketSink entry() {
+    return [this](tcpip::Packet&& pkt) { send(std::move(pkt)); };
   }
 
   std::size_t stage_count() const { return stages_.size(); }

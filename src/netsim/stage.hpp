@@ -3,6 +3,7 @@
 // flow through it. All reordering processes in the simulator are stages.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -14,7 +15,7 @@
 namespace reorder::sim {
 
 /// Downstream consumer of packets.
-using PacketSink = std::function<void(tcpip::Packet)>;
+using PacketSink = std::function<void(tcpip::Packet&&)>;
 
 /// Base class for path elements. Stages are connected in a fixed order at
 /// topology-build time and are not thread-safe (the simulator is
@@ -24,11 +25,23 @@ class Stage {
   virtual ~Stage() = default;
 
   /// Ingests one packet. Implementations either emit() it (possibly later
-  /// via the event loop) or drop it.
-  virtual void accept(tcpip::Packet pkt) = 0;
+  /// via the event loop) or drop it. Taken by rvalue reference, so a
+  /// packet crossing a chain of stages is moved once per stage that keeps
+  /// it, not once per call.
+  virtual void accept(tcpip::Packet&& pkt) = 0;
 
-  /// Wires the downstream sink; must be called before traffic flows.
-  void connect(PacketSink next) { next_ = std::move(next); }
+  /// Wires a terminal sink downstream; must be called before traffic
+  /// flows.
+  void connect(PacketSink next) {
+    next_stage_ = nullptr;
+    next_ = std::move(next);
+  }
+
+  /// Wires the next stage of a chain: emit() calls its accept() directly.
+  void connect(Stage& next) {
+    next_stage_ = &next;
+    next_ = nullptr;
+  }
 
   /// Diagnostic name for topology dumps.
   virtual std::string name() const = 0;
@@ -36,12 +49,80 @@ class Stage {
  protected:
   /// Forwards a packet downstream. No-op when unconnected (topology under
   /// construction), which keeps partially built paths safe.
-  void emit(tcpip::Packet pkt) {
-    if (next_) next_(std::move(pkt));
+  void emit(tcpip::Packet&& pkt) {
+    if (next_stage_ != nullptr) {
+      next_stage_->accept(std::move(pkt));
+    } else if (next_) {
+      next_(std::move(pkt));
+    }
   }
 
  private:
+  Stage* next_stage_{nullptr};
   PacketSink next_;
+};
+
+/// Packets in flight through a stage that delivers them in accept order:
+/// a singly linked queue over nodes that never move, allocated four at a
+/// time. A popped node goes on a free list for the next push, so a steady
+/// flow allocates nothing once the stage has held its most packets at once.
+class PacketFifo {
+ public:
+  PacketFifo() = default;
+  PacketFifo(const PacketFifo&) = delete;
+  PacketFifo& operator=(const PacketFifo&) = delete;
+  /// Frees the chunks one by one: however long the list, no recursion.
+  ~PacketFifo() {
+    while (chunks_ != nullptr) chunks_ = std::move(chunks_->older);
+  }
+
+  std::size_t size() const { return size_; }
+
+  void push(tcpip::Packet&& pkt) {
+    if (free_ == nullptr) add_chunk();
+    Node* node = std::exchange(free_, free_->next);
+    node->pkt = std::move(pkt);
+    node->next = nullptr;
+    (tail_ != nullptr ? tail_->next : head_) = node;
+    tail_ = node;
+    ++size_;
+  }
+
+  /// The oldest packet; the FIFO must not be empty. It stays in its node
+  /// until pop(), so a stage emits it from there: a push meanwhile (the
+  /// stage's downstream sending straight back into the stage) takes
+  /// another node.
+  tcpip::Packet& front() { return head_->pkt; }
+
+  void pop() {
+    Node* node = std::exchange(head_, head_->next);
+    if (head_ == nullptr) tail_ = nullptr;
+    node->next = std::exchange(free_, node);
+    --size_;
+  }
+
+ private:
+  struct Node {
+    tcpip::Packet pkt;
+    Node* next{nullptr};
+  };
+  struct Chunk {
+    std::array<Node, 4> nodes;
+    std::unique_ptr<Chunk> older;
+  };
+
+  void add_chunk() {
+    auto chunk = std::make_unique<Chunk>();
+    for (Node& node : chunk->nodes) node.next = std::exchange(free_, &node);
+    chunk->older = std::move(chunks_);
+    chunks_ = std::move(chunk);
+  }
+
+  std::unique_ptr<Chunk> chunks_;  ///< owns every node, newest first
+  Node* head_{nullptr};
+  Node* tail_{nullptr};
+  Node* free_{nullptr};
+  std::size_t size_{0};
 };
 
 }  // namespace reorder::sim

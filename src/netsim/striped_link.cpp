@@ -7,7 +7,7 @@ namespace reorder::sim {
 StripedLink::StripedLink(EventLoop& loop, StripedLinkConfig config, util::Rng rng)
     : loop_{loop}, config_{config}, rng_{rng}, lane_busy_until_(config.lanes) {}
 
-void StripedLink::accept(tcpip::Packet pkt) {
+void StripedLink::accept(tcpip::Packet&& pkt) {
   const std::size_t lane = next_lane_;
   next_lane_ = (next_lane_ + 1) % config_.lanes;
 

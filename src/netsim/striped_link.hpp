@@ -46,7 +46,7 @@ class StripedLink final : public Stage {
  public:
   StripedLink(EventLoop& loop, StripedLinkConfig config, util::Rng rng);
 
-  void accept(tcpip::Packet pkt) override;
+  void accept(tcpip::Packet&& pkt) override;
   std::string name() const override { return "striped-link"; }
 
   std::uint64_t forwarded() const { return forwarded_; }

@@ -7,7 +7,7 @@ namespace reorder::sim {
 SwapShaper::SwapShaper(EventLoop& loop, SwapShaperConfig config, util::Rng rng)
     : config_{config}, rng_{rng}, hold_timer_{loop} {}
 
-void SwapShaper::accept(tcpip::Packet pkt) {
+void SwapShaper::accept(tcpip::Packet&& pkt) {
   ++packets_seen_;
   if (held_.has_value()) {
     // Successor arrived: emit it first, then the held packet — the pair is

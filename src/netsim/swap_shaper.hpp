@@ -27,7 +27,7 @@ class SwapShaper final : public Stage {
  public:
   SwapShaper(EventLoop& loop, SwapShaperConfig config, util::Rng rng);
 
-  void accept(tcpip::Packet pkt) override;
+  void accept(tcpip::Packet&& pkt) override;
   std::string name() const override { return "swap-shaper"; }
 
   /// Changes the swap probability on the fly (used by the time-varying

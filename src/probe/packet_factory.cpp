@@ -1,5 +1,7 @@
 #include "probe/packet_factory.hpp"
 
+#include "util/buffer_pool.hpp"
+
 namespace reorder::probe {
 
 tcpip::Packet PacketFactory::base() const {
@@ -40,6 +42,7 @@ tcpip::Packet PacketFactory::data(std::uint32_t seq, std::uint32_t ack, std::uin
   pkt.tcp.seq = seq;
   pkt.tcp.ack = ack;
   pkt.tcp.window = window;
+  pkt.payload = util::BufferPool::global().acquire(payload.size());
   pkt.payload.assign(payload.begin(), payload.end());
   return pkt;
 }

@@ -12,7 +12,7 @@ void ProbeHost::send(tcpip::Packet pkt) {
   if (transmit_) transmit_(std::move(pkt));
 }
 
-void ProbeHost::deliver(tcpip::Packet pkt) {
+void ProbeHost::deliver(tcpip::Packet&& pkt) {
   if (pkt.ip.dst != address_) return;
   dispatch(pkt);
   tcpip::recycle(std::move(pkt));
@@ -30,36 +30,84 @@ FlowAddr ProbeHost::make_flow(tcpip::Ipv4Address remote, std::uint16_t remote_po
 }
 
 void ProbeHost::register_flow(const FlowAddr& addr, Handler handler) {
-  flows_[key_of(addr)] = std::move(handler);
+  flows_.set(key_of(addr), std::move(handler), dispatching_ > 0);
 }
 
-void ProbeHost::unregister_flow(const FlowAddr& addr) { flows_.erase(key_of(addr)); }
+void ProbeHost::unregister_flow(const FlowAddr& addr) {
+  flows_.remove(key_of(addr), dispatching_ > 0);
+}
 
 void ProbeHost::register_icmp(tcpip::Ipv4Address remote, Handler handler) {
-  icmp_[remote] = std::move(handler);
+  icmp_.set(remote, std::move(handler), dispatching_ > 0);
 }
 
-void ProbeHost::unregister_icmp(tcpip::Ipv4Address remote) { icmp_.erase(remote); }
+void ProbeHost::unregister_icmp(tcpip::Ipv4Address remote) {
+  icmp_.remove(remote, dispatching_ > 0);
+}
 
 void ProbeHost::dispatch(const tcpip::Packet& pkt) {
+  ++dispatching_;
   if (pkt.is_icmp()) {
-    const auto it = icmp_.find(pkt.ip.src);
-    if (it != icmp_.end()) {
-      // Copy the handler: it may unregister (and destroy) itself mid-call.
-      auto handler = it->second;
-      handler(pkt);
+    const auto it = icmp_.live.find(pkt.ip.src);
+    if (it != icmp_.live.end()) it->second(pkt);
+  } else {
+    const FlowKey key{pkt.ip.src.value(), pkt.tcp.src_port, pkt.tcp.dst_port};
+    const auto it = flows_.live.find(key);
+    if (it != flows_.live.end()) {
+      it->second(pkt);
+    } else if (unmatched_handler) {
+      unmatched_handler(pkt);
     }
+  }
+  if (--dispatching_ == 0) {
+    flows_.release_retired();
+    icmp_.release_retired();
+  }
+}
+
+template <class Key>
+void ProbeHost::HandlerTable<Key>::set(const Key& key, Handler handler, bool dispatching) {
+  const auto it = live.find(key);
+  if (it != live.end() && !dispatching) {
+    it->second = std::move(handler);
     return;
   }
-  const FlowKey key{pkt.ip.src.value(), pkt.tcp.src_port, pkt.tcp.dst_port};
-  const auto it = flows_.find(key);
-  if (it != flows_.end()) {
-    // Copy the handler: it may unregister (and destroy) itself mid-call.
-    auto handler = it->second;
-    handler(pkt);
+  if (it != live.end()) take_out(it, /*dispatching=*/true);
+  if (spare.empty()) {
+    live.emplace(key, std::move(handler));
     return;
   }
-  if (unmatched_handler) unmatched_handler(pkt);
+  typename Map::node_type node = std::move(spare.back());
+  spare.pop_back();
+  node.key() = key;
+  node.mapped() = std::move(handler);
+  live.insert(std::move(node));
+}
+
+template <class Key>
+void ProbeHost::HandlerTable<Key>::remove(const Key& key, bool dispatching) {
+  const auto it = live.find(key);
+  if (it != live.end()) take_out(it, dispatching);
+}
+
+template <class Key>
+void ProbeHost::HandlerTable<Key>::take_out(typename Map::iterator it, bool dispatching) {
+  typename Map::node_type node = live.extract(it);
+  if (dispatching) {
+    retired.push_back(std::move(node));
+    return;
+  }
+  node.mapped() = nullptr;
+  spare.push_back(std::move(node));
+}
+
+template <class Key>
+void ProbeHost::HandlerTable<Key>::release_retired() {
+  for (auto& node : retired) {
+    node.mapped() = nullptr;
+    spare.push_back(std::move(node));
+  }
+  retired.clear();
 }
 
 }  // namespace reorder::probe

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <vector>
 
 #include "netsim/event_loop.hpp"
 #include "probe/packet_factory.hpp"
@@ -26,7 +27,7 @@ class ProbeHost {
   tcpip::Ipv4Address address() const { return address_; }
 
   /// Wires the probe's egress; every packet send() transmits flows here.
-  void set_transmit(std::function<void(tcpip::Packet)> transmit) {
+  void set_transmit(std::function<void(tcpip::Packet&&)> transmit) {
     transmit_ = std::move(transmit);
   }
 
@@ -39,7 +40,7 @@ class ProbeHost {
   /// Network-side ingress: a packet arriving at the probe machine. One
   /// addressed elsewhere is dropped; the rest reach their handler by const
   /// ref and die here, their payload buffer going back to the pool.
-  void deliver(tcpip::Packet pkt);
+  void deliver(tcpip::Packet&& pkt);
 
   /// Builds a flow address toward `remote:port` on a fresh local port.
   /// Each remote has its own port sequence, so the ports a target's flows
@@ -63,11 +64,32 @@ class ProbeHost {
   /// Packets that match no registered flow (e.g. stray RSTs).
   Handler unmatched_handler;
 
-  std::size_t registered_flows() const { return flows_.size(); }
-  std::size_t registered_icmp() const { return icmp_.size(); }
+  std::size_t registered_flows() const { return flows_.live.size(); }
+  std::size_t registered_icmp() const { return icmp_.live.size(); }
 
  private:
   void dispatch(const tcpip::Packet& pkt);
+
+  /// Handlers by key. A handler may unregister or replace itself (or any
+  /// other) while it runs, so while a dispatch is on the stack a removed
+  /// handler is retired, kept in its map node, until the outermost
+  /// dispatch returns. Emptied nodes are kept for the next registration,
+  /// so a probe that cycles flows stops allocating once it has held its
+  /// most at once.
+  template <class Key>
+  struct HandlerTable {
+    using Map = std::map<Key, Handler>;
+    Map live;
+    std::vector<typename Map::node_type> retired;
+    std::vector<typename Map::node_type> spare;
+
+    void set(const Key& key, Handler handler, bool dispatching);
+    void remove(const Key& key, bool dispatching);
+    void release_retired();
+
+   private:
+    void take_out(typename Map::iterator it, bool dispatching);
+  };
 
   struct FlowKey {
     std::uint32_t remote_addr;
@@ -81,11 +103,12 @@ class ProbeHost {
 
   sim::EventLoop& loop_;
   tcpip::Ipv4Address address_;
-  std::function<void(tcpip::Packet)> transmit_;
+  std::function<void(tcpip::Packet&&)> transmit_;
   std::uint16_t first_ephemeral_;
   std::map<tcpip::Ipv4Address, std::uint16_t> next_port_;  ///< per remote
-  std::map<FlowKey, Handler> flows_;
-  std::map<tcpip::Ipv4Address, Handler> icmp_;
+  HandlerTable<FlowKey> flows_;
+  HandlerTable<tcpip::Ipv4Address> icmp_;
+  int dispatching_{0};  ///< dispatch() calls on the stack
 };
 
 }  // namespace reorder::probe

@@ -53,8 +53,8 @@ class ProbeConnection {
   /// Stops the connection where it is: unregisters its flow and cancels
   /// its pending timer, sending nothing, so no later packet or timer
   /// reaches it. Safe from inside the connection's own packet handler
-  /// (ProbeHost calls a copy of the handler), though freeing the
-  /// connection there is not.
+  /// (ProbeHost keeps a handler removed mid-call until its dispatch
+  /// returns), though freeing the connection there is not.
   void shut();
 
   // --- established-state accessors ---

@@ -55,8 +55,10 @@ using RenderChunk = std::function<void(std::size_t chunk, report::JsonlLines& ou
 
 /// Renders chunks [0, chunks) on `pool`, or inline on the caller when there
 /// is none, and writes them to `out` strictly in chunk order. At most
-/// kEmitWindowPerWorker chunks per worker render ahead of the writer, and
-/// each buffer is freed once written.
+/// kEmitWindowPerWorker chunks per worker render ahead of the writer, each
+/// into a window slot's buffer, which keeps its capacity for the next
+/// chunk: a chunk is a bounded number of targets, so the window's buffers
+/// stop growing after its first round instead of regrowing every chunk.
 void write_in_order(util::WorkStealingPool* pool, std::size_t chunks, const RenderChunk& render,
                     report::JsonlWriter& out) {
   struct Slot {
@@ -80,7 +82,8 @@ void write_in_order(util::WorkStealingPool* pool, std::size_t chunks, const Rend
       Slot& slot = slots[chunk % window];
       if (slot.rendered.valid()) slot.rendered.get();  // rethrows the job's exception
       out.write_lines(slot.lines);
-      slot.lines = report::JsonlLines{};
+      slot.lines.text.clear();
+      slot.lines.count = 0;
       if (chunk + window < chunks) start(chunk + window);
     }
   } catch (...) {
@@ -306,7 +309,7 @@ core::ShardRunResult SurveyService::run_world(std::size_t index,
   core::ShardRunResult out;
   out.shard = index;
   out.log = engine.release_measurements();
-  out.metrics.merge(engine.metrics());
+  out.metrics = engine.release_metrics();
   out.end = end.end;
   return out;
 }

@@ -25,7 +25,7 @@ Host::Host(sim::EventLoop& loop, HostConfig config)
 
 TcpEndpoint* Host::find_endpoint(const ConnKey& key) {
   const auto it = endpoints_.find(key);
-  return it == endpoints_.end() ? nullptr : it->second.get();
+  return it == endpoints_.end() ? nullptr : &*it->second;
 }
 
 void Host::receive(const Packet& pkt) {
@@ -87,7 +87,7 @@ void Host::handle_icmp(const Packet& pkt) {
   reply.first_sent = loop_.now();
   ++counters_.echo_replies;
   ++counters_.packets_out;
-  if (transmit_) transmit_(reply);
+  if (transmit_) transmit_(std::move(reply));
 }
 
 void Host::accept_connection(const Packet& pkt) {
@@ -95,21 +95,30 @@ void Host::accept_connection(const Packet& pkt) {
   // Keep the ISS well below 2^31 so a connection's sequence space never
   // wraps mid-test (documented simulator simplification).
   const auto iss = static_cast<std::uint32_t>(rng_.below(1u << 30));
-  auto ep = std::make_unique<TcpEndpoint>(
+  // The endpoint lives in its map node, whose key outlives it; capturing
+  // that key by address keeps the sender within std::function's local
+  // buffer.
+  EndpointMap::iterator node;
+  if (spare_nodes_.empty()) {
+    node = endpoints_.try_emplace(key).first;
+  } else {
+    EndpointMap::node_type spare = std::move(spare_nodes_.back());
+    spare_nodes_.pop_back();
+    spare.key() = key;
+    node = endpoints_.insert(std::move(spare)).position;
+  }
+  TcpEndpoint& ep = node->second.emplace(
       loop_, config_.behavior, key, iss,
-      [this, key](TcpHeader h, std::vector<std::uint8_t> payload) {
-        send_segment(key, h, std::move(payload));
+      [this, node_key = &node->first](TcpHeader h, std::vector<std::uint8_t> payload) {
+        send_segment(*node_key, h, std::move(payload));
       });
-  attach_app(*ep, config_.listeners.at(pkt.tcp.dst_port));
-  auto* raw = ep.get();
-  endpoints_.emplace(key, std::move(ep));
+  attach_app(ep, config_.listeners.at(pkt.tcp.dst_port));
   ++counters_.connections_accepted;
-  raw->on_segment(pkt);
+  ep.on_segment(pkt);
 }
 
 void Host::attach_app(TcpEndpoint& ep, const ListenerConfig& listener) {
   TcpEndpoint* self = &ep;
-  const ConnKey key = ep.key();
   switch (listener.app) {
     case AppKind::kDiscard:
       // Consume silently; close our side when the peer closes.
@@ -136,13 +145,18 @@ void Host::attach_app(TcpEndpoint& ep, const ListenerConfig& listener) {
       break;
     }
   }
-  self->on_closed = [this, key] { schedule_reap(key); };
+  self->on_closed = [this, self] { schedule_reap(self->key()); };
 }
 
 void Host::schedule_reap(const ConnKey& key) {
   // Destroying the endpoint inside one of its own callbacks would be a
   // use-after-free; defer to the next event-loop turn.
-  loop_.schedule(util::Duration::nanos(0), [this, key] { endpoints_.erase(key); });
+  loop_.schedule(util::Duration::nanos(0), [this, key] {
+    EndpointMap::node_type node = endpoints_.extract(key);
+    if (node.empty()) return;
+    node.mapped().reset();
+    spare_nodes_.push_back(std::move(node));
+  });
 }
 
 void Host::send_segment(const ConnKey& key, TcpHeader header, std::vector<std::uint8_t> payload) {

@@ -8,7 +8,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "netsim/event_loop.hpp"
 #include "tcpip/ipid.hpp"
@@ -75,7 +77,7 @@ class Host {
   Host& operator=(const Host&) = delete;
 
   /// Wires the host's egress; packets the host sends flow through here.
-  void set_transmit(std::function<void(Packet)> transmit) { transmit_ = std::move(transmit); }
+  void set_transmit(std::function<void(Packet&&)> transmit) { transmit_ = std::move(transmit); }
 
   /// Network ingress: deliver one packet to this host.
   void receive(const Packet& pkt);
@@ -98,10 +100,14 @@ class Host {
 
   sim::EventLoop& loop_;
   HostConfig config_;
-  std::function<void(Packet)> transmit_;
+  std::function<void(Packet&&)> transmit_;
   std::unique_ptr<IpidGenerator> ipid_;
   util::Rng rng_;
-  std::map<ConnKey, std::unique_ptr<TcpEndpoint>> endpoints_;
+  using EndpointMap = std::map<ConnKey, std::optional<TcpEndpoint>>;
+  EndpointMap endpoints_;  ///< engaged once accepted
+  /// Reaped connections' map nodes, emptied, for the next connection to
+  /// take: a host that cycles connections stops allocating them.
+  std::vector<EndpointMap::node_type> spare_nodes_;
   HostCounters counters_;
   // Echo-reply token bucket state (window start + replies within it).
   util::TimePoint ping_window_start_;

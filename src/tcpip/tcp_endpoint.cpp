@@ -50,7 +50,7 @@ TcpEndpoint::TcpEndpoint(sim::EventLoop& loop, TcpBehavior behavior, ConnKey key
       rto_timer_{loop} {}
 
 TcpEndpoint::~TcpEndpoint() {
-  for (auto& [seq, buf] : reassembly_) util::BufferPool::global().release(std::move(buf));
+  for (QueuedSegment& q : reassembly_) util::BufferPool::global().release(std::move(q.bytes));
 }
 
 void TcpEndpoint::on_segment(const Packet& pkt) {
@@ -196,10 +196,13 @@ void TcpEndpoint::process_payload(const Packet& pkt) {
     // Out-of-order segment. Queue it (if in window) and emit an immediate
     // duplicate ACK — the behaviour every measurement technique leverages.
     if (seq_in_window(seg_seq, rcv_nxt_, behavior_.receive_window)) {
-      auto [it, inserted] = reassembly_.try_emplace(seg_seq);
-      if (inserted) {
-        it->second = util::BufferPool::global().acquire(pkt.payload.size());
-        it->second.assign(pkt.payload.begin(), pkt.payload.end());
+      const auto it = std::lower_bound(
+          reassembly_.begin(), reassembly_.end(), seg_seq,
+          [](const QueuedSegment& q, std::uint32_t seq) { return q.seq < seq; });
+      if (it == reassembly_.end() || it->seq != seg_seq) {
+        const auto queued = reassembly_.insert(
+            it, QueuedSegment{seg_seq, util::BufferPool::global().acquire(pkt.payload.size())});
+        queued->bytes.assign(pkt.payload.begin(), pkt.payload.end());
         ++counters_.ooo_segments_queued;
       }
     }
@@ -272,18 +275,20 @@ void TcpEndpoint::deliver(std::span<const std::uint8_t> data) {
 }
 
 void TcpEndpoint::drain_reassembly() {
-  while (!reassembly_.empty()) {
-    auto it = reassembly_.begin();
-    if (seq_gt(it->first, rcv_nxt_)) break;
-    const auto end = it->first + static_cast<std::uint32_t>(it->second.size());
+  std::size_t drained = 0;
+  for (; drained < reassembly_.size(); ++drained) {
+    QueuedSegment& q = reassembly_[drained];
+    if (seq_gt(q.seq, rcv_nxt_)) break;
+    const auto end = q.seq + static_cast<std::uint32_t>(q.bytes.size());
     if (seq_gt(end, rcv_nxt_)) {
-      const std::uint32_t trim = rcv_nxt_ - it->first;
-      deliver(std::span<const std::uint8_t>{it->second}.subspan(trim));
+      const std::uint32_t trim = rcv_nxt_ - q.seq;
+      deliver(std::span<const std::uint8_t>{q.bytes}.subspan(trim));
       rcv_nxt_ = end;
     }
-    util::BufferPool::global().release(std::move(it->second));
-    reassembly_.erase(it);
+    util::BufferPool::global().release(std::move(q.bytes));
   }
+  reassembly_.erase(reassembly_.begin(),
+                    reassembly_.begin() + static_cast<std::ptrdiff_t>(drained));
 }
 
 void TcpEndpoint::send_flags(std::uint8_t flags) {

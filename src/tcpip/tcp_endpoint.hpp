@@ -16,8 +16,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "netsim/event_loop.hpp"
@@ -173,7 +173,13 @@ class TcpEndpoint {
   // Receive side.
   std::uint32_t irs_{0};
   std::uint32_t rcv_nxt_{0};
-  std::map<std::uint32_t, std::vector<std::uint8_t>> reassembly_;  // seq -> bytes
+  struct QueuedSegment {
+    std::uint32_t seq;
+    std::vector<std::uint8_t> bytes;
+  };
+  /// Out-of-order segments by ascending seq; keeps its capacity across
+  /// holes, so queueing a segment allocates nothing once warm.
+  std::vector<QueuedSegment> reassembly_;
   bool fin_received_{false};
 
   // Send side.

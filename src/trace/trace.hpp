@@ -47,7 +47,7 @@ class TraceTap final : public sim::Stage {
   TraceTap(sim::EventLoop& loop, TraceBuffer& buffer, std::string label)
       : loop_{loop}, buffer_{buffer}, label_{std::move(label)} {}
 
-  void accept(tcpip::Packet pkt) override {
+  void accept(tcpip::Packet&& pkt) override {
     buffer_.record(loop_.now(), pkt);
     emit(std::move(pkt));
   }

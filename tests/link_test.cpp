@@ -118,6 +118,35 @@ TEST(DelayStage, AddsExactDelay) {
   EXPECT_EQ(cap.arrivals[0].second.ns(), Duration::micros(123).ns());
 }
 
+// A stage's downstream may send straight back into the stage while the
+// packet it was handed is still being delivered (a hairpin: a host that
+// answers on the path it listens on). The delivered packet stays intact
+// however many packets the stage then holds.
+template <class S>
+void expect_hairpin_keeps_the_delivered_packet(EventLoop& loop, S& stage) {
+  std::vector<std::uint64_t> arrivals;
+  stage.connect([&](tcpip::Packet&& pkt) {
+    if (pkt.uid <= 4) stage.accept(make_packet(8, pkt.uid + 100));
+    arrivals.push_back(pkt.uid);
+    EXPECT_EQ(pkt.payload.size(), 8u) << pkt.uid;
+  });
+  for (std::uint64_t uid = 1; uid <= 4; ++uid) stage.accept(make_packet(8, uid));
+  loop.run();
+  EXPECT_EQ(arrivals, (std::vector<std::uint64_t>{1, 2, 3, 4, 101, 102, 103, 104}));
+}
+
+TEST(LinkStage, DownstreamMaySendBackIntoTheLinkMidDelivery) {
+  EventLoop loop;
+  LinkStage link{loop, LinkParams{}};
+  expect_hairpin_keeps_the_delivered_packet(loop, link);
+}
+
+TEST(DelayStage, DownstreamMaySendBackIntoTheStageMidDelivery) {
+  EventLoop loop;
+  DelayStage stage{loop, Duration::micros(10)};
+  expect_hairpin_keeps_the_delivered_packet(loop, stage);
+}
+
 TEST(JitterStage, DelayWithinBounds) {
   EventLoop loop;
   JitterStage stage{loop, Duration::micros(100), Duration::micros(200), util::Rng{3}};
