@@ -357,14 +357,15 @@ void BM_SurveyTargetWorld(benchmark::State& state) {
 BENCHMARK(BM_SurveyTargetWorld);
 
 // Parallel fleet scaling: the survey service's admit-to-drain cycle over
-// a fixed 8-target fleet on {1, 2, 4} work-stealing workers, one world
-// per target, checkpoint off. The fleet is identical on every row (and,
-// per the determinism guarantee, so are the results), so the ratio
-// between rows is the service's parallel speedup, worker start and join
-// included — the number the CI scaling gate tracks.
+// a fixed fleet on {1, 2, 4} work-stealing workers, one world per target,
+// checkpoint off. The fleet is identical on every row (and, per the
+// determinism guarantee, so are the results), so the ratio between rows
+// is the service's parallel speedup, worker start and join included —
+// the number the CI scaling gate tracks. The fleet is sized so that its
+// targets' work, not starting and joining the workers, sets that ratio.
 void BM_ServiceAdmitDrain(benchmark::State& state) {
   std::vector<core::SurveyTargetConfig> fleet;
-  for (int i = 0; i < 8; ++i) {
+  for (std::int64_t i = 0; i < state.range(1); ++i) {
     core::SurveyTargetConfig target;
     target.name = "host-" + std::to_string(i);
     target.forward.swap_probability = (i % 4) * 0.05;
@@ -391,10 +392,10 @@ void BM_ServiceAdmitDrain(benchmark::State& state) {
 // UseRealTime: the work happens on pool workers, so the main thread's
 // CPU clock would show nothing — wall time is the quantity that scales.
 BENCHMARK(BM_ServiceAdmitDrain)
-    ->ArgName("workers")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
+    ->ArgNames({"workers", "targets"})
+    ->Args({1, 32})
+    ->Args({2, 32})
+    ->Args({4, 32})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -13,19 +13,13 @@ util::Duration LinkStage::serialization_time(std::size_t bytes) const {
   return util::Duration::from_seconds_f(seconds);
 }
 
-util::Duration LinkStage::serialization_of(std::size_t bytes) {
-  SerializationMemo& memo = memo_[bytes % memo_.size()];
-  if (memo.bytes != bytes) memo = SerializationMemo{bytes, serialization_time(bytes)};
-  return memo.time;
-}
-
 void LinkStage::accept(tcpip::Packet&& pkt) {
   if (in_flight_.size() >= params_.queue_limit_packets) {
     ++dropped_;
     return;
   }
   const util::TimePoint now = loop_.now();
-  const util::Duration ser = serialization_of(pkt.wire_size());
+  const util::Duration ser = serialization_time(pkt.wire_size());
   const util::TimePoint start = busy_until_ > now ? busy_until_ : now;
   busy_until_ = start + ser;
   in_flight_.push(std::move(pkt));
@@ -34,15 +28,13 @@ void LinkStage::accept(tcpip::Packet&& pkt) {
 
 void LinkStage::deliver() {
   ++forwarded_;
-  emit(std::move(in_flight_.front()));
-  in_flight_.pop();
+  in_flight_.pop([this](tcpip::Packet&& pkt) { emit(std::move(pkt)); });
 }
 
 void DelayStage::accept(tcpip::Packet&& pkt) {
   in_flight_.push(std::move(pkt));
   loop_.schedule(delay_, [this] {
-    emit(std::move(in_flight_.front()));
-    in_flight_.pop();
+    in_flight_.pop([this](tcpip::Packet&& pkt) { emit(std::move(pkt)); });
   });
 }
 

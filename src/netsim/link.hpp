@@ -2,7 +2,6 @@
 // drop-tail queue), a fixed delay, uniform jitter, and Bernoulli loss.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "netsim/event_loop.hpp"
@@ -44,14 +43,6 @@ class LinkStage final : public Stage {
 
  private:
   void deliver();
-  /// serialization_time(bytes), memoized per wire size: a flow's packets
-  /// come in a handful of sizes.
-  util::Duration serialization_of(std::size_t bytes);
-
-  struct SerializationMemo {
-    std::size_t bytes{0};
-    util::Duration time{};
-  };
 
   EventLoop& loop_;
   LinkParams params_;
@@ -59,7 +50,6 @@ class LinkStage final : public Stage {
   PacketFifo in_flight_;
   std::uint64_t forwarded_{0};
   std::uint64_t dropped_{0};
-  std::array<SerializationMemo, 8> memo_{};  ///< indexed by bytes % 8
 };
 
 /// Adds a constant delay; order-preserving, so, like LinkStage, it holds

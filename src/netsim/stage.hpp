@@ -3,10 +3,9 @@
 // flow through it. All reordering processes in the simulator are stages.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <list>
 #include <string>
 #include <utility>
 
@@ -62,67 +61,39 @@ class Stage {
   PacketSink next_;
 };
 
-/// Packets in flight through a stage that delivers them in accept order:
-/// a singly linked queue over nodes that never move, allocated four at a
-/// time. A popped node goes on a free list for the next push, so a steady
-/// flow allocates nothing once the stage has held its most packets at once.
+/// Packets in flight through a stage that delivers them in accept order.
+/// List nodes never move, and a delivered packet's node is spliced onto a
+/// spare list for the next push, so a steady flow allocates nothing once
+/// the stage has held its most packets at once.
 class PacketFifo {
  public:
-  PacketFifo() = default;
-  PacketFifo(const PacketFifo&) = delete;
-  PacketFifo& operator=(const PacketFifo&) = delete;
-  /// Frees the chunks one by one: however long the list, no recursion.
-  ~PacketFifo() {
-    while (chunks_ != nullptr) chunks_ = std::move(chunks_->older);
-  }
-
-  std::size_t size() const { return size_; }
+  /// Packets waiting; the one being delivered is no longer among them.
+  std::size_t size() const { return waiting_; }
 
   void push(tcpip::Packet&& pkt) {
-    if (free_ == nullptr) add_chunk();
-    Node* node = std::exchange(free_, free_->next);
-    node->pkt = std::move(pkt);
-    node->next = nullptr;
-    (tail_ != nullptr ? tail_->next : head_) = node;
-    tail_ = node;
-    ++size_;
+    if (spare_.empty()) {
+      queue_.push_back(std::move(pkt));
+    } else {
+      spare_.front() = std::move(pkt);
+      queue_.splice(queue_.end(), spare_, spare_.begin());
+    }
+    ++waiting_;
   }
 
-  /// The oldest packet; the FIFO must not be empty. It stays in its node
-  /// until pop(), so a stage emits it from there: a push meanwhile (the
-  /// stage's downstream sending straight back into the stage) takes
-  /// another node.
-  tcpip::Packet& front() { return head_->pkt; }
-
-  void pop() {
-    Node* node = std::exchange(head_, head_->next);
-    if (head_ == nullptr) tail_ = nullptr;
-    node->next = std::exchange(free_, node);
-    --size_;
+  /// Hands the oldest packet (the queue must not be empty) to `deliver`
+  /// from its node: a push meanwhile (the stage's downstream sending
+  /// straight back into the stage) queues behind it.
+  template <class F>
+  void pop(F&& deliver) {
+    --waiting_;
+    deliver(std::move(queue_.front()));
+    spare_.splice(spare_.begin(), queue_, queue_.begin());
   }
 
  private:
-  struct Node {
-    tcpip::Packet pkt;
-    Node* next{nullptr};
-  };
-  struct Chunk {
-    std::array<Node, 4> nodes;
-    std::unique_ptr<Chunk> older;
-  };
-
-  void add_chunk() {
-    auto chunk = std::make_unique<Chunk>();
-    for (Node& node : chunk->nodes) node.next = std::exchange(free_, &node);
-    chunk->older = std::move(chunks_);
-    chunks_ = std::move(chunk);
-  }
-
-  std::unique_ptr<Chunk> chunks_;  ///< owns every node, newest first
-  Node* head_{nullptr};
-  Node* tail_{nullptr};
-  Node* free_{nullptr};
-  std::size_t size_{0};
+  std::list<tcpip::Packet> queue_;  ///< oldest first
+  std::list<tcpip::Packet> spare_;
+  std::size_t waiting_{0};
 };
 
 }  // namespace reorder::sim

@@ -60,8 +60,8 @@ void ProbeHost::dispatch(const tcpip::Packet& pkt) {
     }
   }
   if (--dispatching_ == 0) {
-    flows_.release_retired();
-    icmp_.release_retired();
+    flows_.retired.clear();
+    icmp_.retired.clear();
   }
 }
 
@@ -72,42 +72,19 @@ void ProbeHost::HandlerTable<Key>::set(const Key& key, Handler handler, bool dis
     it->second = std::move(handler);
     return;
   }
-  if (it != live.end()) take_out(it, /*dispatching=*/true);
-  if (spare.empty()) {
-    live.emplace(key, std::move(handler));
-    return;
-  }
-  typename Map::node_type node = std::move(spare.back());
-  spare.pop_back();
-  node.key() = key;
-  node.mapped() = std::move(handler);
-  live.insert(std::move(node));
+  if (it != live.end()) retired.push_back(live.extract(it));
+  live.emplace(key, std::move(handler));
 }
 
 template <class Key>
 void ProbeHost::HandlerTable<Key>::remove(const Key& key, bool dispatching) {
   const auto it = live.find(key);
-  if (it != live.end()) take_out(it, dispatching);
-}
-
-template <class Key>
-void ProbeHost::HandlerTable<Key>::take_out(typename Map::iterator it, bool dispatching) {
-  typename Map::node_type node = live.extract(it);
+  if (it == live.end()) return;
   if (dispatching) {
-    retired.push_back(std::move(node));
-    return;
+    retired.push_back(live.extract(it));
+  } else {
+    live.erase(it);
   }
-  node.mapped() = nullptr;
-  spare.push_back(std::move(node));
-}
-
-template <class Key>
-void ProbeHost::HandlerTable<Key>::release_retired() {
-  for (auto& node : retired) {
-    node.mapped() = nullptr;
-    spare.push_back(std::move(node));
-  }
-  retired.clear();
 }
 
 }  // namespace reorder::probe

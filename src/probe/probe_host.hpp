@@ -73,22 +73,15 @@ class ProbeHost {
   /// Handlers by key. A handler may unregister or replace itself (or any
   /// other) while it runs, so while a dispatch is on the stack a removed
   /// handler is retired, kept in its map node, until the outermost
-  /// dispatch returns. Emptied nodes are kept for the next registration,
-  /// so a probe that cycles flows stops allocating once it has held its
-  /// most at once.
+  /// dispatch returns.
   template <class Key>
   struct HandlerTable {
     using Map = std::map<Key, Handler>;
     Map live;
     std::vector<typename Map::node_type> retired;
-    std::vector<typename Map::node_type> spare;
 
     void set(const Key& key, Handler handler, bool dispatching);
     void remove(const Key& key, bool dispatching);
-    void release_retired();
-
-   private:
-    void take_out(typename Map::iterator it, bool dispatching);
   };
 
   struct FlowKey {

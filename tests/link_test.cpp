@@ -141,6 +141,23 @@ TEST(LinkStage, DownstreamMaySendBackIntoTheLinkMidDelivery) {
   expect_hairpin_keeps_the_delivered_packet(loop, link);
 }
 
+// The packet being delivered has left the queue, as a packet leaves a
+// real link's buffer once it is on the wire: with the queue full, the
+// hairpin send finds room for one, and a packet beyond the limit is still
+// dropped.
+TEST(LinkStage, PacketBeingDeliveredNoLongerCountsTowardTheQueueLimit) {
+  EventLoop loop;
+  LinkParams params;
+  params.queue_limit_packets = 4;  // the helper's four packets fill it
+  LinkStage link{loop, params};
+  expect_hairpin_keeps_the_delivered_packet(loop, link);
+  EXPECT_EQ(link.dropped(), 0u);
+
+  link.connect([](tcpip::Packet&&) {});
+  for (std::uint64_t uid = 1; uid <= 5; ++uid) link.accept(make_packet(8, uid));
+  EXPECT_EQ(link.dropped(), 1u);
+}
+
 TEST(DelayStage, DownstreamMaySendBackIntoTheStageMidDelivery) {
   EventLoop loop;
   DelayStage stage{loop, Duration::micros(10)};
