@@ -638,8 +638,12 @@ BENCHMARK(BM_BatchedObserve)->ArgName("flows")->Arg(64)->Arg(4096);
 // producer and one consumer thread. Every iteration also builds and frees
 // the pipeline and its 4096 per-flow suites, so this times construction
 // and teardown as well as the stream. The stream is in order, so one
-// consumer keeps up with the producer and the shard counts read alike;
-// BM_ParallelIngestReordered is the scaling gate.
+// consumer keeps up with the producer and the shard counts read alike in
+// wall time; BM_ParallelIngestReordered is the scaling gate.
+// MeasureProcessCPUTime: cpu_time is every thread's CPU, so idle consumers
+// show up in it. A consumer with an empty ring sleeps, so shards:4 must
+// cost about the CPU of shards:1 (CI's idle-CPU gate); consumers that
+// polled their empty rings made shards:4 cost about twice as much.
 // UseRealTime: the analytics run on the consumer threads, so wall time is
 // the arrivals/s that matters.
 void BM_ParallelIngest(benchmark::State& state) {
@@ -664,7 +668,13 @@ void BM_ParallelIngest(benchmark::State& state) {
   }
   state.SetItemsProcessed(arrivals);
 }
-BENCHMARK(BM_ParallelIngest)->ArgName("shards")->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+BENCHMARK(BM_ParallelIngest)
+    ->ArgName("shards")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 // The ingest pipeline where its consumers set the rate: the
 // interrupt-coalescing scenario's arrivals (4096 flows x 512 packets),

@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ingest/parallel_pipeline.hpp"
@@ -55,15 +56,25 @@ int main(int argc, char** argv) {
   flags.add_i64("ingest-shards", &ingest_shards,
                 "consumer threads; flows are pinned to them by flow hash");
   flags.add_string("scenario", &scenario, "core scenario name for the traffic model");
-  flags.add_string("policy", &policy, "backpressure when the ring fills: spin | drop");
+  flags.add_string("policy", &policy,
+                   "when the ring fills: spin (wait for space, lose nothing) | drop");
   flags.add_string("jsonl", &jsonl_path, "also write ingest/monitor/sequences JSONL here");
   if (!flags.parse(argc, argv)) return 1;
   if (policy != "spin" && policy != "drop") {
     std::fprintf(stderr, "line_rate: --policy must be spin or drop\n");
     return 1;
   }
-  if (ingest_shards < 1) {
-    std::fprintf(stderr, "line_rate: --ingest-shards must be >= 1\n");
+  const std::pair<const char*, std::int64_t> counts[] = {
+      {"ingest-shards", ingest_shards}, {"batch", batch}, {"ring", ring},
+      {"flows", flows},                 {"packets", packets}, {"repeat", repeat}};
+  for (const auto& [name, value] : counts) {
+    if (value < 1) {
+      std::fprintf(stderr, "line_rate: --%s must be >= 1\n", name);
+      return 1;
+    }
+  }
+  if (stall_us < 0) {
+    std::fprintf(stderr, "line_rate: --stall-us must be >= 0\n");
     return 1;
   }
 
@@ -125,8 +136,11 @@ int main(int argc, char** argv) {
   }
   const double secs = static_cast<double>(stats.wall_ns) / 1e9;
   const double rate = secs > 0.0 ? static_cast<double>(stats.arrivals_consumed) / secs : 0.0;
-  std::printf("  wall %.3f ms  ->  %.1f M arrivals/s  (spin waits %llu)\n", secs * 1e3,
-              rate / 1e6, static_cast<unsigned long long>(stats.spin_waits));
+  std::printf("  wall %.3f ms  ->  %.1f M arrivals/s  (spin waits %llu, producer sleeps %llu, "
+              "consumer sleeps %llu)\n",
+              secs * 1e3, rate / 1e6, static_cast<unsigned long long>(stats.spin_waits),
+              static_cast<unsigned long long>(stats.producer_sleeps),
+              static_cast<unsigned long long>(stats.consumer_sleeps));
   const report::Json seq_summary = pipeline.sequences_json();
   const monitor::MonitorEngine merged_monitor = pipeline.merged_monitor();
   std::printf("  sequences: %s flows (folded)\n", seq_summary.find("flows")->dump().c_str());

@@ -1,7 +1,6 @@
 #include "ingest/parallel_pipeline.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <exception>
 #include <memory>
@@ -46,7 +45,6 @@ const ParallelPipelineStats& ParallelIngestPipeline::run(Source source) {
     rings.push_back(std::make_unique<SpscRing<ArrivalBatch>>(config_.ring_batches));
     free_rings.push_back(std::make_unique<SpscRing<ArrivalBatch>>(config_.ring_batches));
   }
-  std::atomic<bool> done{false};
 
   struct ConsumerCounters {
     std::uint64_t arrivals{0};
@@ -65,8 +63,8 @@ const ParallelPipelineStats& ParallelIngestPipeline::run(Source source) {
     ArrivalBatch batch;
     const auto consume = [&] {
       // An exception escaping this thread would end the process. A failed
-      // shard stops folding but keeps draining its ring, so a spinning
-      // producer cannot hang; run() rethrows after the join.
+      // shard stops folding but keeps draining its ring, so a producer
+      // waiting for space cannot hang; run() rethrows after the join.
       if (!failure) {
         try {
           if (seq != nullptr) seq->ingest_batch(batch);
@@ -87,19 +85,7 @@ const ParallelPipelineStats& ParallelIngestPipeline::run(Source source) {
       free_rings[s]->push_or_drop(recycled);  // full free ring: deallocate
       batch = std::move(recycled);            // no-op if the push took it
     };
-    for (;;) {
-      if (rings[s]->try_pop(batch)) {
-        consume();
-        continue;
-      }
-      if (done.load(std::memory_order_acquire)) {
-        // Producer finished: one final drain settles the race between its
-        // last publish and our failed pop.
-        while (rings[s]->try_pop(batch)) consume();
-        break;
-      }
-      std::this_thread::yield();
-    }
+    while (rings[s]->pop(batch)) consume();
   };
 
   // The producer, on the calling thread: pack each source arrival
@@ -157,7 +143,7 @@ const ParallelPipelineStats& ParallelIngestPipeline::run(Source source) {
   } catch (...) {
     failure = std::current_exception();
   }
-  done.store(true, std::memory_order_release);
+  for (const auto& ring : rings) ring->close();
   for (std::thread& t : consumers) t.join();
   if (failure) std::rethrow_exception(failure);
   for (const std::exception_ptr& consumer_failure : consumer_failures) {
@@ -176,6 +162,8 @@ const ParallelPipelineStats& ParallelIngestPipeline::run(Source source) {
     stats_.batches_consumed += shard.batches_consumed;
     stats_.batches_dropped += shard.batches_dropped;
     stats_.spin_waits += shard.ring.spin_waits;
+    stats_.producer_sleeps += shard.ring.producer_sleeps;
+    stats_.consumer_sleeps += shard.ring.consumer_sleeps;
     max_dispatched = std::max(max_dispatched, shard.arrivals_dispatched);
   }
   const std::uint64_t dispatched_total = stats_.arrivals_consumed + stats_.arrivals_dropped;
@@ -233,6 +221,8 @@ report::Json ParallelIngestPipeline::to_json() const {
   j.set("batches_consumed", stats_.batches_consumed);
   j.set("batches_dropped", stats_.batches_dropped);
   j.set("spin_waits", stats_.spin_waits);
+  j.set("producer_sleeps", stats_.producer_sleeps);
+  j.set("consumer_sleeps", stats_.consumer_sleeps);
   j.set("wall_ns", static_cast<std::uint64_t>(stats_.wall_ns));
   const double secs = static_cast<double>(stats_.wall_ns) / 1e9;
   j.set("arrivals_per_sec",
@@ -262,6 +252,8 @@ report::Json ParallelIngestPipeline::to_json() const {
     ring.set("popped", shard.ring.popped);
     ring.set("dropped", shard.ring.dropped);
     ring.set("spin_waits", shard.ring.spin_waits);
+    ring.set("producer_sleeps", shard.ring.producer_sleeps);
+    ring.set("consumer_sleeps", shard.ring.consumer_sleeps);
     item.set("ring", std::move(ring));
     if (config_.sequences) {
       item.set("sequence_arrivals", sequence_shards_[s].arrivals());

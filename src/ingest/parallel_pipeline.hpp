@@ -10,6 +10,16 @@
 // monitor::MonitorEngine shard. At one shard every flow hashes to shard 0
 // and the pipeline is one producer and one consumer thread.
 //
+// Neither side spins while it waits. A consumer whose ring is empty sleeps
+// in SpscRing::pop() until the producer has queued a burst (an eighth of
+// the ring) or closed the ring at the end of the stream; a producer whose
+// ring is full (Backpressure::kSpin) sleeps in push_spin() until that
+// consumer has drained half of it. So a shard may hold up to a burst of
+// sub-batches unfolded while its consumer sleeps. Nothing reads shard
+// state during run(): run() closes every ring and returns only after every
+// consumer has drained its ring and been joined, so no output can see a
+// batch that was still waiting for its burst.
+//
 // The determinism argument, in full: a flow is pinned to exactly one
 // shard for the pipeline's lifetime, the producer packs arrivals in
 // source order, and each shard's ring is FIFO — so every shard observes
@@ -109,8 +119,10 @@ struct ParallelPipelineStats {
   std::uint64_t arrivals_dropped{0};
   std::uint64_t batches_consumed{0};
   std::uint64_t batches_dropped{0};
-  std::uint64_t spin_waits{0};  ///< producer spin rounds, all shard rings
-  std::int64_t wall_ns{0};      ///< run() entry -> all consumers joined
+  std::uint64_t spin_waits{0};       ///< producer failed push rounds, all shard rings
+  std::uint64_t producer_sleeps{0};  ///< producer waits on a full ring, all shard rings
+  std::uint64_t consumer_sleeps{0};  ///< consumer waits on an empty ring, all shards
+  std::int64_t wall_ns{0};           ///< run() entry -> all consumers joined
   DispatcherStats dispatcher{};
   std::vector<ShardStats> shards{};
 };
@@ -124,13 +136,14 @@ class ParallelIngestPipeline {
   explicit ParallelIngestPipeline(ParallelPipelineConfig config);
 
   /// Runs the producer on the calling thread and one consumer thread per
-  /// shard until `source` is exhausted and every ring is drained; returns
-  /// the run's stats. The shard engines accumulate across run() calls
-  /// (replay-style drivers call run repeatedly, then flush()). An
-  /// exception from `source` stops the run: the consumers drain what was
-  /// shipped and are joined, then the exception reaches the caller. A
-  /// consumer-thread exception (say, from the suite factory) stops that
-  /// shard's fold, leaving it partial, and reaches the caller the same way.
+  /// shard until `source` is exhausted, every ring is closed and drained
+  /// and every consumer is joined; returns the run's stats. The shard
+  /// engines accumulate across run() calls (replay-style drivers call run
+  /// repeatedly, then flush()). An exception from `source` stops the run:
+  /// the consumers drain what was shipped and are joined, then the
+  /// exception reaches the caller. A consumer-thread exception (say, from
+  /// the suite factory) stops that shard's fold, leaving it partial, and
+  /// reaches the caller the same way.
   const ParallelPipelineStats& run(Source source);
   const ParallelPipelineStats& run(const Arrival* arrivals, std::size_t count);
   const ParallelPipelineStats& run(const std::vector<Arrival>& arrivals);

@@ -23,7 +23,7 @@ namespace reorder::ingest {
 
 /// What the producer does when the ring is full.
 enum class Backpressure {
-  kSpin,  ///< block spinning until the consumer frees a slot
+  kSpin,  ///< lossless: sleep until the consumer has drained half the ring
   kDrop,  ///< shed the batch, count it, keep going
 };
 

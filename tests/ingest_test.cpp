@@ -4,8 +4,13 @@
 //     wrap-around, move-only payloads — and a real producer/consumer
 //     thread pair streams a long sequence through a tiny ring intact (the
 //     TSAN job proves the fences);
+//   * the sleep handshake loses no wake: a sleeping pop() and a sleeping
+//     push_spin() stream 200k items in order at capacities 1 to 64 while
+//     both sides stall at random, close() ends a sleeping consumer, and
+//     try_pop() alone wakes a sleeping producer; a watchdog fails a run
+//     that stops moving instead of letting it hang;
 //   * backpressure is observable: push_or_drop counts every shed batch,
-//     push_spin counts every full-ring spin round;
+//     push_spin counts every failed push round and every sleep;
 //   * ArrivalBatch's SoA lanes and run iteration reproduce the pushed
 //     stream exactly; the builder recycles storage;
 //   * FlowTable::lookup_run is bit-exact with the scalar lookup loop —
@@ -18,9 +23,15 @@
 //     accounting live in parallel_ingest_test.cpp.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +44,7 @@
 #include "monitor/engine.hpp"
 #include "monitor/flow_table.hpp"
 #include "util/random.hpp"
+#include "util/shard_seeder.hpp"
 
 namespace reorder::ingest {
 namespace {
@@ -57,6 +69,14 @@ TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(SpscRing<int>{3}.capacity(), 4u);
   EXPECT_EQ(SpscRing<int>{64}.capacity(), 64u);
   EXPECT_EQ(SpscRing<int>{65}.capacity(), 128u);
+}
+
+TEST(SpscRing, CapacityPastTheLargestPowerOfTwoThrows) {
+  // No power of two in size_t holds these, and doubling past 2^63 would
+  // wrap to 0 and never end.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(SpscRing<int>{kMax}, std::length_error);
+  EXPECT_THROW(SpscRing<int>{(kMax >> 1) + 2}, std::length_error);
 }
 
 TEST(SpscRing, FullAndEmptyBoundaries) {
@@ -120,12 +140,59 @@ TEST(SpscRing, DropPolicyCountsSheddedPushes) {
   EXPECT_EQ(c.spin_waits, 0u);
 }
 
+// Fails the run, rather than letting ctest hang, when `progress` stops
+// moving for kLimit: a lost wake leaves a side asleep for good, and the
+// other side waiting on it.
+class Watchdog {
+ public:
+  static constexpr std::chrono::seconds kLimit{10};
+
+  Watchdog(std::function<std::uint64_t()> progress, std::string what)
+      : thread_{[this, progress = std::move(progress), what = std::move(what)] {
+          std::uint64_t last = progress();
+          auto moved = std::chrono::steady_clock::now();
+          while (!stop_.load(std::memory_order_acquire)) {
+            std::this_thread::sleep_for(std::chrono::milliseconds{5});
+            const std::uint64_t now = progress();
+            if (now != last) {
+              last = now;
+              moved = std::chrono::steady_clock::now();
+            } else if (std::chrono::steady_clock::now() - moved > kLimit) {
+              std::fprintf(stderr, "FAIL: %s: no progress for %lld s at %llu (a lost wake)\n",
+                           what.c_str(), static_cast<long long>(kLimit.count()),
+                           static_cast<unsigned long long>(now));
+              std::fflush(stderr);
+              std::_Exit(1);
+            }
+          }
+        }} {}
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+  ~Watchdog() {
+    stop_.store(true, std::memory_order_release);
+    thread_.join();
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+template <typename T>
+std::function<std::uint64_t()> ring_progress(const SpscRing<T>& ring) {
+  return [&ring] {
+    const SpscRingCounters c = ring.counters();
+    return c.pushed + c.popped;
+  };
+}
+
 TEST(SpscRing, ThreadedStreamArrivesIntactThroughTinyRing) {
   // A 4-slot ring forces constant wrap-around and producer/consumer
   // contention; under TSAN this is the proof of the acquire/release
   // pairing. Values must arrive complete and in order.
   constexpr std::uint64_t kCount = 200'000;
   SpscRing<std::uint64_t> ring{4};
+  const Watchdog watchdog{ring_progress(ring), "tiny ring"};
   std::uint64_t sum = 0;
   std::uint64_t popped = 0;
   bool ordered = true;
@@ -156,13 +223,15 @@ TEST(SpscRing, ThreadedStreamArrivesIntactThroughTinyRing) {
 }
 
 TEST(SpscRing, SpinBackoffStaysLosslessUnderSaturation) {
-  // push_spin's exponential backoff (pause bursts, then scheduler
-  // yields) changes how the producer waits, never whether delivery is
+  // push_spin sleeps on a full ring until the consumer has drained half
+  // of it; how the producer waits never changes whether delivery is
   // lossless or ordered. A 2-slot ring against a consumer that stalls
-  // every 64 pops keeps the ring saturated, so the producer rides the
-  // whole backoff ladder; spin_waits must still count the contention.
+  // every 64 pops and otherwise only polls with try_pop() keeps the ring
+  // saturated, so the producer sleeps and is woken by try_pop() alone;
+  // spin_waits must still count the failed push rounds.
   constexpr std::uint64_t kCount = 50'000;
   SpscRing<std::uint64_t> ring{2};
+  const Watchdog watchdog{ring_progress(ring), "saturated ring"};
   std::uint64_t popped = 0;
   bool ordered = true;
   std::thread consumer{[&] {
@@ -190,7 +259,125 @@ TEST(SpscRing, SpinBackoffStaysLosslessUnderSaturation) {
   EXPECT_EQ(c.pushed, kCount);
   EXPECT_EQ(c.popped, kCount);
   EXPECT_EQ(c.dropped, 0u);
-  EXPECT_GT(c.spin_waits, 0u);  // the ladder was climbed, and counted
+  EXPECT_GT(c.spin_waits, 0u);  // the producer found the ring full, and counted it
+}
+
+/// Busy-waits 1-8 us every 1 to 2 * capacity + 16 items, both drawn from
+/// a splitmix64 chain: each side of a ring stalls at its own random
+/// points, so the other side finds the ring empty or full and sleeps.
+class Staller {
+ public:
+  Staller(std::uint64_t seed, std::size_t capacity)
+      : state_{seed}, span_{2 * capacity + 16}, left_{draw() % span_} {}
+
+  void item() {
+    if (left_-- > 0) return;
+    left_ = draw() % span_;
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds{1 + draw() % 8};
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  }
+
+ private:
+  std::uint64_t draw() { return util::splitmix64(++state_); }
+
+  std::uint64_t state_;
+  std::uint64_t span_;
+  std::uint64_t left_;
+};
+
+TEST(SpscRing, SleepHandshakeLosesNoWake) {
+  // A push_spin producer and a pop() consumer, each stalling at random,
+  // so both sides go to sleep thousands of times: on an empty ring the
+  // consumer sleeps until a burst arrives, on a full one the producer
+  // sleeps until half has drained. A lost wake would leave a side asleep
+  // for good (the watchdog fails the run); every item must arrive, in
+  // order, and close() must end the consumer.
+  constexpr std::uint64_t kCount = 200'000;
+  for (const std::size_t capacity : {1u, 2u, 8u, 64u}) {
+    SpscRing<std::uint64_t> ring{capacity};
+    const Watchdog watchdog{ring_progress(ring), "capacity " + std::to_string(capacity)};
+    std::uint64_t popped = 0;
+    bool ordered = true;
+    std::thread consumer{[&] {
+      Staller stall{0xc0ffee + capacity, capacity};
+      std::uint64_t v = 0;
+      while (ring.pop(v)) {
+        ordered = ordered && v == popped;
+        ++popped;
+        stall.item();
+      }
+    }};
+    Staller stall{0xfeed + capacity, capacity};
+    for (std::uint64_t i = 0; i < kCount; ++i) {
+      ring.push_spin(i);
+      stall.item();
+    }
+    ring.close();
+    consumer.join();
+    EXPECT_TRUE(ordered) << capacity;
+    EXPECT_EQ(popped, kCount) << capacity;
+    const SpscRingCounters c = ring.counters();
+    EXPECT_EQ(c.pushed, kCount) << capacity;
+    EXPECT_EQ(c.popped, kCount) << capacity;
+    EXPECT_GT(c.consumer_sleeps, 0u) << capacity;
+    EXPECT_GT(c.producer_sleeps, 0u) << capacity;
+    EXPECT_GE(c.spin_waits, c.producer_sleeps) << capacity;  // each sleep follows a failed push
+  }
+}
+
+TEST(SpscRing, CloseWakesAConsumerAsleepOnAnEmptyRing) {
+  // A consumer asleep in pop() returns false promptly at close(). Here
+  // the producer first queues fewer items than a burst (2 of 64: too few
+  // to wake it), so close() must also hand those over before the end.
+  SpscRing<int> ring{64};
+  const Watchdog watchdog{ring_progress(ring), "close"};
+  std::vector<int> got;
+  std::thread consumer{[&] {
+    int v = 0;
+    while (ring.pop(v)) got.push_back(v);
+  }};
+  while (ring.counters().consumer_sleeps == 0) std::this_thread::yield();
+  EXPECT_TRUE(ring.try_push(7));
+  EXPECT_TRUE(ring.try_push(8));
+  const auto closed = std::chrono::steady_clock::now();
+  ring.close();
+  consumer.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - closed, std::chrono::seconds{2});
+  EXPECT_EQ(got, (std::vector<int>{7, 8}));
+  int v = 0;
+  EXPECT_FALSE(ring.pop(v));  // closed and empty: never blocks again
+}
+
+TEST(SpscRing, TryPopAloneWakesAProducerAsleepOnAFullRing) {
+  // perfbench's hand-off probe shape: the producer waits in push_spin, the
+  // consumer only ever calls try_pop() and yields. The wake check lives in
+  // try_pop() itself, so the sleeping producer is woken once half the ring
+  // has drained.
+  constexpr std::uint64_t kCount = 4096;
+  SpscRing<std::uint64_t> ring{64};
+  const Watchdog watchdog{ring_progress(ring), "try_pop wakes"};
+  std::thread producer{[&] {
+    for (std::uint64_t i = 0; i < kCount; ++i) ring.push_spin(i);
+  }};
+  while (ring.counters().producer_sleeps == 0) std::this_thread::yield();  // asleep on 64 items
+  std::uint64_t popped = 0;
+  bool ordered = true;
+  for (std::uint64_t v = 0; popped < kCount;) {
+    if (ring.try_pop(v)) {
+      ordered = ordered && v == popped;
+      ++popped;
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  producer.join();
+  EXPECT_TRUE(ordered);
+  const SpscRingCounters c = ring.counters();
+  EXPECT_EQ(c.popped, kCount);
+  EXPECT_GE(c.producer_sleeps, 1u);
+  EXPECT_EQ(c.consumer_sleeps, 0u);
 }
 
 // -------------------------------------------------------- ArrivalBatch

@@ -13,7 +13,8 @@ the broken assertion, when an artifact does not hold to its schema:
       Each line_rate artifact carries the full transfer accounting:
       conservation (consumed + dropped == produced) in total and per
       shard, a positive rate, the dispatcher's packing stats and each
-      shard's ring counters. The folded `monitor` and `sequences` records
+      shard's ring counters, whose spin waits and producer and consumer
+      sleeps sum to the record's totals. The folded `monitor` and `sequences` records
       of every file are byte-identical to the first file's.
 
   metrics <dir>
@@ -41,12 +42,15 @@ MONITOR_ACCURACY_FIELDS = {
     "false_negatives", "fp_rate", "fn_rate", "exact_value", "est_value", "abs_error"}
 MONITOR_DETECTORS = {"window_sketch", "approx_rate", "bounded_n"}
 
+# The ring's wait counters: in each shard's `ring` object and, summed over
+# the shards, in the record's totals.
+WAIT_FIELDS = ("spin_waits", "producer_sleeps", "consumer_sleeps")
 INGEST_FIELDS = {
     "shards", "backpressure", "arrivals_produced", "arrivals_consumed", "arrivals_dropped",
-    "arrivals_per_sec", "dispatcher", "per_shard"}
+    "arrivals_per_sec", "dispatcher", "per_shard", *WAIT_FIELDS}
 DISPATCHER_FIELDS = {"sub_batches", "fill_hist", "imbalance_ratio"}
 SHARD_FIELDS = {"shard", "arrivals_dispatched", "arrivals_consumed", "arrivals_dropped", "ring"}
-RING_FIELDS = {"pushed", "popped", "dropped", "spin_waits"}
+RING_FIELDS = {"pushed", "popped", "dropped", *WAIT_FIELDS}
 
 METRICS_FIELDS = {"target", "test", "measurements", "admissible", "metrics"}
 # Benches that publish MetricEngine snapshots into their artifact.
@@ -127,6 +131,9 @@ def check_ingest_file(path, shards):
             f"{path}: per-shard dispatched does not sum to produced: {per_shard}")
     require(sum(s["arrivals_consumed"] for s in per_shard) == consumed,
             f"{path}: per-shard consumed does not sum to consumed: {per_shard}")
+    for field in WAIT_FIELDS:
+        require(sum(s["ring"][field] for s in per_shard) == ingest[field],
+                f"{path}: per-shard ring {field} does not sum to the total: {per_shard}")
     print(f"{path}: {consumed} arrivals over {shards} shard(s) at "
           f"{ingest['arrivals_per_sec'] / 1e6:.1f}M/s, {dropped} dropped, "
           f"imbalance {disp['imbalance_ratio']:.3f}")
